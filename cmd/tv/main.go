@@ -270,7 +270,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		sw, err := d.AnalyzeCorners(res.Sched, corners, opt)
+		sw, err := d.AnalyzeCorners(res, corners, opt)
 		if err != nil {
 			fatal(err)
 		}

@@ -1,7 +1,7 @@
 package bench
 
 // T9: multi-corner sweep scaling. The slack engine runs every PVT corner
-// concurrently over one shared netlist, stage partition, and propagation
+// in turn over one shared netlist, stage partition, and propagation
 // plan (internal/slack); this experiment checks that the sharing actually
 // pays at chip scale. Per tiled-chip size it times a single-corner
 // analysis (forward + backward pass at the typical process) against the

@@ -9,8 +9,8 @@ import (
 	"nmostv/internal/clocks"
 	"nmostv/internal/core"
 	"nmostv/internal/delay"
-	"nmostv/internal/flow"
 	"nmostv/internal/netlist"
+	"nmostv/internal/pipeline"
 	"nmostv/internal/stage"
 	"nmostv/internal/tech"
 )
@@ -84,12 +84,11 @@ func Run(id string) (*Report, error) {
 	return nil, fmt.Errorf("bench: unknown experiment %q", id)
 }
 
-// prepared bundles the pipeline products for one workload.
+// prepared is one workload through the pipeline's preparation steps.
 type prepared struct {
 	nl      *netlist.Netlist
 	stats   netlist.Stats
 	stages  *stage.Result
-	flowSum flow.Summary
 	model   *delay.Model
 	prepDur time.Duration
 	workers int
@@ -103,20 +102,16 @@ func prepare(nl *netlist.Netlist, p tech.Params, useFlow bool) *prepared {
 // the same sweep serial and parallel).
 func prepareWorkers(nl *netlist.Netlist, p tech.Params, useFlow bool, workers int) *prepared {
 	start := time.Now()
-	st := stage.Extract(nl)
-	var fs flow.Summary
-	if useFlow {
-		fs = flow.Analyze(nl)
-	} else {
-		flow.Reset(nl)
+	pl := pipeline.Pipeline{Params: p, NoFlow: !useFlow, Delay: delay.Options{Workers: workers}}
+	st, err := pl.Prepare(context.Background(), nil, nl)
+	if err != nil {
+		panic(fmt.Sprintf("bench: prepare %s: %v", nl.Name, err))
 	}
-	m := delay.Build(nl, st, p, delay.Options{Workers: workers})
 	return &prepared{
 		nl:      nl,
 		stats:   nl.ComputeStats(),
-		stages:  st,
-		flowSum: fs,
-		model:   m,
+		stages:  st.Stages,
+		model:   st.Model,
 		prepDur: time.Since(start),
 		workers: workers,
 	}
@@ -125,11 +120,12 @@ func prepareWorkers(nl *netlist.Netlist, p tech.Params, useFlow bool, workers in
 // analyze runs case analysis and returns the result with its duration.
 func (pr *prepared) analyze(sched clocks.Schedule) (*core.Result, time.Duration) {
 	start := time.Now()
-	res, err := core.Analyze(context.Background(), pr.nl, pr.model, sched, core.Options{Workers: pr.workers})
-	if err != nil {
+	pl := pipeline.Pipeline{Sched: sched, Core: core.Options{Workers: pr.workers}}
+	st := pipeline.State{NL: pr.nl, Stages: pr.stages, Model: pr.model}
+	if err := pl.Analyze(context.Background(), nil, &st); err != nil {
 		panic(fmt.Sprintf("bench: analyze %s: %v", pr.nl.Name, err))
 	}
-	return res, time.Since(start)
+	return st.Base, time.Since(start)
 }
 
 // genericSchedule is the long default cycle used when an experiment is not

@@ -27,16 +27,16 @@ import (
 // allocate a private one, which degenerates to the old per-call
 // allocation behavior.
 type Arena struct {
-	f64buf  []float64
-	fOff    int
-	boolBuf []bool
-	bOff    int
-	i32buf  []int32
-	iOff    int
+	f64buf   []float64
+	fOff     int
+	boolBuf  []bool
+	bOff     int
+	i32buf   []int32
+	iOff     int
 	dirtyBuf []atomic.Bool
-	dOff    int
-	loopBuf [][]*netlist.Node
-	lOff    int
+	dOff     int
+	loopBuf  [][]*netlist.Node
+	lOff     int
 }
 
 // begin resets the carve cursors for a new analysis call. Memory handed

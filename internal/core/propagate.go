@@ -265,13 +265,6 @@ func (r *Result) Plan() *Plan {
 	return &Plan{ws: r.wave}
 }
 
-// NewPlan computes a propagation plan for a model without running an
-// analysis. The corner sweep builds the plan once up front so every
-// corner — including the first — analyzes against the shared plan.
-func NewPlan(n int, m *delay.Model) *Plan {
-	return &Plan{ws: newWaveSchedule(n, m, &Arena{})}
-}
-
 // propagate computes the longest-path fixpoint of arrival times. The arc
 // graph is decomposed into strongly connected components; the condensation
 // is processed as a level-scheduled wavefront (see waveSchedule). Acyclic

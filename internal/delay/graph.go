@@ -14,7 +14,6 @@ import (
 // builder worker. Edges reference devices by stable netlist ID (graph.id),
 // never by pointer, which keeps the model's edge array pointer-free.
 type graph struct {
-
 	vdd, gnd int32
 
 	// Per node, indexed by Node.Index.

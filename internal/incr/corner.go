@@ -3,39 +3,33 @@ package incr
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
-	"time"
 
 	"nmostv/internal/core"
 	"nmostv/internal/delay"
 	"nmostv/internal/netlist"
 	"nmostv/internal/obs"
+	"nmostv/internal/pipeline"
 	"nmostv/internal/slack"
 	"nmostv/internal/tech"
-	"nmostv/internal/tverr"
 )
 
 // Per-corner incremental state. A session configured with Options.Corners
 // maintains, next to its base (typical-process) analysis, one complete
-// analysis per named PVT corner. Every corner shares the session's
-// netlist, stage partition, and — because a corner only rescales delays
-// uniformly (delay.ScaleModel keeps structure) — the base result's
-// propagation plan. A delta batch updates the base and every corner as
-// one atomic step: either all corners commit alongside the base result,
-// or an abort rolls the whole batch back and every published per-corner
-// result is untouched. SelfCheck extends to the corners, asserting each
-// one bit-identical to a from-scratch analysis at that corner.
+// analysis per named PVT corner; the pipeline's corner step produces them
+// (see internal/pipeline). A delta batch updates the base and every
+// corner as one atomic step: either all corners commit alongside the base
+// result, or an abort rolls the whole batch back and every published
+// per-corner result is untouched. SelfCheck extends to the corners,
+// asserting each one bit-identical to a from-scratch analysis at that
+// corner.
 
-// cornerState is one corner's published analysis plus its caches.
+// cornerState is one corner's published analysis.
 type cornerState struct {
 	corner tech.Corner
 	model  *delay.Model
 	res    *core.Result
-
-	// arena is this corner's private analysis scratch. The base arena
-	// cannot be shared: its DeltaStats.Relaxed mask from the base
-	// incremental pass is still live while the corners analyze.
-	arena core.Arena
 
 	// hits counts batches that reused the corner model because the base
 	// model was unchanged; misses counts re-derivations (ScaleModel).
@@ -44,12 +38,29 @@ type cornerState struct {
 	req requiredCache
 }
 
-// cornerUpdate is one corner's re-analysis staged for atomic commit.
-type cornerUpdate struct {
-	model   *delay.Model
-	res     *core.Result
-	hit     bool
-	elapsed time.Duration
+// commit publishes a run's staged state and exports its corner metrics.
+// Called with the write lock held, only after the whole run succeeded.
+func (s *Session) commit(next pipeline.State) {
+	s.stages, s.model, s.res = next.Stages, next.Model, next.Base
+	o := s.opt.Obs
+	dlbl := obs.Label{Key: "design", Val: s.name}
+	for i, c := range next.Corners {
+		cs := s.corners[i]
+		cs.model, cs.res = c.Model, c.Res
+		clbl := obs.Label{Key: "corner", Val: cs.corner.Name}
+		if c.Reused {
+			cs.hits++
+			o.Counter("incr_corner_cache_hits_total",
+				"batches that reused a corner timing model unchanged", dlbl, clbl).Inc()
+		} else {
+			cs.misses++
+			o.Counter("incr_corner_cache_misses_total",
+				"batches that re-derived a corner timing model", dlbl, clbl).Inc()
+		}
+		o.Histogram("incr_corner_analysis_seconds",
+			"wall time of one corner's re-analysis within a batch", nil, dlbl, clbl).
+			Observe(c.Elapsed.Seconds())
+	}
 }
 
 // requiredCache lazily computes and memoizes the backward pass for one
@@ -83,155 +94,17 @@ func (c *requiredCache) get(ctx context.Context, res *core.Result, opt core.Opti
 	return req, nil
 }
 
-// validateCorners checks the configured corner list at session creation.
-func validateCorners(corners []tech.Corner) error {
-	seen := make(map[string]bool, len(corners))
-	for _, c := range corners {
-		if err := c.Validate(); err != nil {
-			return tverr.New(tverr.Invalid, "incr.corners", err)
-		}
-		if seen[c.Name] {
-			return tverr.Errorf(tverr.Invalid, "incr.corners", "corner %q listed twice", c.Name)
-		}
-		seen[c.Name] = true
-	}
-	return nil
-}
-
-// analyzeCornersFull runs every configured corner from scratch against
-// the freshly analyzed base (model, res), staging the updates for commit.
-// Called from runFull with the write lock held.
-func (s *Session) analyzeCornersFull(ctx context.Context, o *obs.Obs, model *delay.Model, res *core.Result) ([]cornerUpdate, error) {
-	if len(s.corners) == 0 {
-		return nil, nil
-	}
-	defer o.Span("corner-analyses").End()
-	plan := res.Plan()
-	pend := make([]cornerUpdate, len(s.corners))
-	for i, cs := range s.corners {
-		start := time.Now()
-		if cs.corner.IsTypical() {
-			// The unit corner is the base analysis itself.
-			pend[i] = cornerUpdate{model: model, res: res, elapsed: time.Since(start)}
-			continue
-		}
-		cm := delay.ScaleModel(model, cs.corner.RScale, cs.corner.CScale)
-		copt := s.opt.Core
-		copt.Obs = o
-		copt.Arena = &cs.arena
-		copt.Plan = plan
-		cres, err := core.Analyze(ctx, s.nl, cm, s.opt.Sched, copt)
-		if err != nil {
-			return nil, fmt.Errorf("corner %s: %w", cs.corner.Name, err)
-		}
-		pend[i] = cornerUpdate{model: cm, res: cres, elapsed: time.Since(start)}
-	}
-	return pend, nil
-}
-
-// analyzeCornersDelta extends every corner's previous analysis after a
-// delta batch. model/res are the staged base results; prevModel is the
-// base model before the batch, so pointer equality detects that the
-// corner models (and their arc contents) are still valid — those batches
-// count as corner cache hits. seed is the same dirty set the base pass
-// used: it marks the stages whose arcs changed, and uniform scaling
-// changes a corner arc exactly when it changes the base arc. Called from
-// Apply with the write lock held; nothing is published here.
-func (s *Session) analyzeCornersDelta(ctx context.Context, o *obs.Obs, model, prevModel *delay.Model, res *core.Result, seed []bool) ([]cornerUpdate, error) {
-	if len(s.corners) == 0 {
-		return nil, nil
-	}
-	defer o.Span("corner-analyses").End()
-	plan := res.Plan()
-	pend := make([]cornerUpdate, len(s.corners))
-	for i, cs := range s.corners {
-		start := time.Now()
-		hit := model == prevModel && cs.model != nil
-		if cs.corner.IsTypical() {
-			pend[i] = cornerUpdate{model: model, res: res, hit: hit, elapsed: time.Since(start)}
-			continue
-		}
-		cm := cs.model
-		if !hit {
-			cm = delay.ScaleModel(model, cs.corner.RScale, cs.corner.CScale)
-		}
-		copt := s.opt.Core
-		copt.Obs = o
-		copt.Arena = &cs.arena
-		copt.Plan = plan
-		cres, _, err := core.AnalyzeIncremental(ctx, s.nl, cm, s.opt.Sched, copt, cs.res, seed)
-		if err != nil {
-			return nil, fmt.Errorf("corner %s: %w", cs.corner.Name, err)
-		}
-		pend[i] = cornerUpdate{model: cm, res: cres, hit: hit, elapsed: time.Since(start)}
-	}
-	return pend, nil
-}
-
-// commitCorners publishes the staged corner updates and exports their
-// metrics. Called with the write lock held, after the base commit, only
-// when every corner succeeded.
-func (s *Session) commitCorners(pend []cornerUpdate) {
-	o := s.opt.Obs
-	dlbl := obs.Label{Key: "design", Val: s.name}
-	for i, up := range pend {
-		cs := s.corners[i]
-		cs.model, cs.res = up.model, up.res
-		clbl := obs.Label{Key: "corner", Val: cs.corner.Name}
-		if up.hit {
-			cs.hits++
-			o.Counter("incr_corner_cache_hits_total",
-				"batches that reused a corner timing model unchanged", dlbl, clbl).Inc()
-		} else {
-			cs.misses++
-			o.Counter("incr_corner_cache_misses_total",
-				"batches that re-derived a corner timing model", dlbl, clbl).Inc()
-		}
-		o.Histogram("incr_corner_analysis_seconds",
-			"wall time of one corner's re-analysis within a batch", nil, dlbl, clbl).
-			Observe(up.elapsed.Seconds())
-	}
-}
-
-// selfCheckCorners re-derives every corner from the reference base model
-// and asserts the published corner state bit-identical: arcs, arrivals,
-// checks, and the backward pass. Called from SelfCheck with the write
-// lock held; model is the from-scratch reference base model.
-func (s *Session) selfCheckCorners(ctx context.Context, model *delay.Model) error {
-	refOpt := s.opt.Core
-	refOpt.Obs = s.opt.Obs.ForRequest(ctx)
+// required returns the lazily cached backward pass of a published
+// result. The base analysis, and the typical corner that aliases it, use
+// the latest version's cache, which Diff shares; any other corner uses
+// its own. Caller holds a lock.
+func (s *Session) required(ctx context.Context, res *core.Result) (*core.Required, error) {
 	for _, cs := range s.corners {
-		refM := delay.ScaleModel(model, cs.corner.RScale, cs.corner.CScale)
-		if len(refM.Edges) != len(cs.model.Edges) {
-			return fmt.Errorf("selfcheck corner %s: %d timing arcs, reference %d",
-				cs.corner.Name, len(cs.model.Edges), len(refM.Edges))
-		}
-		for i := range refM.Edges {
-			if refM.Edges[i] != cs.model.Edges[i] {
-				return fmt.Errorf("selfcheck corner %s: timing arc %d differs: %+v vs reference %+v",
-					cs.corner.Name, i, cs.model.Edges[i], refM.Edges[i])
-			}
-		}
-		ref, err := core.Analyze(ctx, s.nl, refM, s.opt.Sched, refOpt)
-		if err != nil {
-			return fmt.Errorf("selfcheck corner %s reference analysis: %w", cs.corner.Name, err)
-		}
-		if err := compareResults(cs.res, ref); err != nil {
-			return fmt.Errorf("corner %s: %w", cs.corner.Name, err)
-		}
-		refReq, err := ref.Required(ctx, refOpt)
-		if err != nil {
-			return fmt.Errorf("selfcheck corner %s reference backward pass: %w", cs.corner.Name, err)
-		}
-		gotReq, err := cs.req.get(ctx, cs.res, s.opt.Core)
-		if err != nil {
-			return fmt.Errorf("selfcheck corner %s backward pass: %w", cs.corner.Name, err)
-		}
-		if err := compareRequired(gotReq, refReq, s.nl.Nodes); err != nil {
-			return fmt.Errorf("corner %s: %w", cs.corner.Name, err)
+		if cs.res == res && res != s.res {
+			return cs.req.get(ctx, res, s.opt.Core)
 		}
 	}
-	return nil
+	return s.history[len(s.history)-1].req.get(ctx, res, s.opt.Core)
 }
 
 // compareRequired asserts bit-identical required times and slacks.
@@ -323,19 +196,19 @@ func (s *Session) Slack(ctx context.Context, k int, corner string) ([]SlackInfo,
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if corner != "" || len(s.corners) == 0 {
-		name := ""
-		res, req, err := s.cornerRequired(ctx, corner)
+		res, err := s.cornerResult(corner, "incr.slack")
 		if err != nil {
 			return nil, err
 		}
-		if corner != "" {
-			name = corner
+		req, err := s.required(ctx, res)
+		if err != nil {
+			return nil, err
 		}
 		ranked := res.SlackRanking(req, k)
 		out := make([]SlackInfo, len(ranked))
 		for i, e := range ranked {
 			out[i] = SlackInfo{
-				Node: e.Node.Name, Corner: name, Pol: e.Pol.String(),
+				Node: e.Node.Name, Corner: corner, Pol: e.Pol.String(),
 				Arrival: e.Arrival, Required: e.Required, Slack: e.Slack,
 			}
 		}
@@ -356,35 +229,25 @@ func (s *Session) Slack(ctx context.Context, k int, corner string) ([]SlackInfo,
 	return out, nil
 }
 
-// cornerRequired resolves a corner name ("" = base) to its published
-// result and lazily computed required times. Caller holds a lock.
-func (s *Session) cornerRequired(ctx context.Context, corner string) (*core.Result, *core.Required, error) {
-	if corner == "" {
-		req, err := s.baseReq.get(ctx, s.res, s.opt.Core)
-		return s.res, req, err
-	}
-	for _, cs := range s.corners {
-		if cs.corner.Name == corner {
-			req, err := cs.req.get(ctx, cs.res, s.opt.Core)
-			return cs.res, req, err
-		}
-	}
-	return nil, nil, tverr.Errorf(tverr.NotFound, "incr.slack",
-		"no corner %q configured (have %s)", corner, s.cornerNames())
-}
-
 func (s *Session) cornerNames() string {
 	if len(s.corners) == 0 {
 		return "none"
 	}
-	names := ""
+	names := make([]string, len(s.corners))
 	for i, cs := range s.corners {
-		if i > 0 {
-			names += ","
-		}
-		names += cs.corner.Name
+		names[i] = cs.corner.Name
 	}
-	return names
+	return strings.Join(names, ",")
+}
+
+// Sweep is the merged corner view of the published state, computing any
+// missing backward passes: the session's counterpart of the facade's
+// corner sweep. Like Result, its results share the session's live
+// netlist. A single-corner session has no sweep and returns an error.
+func (s *Session) Sweep(ctx context.Context) (*slack.Sweep, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.mergedSweep(ctx)
 }
 
 // mergedSweep assembles the slack.Sweep over the published corner state,
@@ -392,7 +255,7 @@ func (s *Session) cornerNames() string {
 func (s *Session) mergedSweep(ctx context.Context) (*slack.Sweep, error) {
 	crs := make([]slack.CornerResult, len(s.corners))
 	for i, cs := range s.corners {
-		req, err := cs.req.get(ctx, cs.res, s.opt.Core)
+		req, err := s.required(ctx, cs.res)
 		if err != nil {
 			return nil, err
 		}
@@ -406,19 +269,9 @@ func (s *Session) mergedSweep(ctx context.Context) (*slack.Sweep, error) {
 func (s *Session) CriticalAt(corner string, k int) ([]CriticalEntry, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	res := s.res
-	if corner != "" {
-		found := false
-		for _, cs := range s.corners {
-			if cs.corner.Name == corner {
-				res, found = cs.res, true
-				break
-			}
-		}
-		if !found {
-			return nil, tverr.Errorf(tverr.NotFound, "incr.critical",
-				"no corner %q configured (have %s)", corner, s.cornerNames())
-		}
+	res, err := s.cornerResult(corner, "incr.critical")
+	if err != nil {
+		return nil, err
 	}
 	return criticalEntries(res, k), nil
 }

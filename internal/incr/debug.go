@@ -136,7 +136,7 @@ type PathStream struct {
 func (s *Session) PathStream(corner string) (*PathStream, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	res, _, err := s.cornerResult(corner, "incr.paths")
+	res, err := s.cornerResult(corner, "incr.paths")
 	if err != nil {
 		return nil, err
 	}
@@ -179,17 +179,17 @@ func (ps *PathStream) Next() (PathInfo, bool) {
 }
 
 // cornerResult resolves a corner name ("" = base) to its published
-// result and model. Caller holds a lock.
-func (s *Session) cornerResult(corner, op string) (*core.Result, *cornerState, error) {
+// result. Caller holds a lock.
+func (s *Session) cornerResult(corner, op string) (*core.Result, error) {
 	if corner == "" {
-		return s.res, nil, nil
+		return s.res, nil
 	}
 	for _, cs := range s.corners {
 		if cs.corner.Name == corner {
-			return cs.res, cs, nil
+			return cs.res, nil
 		}
 	}
-	return nil, nil, tverr.Errorf(tverr.NotFound, op,
+	return nil, tverr.Errorf(tverr.NotFound, op,
 		"no corner %q configured (have %s)", corner, s.cornerNames())
 }
 
@@ -244,7 +244,7 @@ func (s *Session) Why(ctx context.Context, node, pol, corner string) (WhyInfo, e
 			corner = s.corners[ci].corner.Name
 		}
 	}
-	res, cs, err := s.cornerResult(corner, "incr.why")
+	res, err := s.cornerResult(corner, "incr.why")
 	if err != nil {
 		return WhyInfo{}, err
 	}
@@ -275,8 +275,8 @@ func (s *Session) Why(ctx context.Context, node, pol, corner string) (WhyInfo, e
 	}
 	// The backward pass is lazily cached per published result, so the
 	// slack annotation is free after the first query per version.
-	req, err := s.whyRequired(ctx, cs)
-	if err == nil && req != nil {
+	req, err := s.required(ctx, res)
+	if err == nil {
 		info.Slack = finiteOrNil(req.Slack(n.Index, p))
 	}
 	for i, h := range w.Hops {
@@ -295,15 +295,6 @@ func (s *Session) Why(ctx context.Context, node, pol, corner string) (WhyInfo, e
 		info.Hops[i] = hi
 	}
 	return info, nil
-}
-
-// whyRequired returns the cached backward pass for the chosen corner
-// (nil cornerState = base). Caller holds a lock.
-func (s *Session) whyRequired(ctx context.Context, cs *cornerState) (*core.Required, error) {
-	if cs == nil {
-		return s.baseReq.get(ctx, s.res, s.opt.Core)
-	}
-	return cs.req.get(ctx, cs.res, s.opt.Core)
 }
 
 // NodeDeltaInfo is one node whose timing moved between two versions,
@@ -378,10 +369,10 @@ func (s *Session) Diff(ctx context.Context, from, to int64, eps float64, k, limi
 	// table has since grown cannot run it. Gate on matching lengths.
 	var reqA, reqB *core.Required
 	if len(vf.res.RiseAt) == len(s.nl.Nodes) && len(vt.res.RiseAt) == len(s.nl.Nodes) {
-		if reqA, err = s.versionRequired(ctx, vf); err != nil {
+		if reqA, err = vf.req.get(ctx, vf.res, s.opt.Core); err != nil {
 			return DiffInfo{}, err
 		}
-		if reqB, err = s.versionRequired(ctx, vt); err != nil {
+		if reqB, err = vt.req.get(ctx, vt.res, s.opt.Core); err != nil {
 			return DiffInfo{}, err
 		}
 	}
@@ -435,14 +426,4 @@ func (s *Session) versionAt(seq int64) (*version, error) {
 	hi := s.history[len(s.history)-1].seq
 	return nil, tverr.Errorf(tverr.NotFound, "incr.diff",
 		"version %d not retained (have %d..%d; raise HistoryDepth to keep more)", seq, lo, hi)
-}
-
-// versionRequired returns the backward pass for a retained version,
-// sharing the session's base cache when the version is the currently
-// published result. Caller holds a lock.
-func (s *Session) versionRequired(ctx context.Context, v *version) (*core.Required, error) {
-	if v.res == s.res {
-		return s.baseReq.get(ctx, s.res, s.opt.Core)
-	}
-	return v.req.get(ctx, v.res, s.opt.Core)
 }

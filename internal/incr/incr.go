@@ -22,10 +22,9 @@ import (
 	"nmostv/internal/clocks"
 	"nmostv/internal/core"
 	"nmostv/internal/delay"
-	"nmostv/internal/faultpoint"
-	"nmostv/internal/flow"
 	"nmostv/internal/netlist"
 	"nmostv/internal/obs"
+	"nmostv/internal/pipeline"
 	"nmostv/internal/simfile"
 	"nmostv/internal/stage"
 	"nmostv/internal/tech"
@@ -137,26 +136,19 @@ type Options struct {
 type Session struct {
 	mu sync.RWMutex
 
-	name    string
-	nl      *netlist.Netlist
-	opt     Options
-	stages  *stage.Result
-	flowSum flow.Summary
-	cache   *delay.Cache
-	model   *delay.Model
-	res     *core.Result
+	name string
+	nl   *netlist.Netlist
+	opt  Options
+	// pipe sequences every (re-)analysis. It owns the shard cache and the
+	// analysis arenas, which the single-writer discipline (admission
+	// control serializes Apply/runFull) keeps to one run at a time.
+	pipe   pipeline.Pipeline
+	stages *stage.Result
+	model  *delay.Model
+	res    *core.Result
 
-	// arena is the session's reusable analysis scratch: the session is
-	// single-writer (admission control serializes Apply/runFull), which is
-	// exactly the one-analysis-at-a-time contract core.Arena requires.
-	// SelfCheck's reference run deliberately does NOT use it, so its
-	// scratch usage cannot perturb the arena-backed production path.
-	arena core.Arena
-
-	// corners is the per-corner published state (nil when single-corner);
-	// baseReq lazily caches the base analysis's backward pass.
+	// corners is the per-corner published state (nil when single-corner).
 	corners []*cornerState
-	baseReq requiredCache
 
 	// history is the version ring of retained published results (latest
 	// last); seq is the monotone publish counter. See debug.go.
@@ -178,15 +170,24 @@ func New(ctx context.Context, name string, nl *netlist.Netlist, opt Options) (*S
 	if opt.Obs != nil && opt.Core.Obs == nil {
 		opt.Core.Obs = opt.Obs
 	}
-	if err := validateCorners(opt.Corners); err != nil {
-		return nil, err
+	if err := tech.ValidateCorners(opt.Corners); err != nil {
+		return nil, tverr.New(tverr.Invalid, "incr.corners", err)
 	}
-	s := &Session{
-		name:  name,
-		nl:    nl,
-		opt:   opt,
-		cache: delay.NewCache(),
-	}
+	s := &Session{name: name, nl: nl, opt: opt, pipe: pipeline.Pipeline{
+		Params: opt.Params,
+		Delay: delay.Options{
+			MaxPaths: opt.MaxPaths,
+			MaxDepth: opt.MaxDepth,
+			SetHigh:  opt.Core.SetHigh,
+			SetLow:   opt.Core.SetLow,
+			Workers:  opt.Core.Workers,
+		},
+		Cache:   delay.NewCache(),
+		Sched:   opt.Sched,
+		Core:    opt.Core,
+		Corners: opt.Corners,
+		Arenas:  make([]core.Arena, 1+len(opt.Corners)),
+	}}
 	for _, c := range opt.Corners {
 		s.corners = append(s.corners, &cornerState{corner: c})
 	}
@@ -196,75 +197,50 @@ func New(ctx context.Context, name string, nl *netlist.Netlist, opt Options) (*S
 	return s, nil
 }
 
-// delayOpt builds the delay-builder options around the effective Obs for
-// this call — s.opt.Obs, or its per-request derivation when the context
-// carries a flight-recorder span (see obs.Obs.ForRequest).
+// delayOpt is the session's arc-builder options with the given Obs.
 func (s *Session) delayOpt(o *obs.Obs) delay.Options {
-	return delay.Options{
-		MaxPaths: s.opt.MaxPaths,
-		MaxDepth: s.opt.MaxDepth,
-		SetHigh:  s.opt.Core.SetHigh,
-		SetLow:   s.opt.Core.SetLow,
-		Workers:  s.opt.Core.Workers,
-		Obs:      o,
-	}
+	opt := s.pipe.Delay
+	opt.Obs = o
+	return opt
 }
 
-// coreOpt is the session's analysis options with the session arena
-// attached and the effective Obs swapped in. Only the serialized
-// production analyses use it; concurrent reference runs (SelfCheck) take
-// s.opt.Core verbatim.
-func (s *Session) coreOpt(o *obs.Obs) core.Options {
-	opt := s.opt.Core
-	opt.Obs = o
-	opt.Arena = &s.arena
-	return opt
+// state is the published pipeline state: the previous state of the next
+// run. Callers hold a session lock.
+func (s *Session) state() pipeline.State {
+	st := pipeline.State{NL: s.nl, Stages: s.stages, Model: s.model, Base: s.res}
+	for _, cs := range s.corners {
+		st.Corners = append(st.Corners, pipeline.Corner{Corner: cs.corner, Model: cs.model, Res: cs.res})
+	}
+	return st
 }
 
 // runFull re-derives everything from scratch (but still primes the shard
 // cache for subsequent deltas). Callers hold the write lock, except New.
-// An abort leaves the published model and result untouched: the netlist is
-// not mutated here, and the re-derived stages/flow are equivalent to the
-// old ones, so the session's equivalence invariant still holds.
+// An abort leaves the published state untouched: the netlist is not
+// edited here, and what the run re-derives on it is equivalent to what
+// it held, so the session's equivalence invariant still holds.
 func (s *Session) runFull(ctx context.Context) (Stats, error) {
 	start := time.Now()
 	o := s.opt.Obs.ForRequest(ctx)
 	defer o.Span("full-analysis").End()
-	sp := o.Span("finalize")
-	s.nl.Finalize()
-	sp.End()
-	sp = o.Span("stage-partition")
-	s.stages = stage.Extract(s.nl)
-	sp.End()
-	sp = o.Span("flow")
-	s.flowSum = flow.Analyze(s.nl)
-	sp.End()
-	model, bstats, err := delay.BuildWithCache(ctx, s.nl, s.stages, s.opt.Params, s.delayOpt(o), s.cache)
+	next, ps, err := s.pipe.Run(ctx, o, pipeline.State{NL: s.nl}, pipeline.Devices, nil)
 	if err != nil {
 		return Stats{}, err
 	}
-	res, err := core.Analyze(ctx, s.nl, model, s.opt.Sched, s.coreOpt(o))
-	if err != nil {
-		return Stats{}, err
-	}
-	pend, err := s.analyzeCornersFull(ctx, o, model, res)
-	if err != nil {
-		return Stats{}, err
-	}
-	s.model, s.res = model, res
-	s.commitCorners(pend)
+	s.commit(next)
+	n := len(s.stages.Stages)
 	st := Stats{
 		Full:          true,
-		StagesTotal:   len(s.stages.Stages),
-		StagesRebuilt: len(s.stages.Stages),
-		ConeStages:    len(s.stages.Stages),
+		StagesTotal:   n,
+		StagesRebuilt: n,
+		ConeStages:    n,
 		Nodes:         len(s.nl.Nodes),
 		Corners:       len(s.corners),
 		Elapsed:       time.Since(start),
 	}
 	s.record(&st)
 	s.last = st
-	s.publish(st, bstats)
+	s.publish(st, ps.Build)
 	return st, nil
 }
 
@@ -302,11 +278,10 @@ func (s *Session) Apply(ctx context.Context, deltas []Delta) (Stats, error) {
 	rsp := o.Span("delta-resolve")
 	var acts []func() func()
 	var addedIDs *[]int64
-	structural := false
 	// Flow orientation reads topology, flags, and ForceFlow — never W, L,
 	// or Cap — so batches of pure resize/setcap deltas keep it valid.
-	needsFlow := false
-	seedIdx := make(map[int]bool)
+	edit := pipeline.Sizes
+	var seedNodes []int
 	for i := range deltas {
 		d := &deltas[i]
 		fail := func(format string, args ...any) (Stats, error) {
@@ -343,7 +318,7 @@ func (s *Session) Apply(ctx context.Context, deltas []Delta) (Stats, error) {
 			if !(c >= 0) || math.IsInf(c, 1) {
 				return fail("bad cap %v pF", c)
 			}
-			seedIdx[n.Index] = true
+			seedNodes = append(seedNodes, n.Index)
 			acts = append(acts, func() func() {
 				oc := n.Cap
 				n.Cap = c
@@ -366,8 +341,8 @@ func (s *Session) Apply(ctx context.Context, deltas []Delta) (Stats, error) {
 				}
 			}
 			attrs := d.Attrs
-			needsFlow = true
-			seedIdx[n.Index] = true
+			edit = max(edit, pipeline.Annotations)
+			seedNodes = append(seedNodes, n.Index)
 			acts = append(acts, func() func() {
 				// ApplyAttr only touches scalar annotation fields; a
 				// struct copy captures them all for the undo.
@@ -399,7 +374,7 @@ func (s *Session) Apply(ctx context.Context, deltas []Delta) (Stats, error) {
 				return fail("bad size w=%v l=%v", d.W, d.L)
 			}
 			d := *d
-			structural = true
+			edit = pipeline.Devices
 			if addedIDs == nil {
 				addedIDs = new([]int64)
 			}
@@ -423,10 +398,10 @@ func (s *Session) Apply(ctx context.Context, deltas []Delta) (Stats, error) {
 			// seed would cover them: seed the old stage's nodes now.
 			if st := s.stages.ByTrans(t); st != nil {
 				for _, nd := range st.Nodes {
-					seedIdx[nd.Index] = true
+					seedNodes = append(seedNodes, nd.Index)
 				}
 			}
-			structural = true
+			edit = pipeline.Devices
 			acts = append(acts, func() func() {
 				at := t.Index
 				s.nl.RemoveTransistor(t)
@@ -459,85 +434,40 @@ func (s *Session) Apply(ctx context.Context, deltas []Delta) (Stats, error) {
 	for _, a := range acts {
 		undos = append(undos, a())
 	}
-	if structural {
-		s.nl.Finalize()
-		s.stages = stage.Extract(s.nl)
-	}
-	if structural || needsFlow {
-		s.flowSum = flow.Analyze(s.nl)
-	}
 	asp.End()
 	// rollback restores the pre-batch netlist (undos in reverse, created
-	// nodes truncated), re-derives stages/flow, and rewinds the shard
-	// cache so the session again matches its published result bit for
-	// bit — including the seed accounting of a retried batch.
-	cacheCP := s.cache.Checkpoint()
+	// nodes truncated), rewinds the shard cache, and re-derives what the
+	// netlist stores for the edit, so the session again matches its
+	// published result bit for bit — including the seed accounting of a
+	// retried batch.
+	cacheCP := s.pipe.Cache.Checkpoint()
 	rollback = func() {
 		for i := len(undos) - 1; i >= 0; i-- {
 			undos[i]()
 		}
 		s.nl.TruncateNodes(nodesBefore)
-		s.cache.Rollback(cacheCP)
-		if structural {
-			s.nl.Finalize()
-			s.stages = stage.Extract(s.nl)
-		}
-		if structural || needsFlow {
-			s.flowSum = flow.Analyze(s.nl)
-		}
+		s.pipe.Cache.Rollback(cacheCP)
+		s.pipe.Derive(o, &pipeline.State{NL: s.nl}, edit)
 		s.opt.Obs.Counter("incr_rollbacks_total",
 			"delta batches rolled back after an aborted re-analysis").Inc()
 	}
-	model, bstats, err := delay.BuildWithCache(ctx, s.nl, s.stages, s.opt.Params, s.delayOpt(o), s.cache)
+	// The pipeline stages the base and every corner before anything
+	// commits, so an abort anywhere rolls the whole batch back with the
+	// published state untouched.
+	next, ps, err := s.pipe.Run(ctx, o, s.state(), edit, seedNodes)
 	if err != nil {
 		rollback()
 		return Stats{}, err
 	}
-	if len(bstats.Rebuilt) == 0 && capsEqual(model.Caps, s.model.Caps) {
-		// Nothing the arc builder reads changed: keep the old model so
-		// the analyzer reuses its propagation plan by pointer identity.
-		model = s.model
-	}
-	seed := make([]bool, len(s.nl.Nodes))
-	for i := range seedIdx {
-		seed[i] = true
-	}
-	for _, stg := range bstats.Rebuilt {
-		for _, nd := range stg.Nodes {
-			seed[nd.Index] = true
-		}
-	}
-	if err := faultpoint.Hit("incr.apply.analyze"); err != nil {
-		rollback()
-		return Stats{}, fmt.Errorf("incr: apply: %w", err)
-	}
-	res, dstats, err := core.AnalyzeIncremental(ctx, s.nl, model, s.opt.Sched, s.coreOpt(o), s.res, seed)
-	if err != nil {
-		rollback()
-		return Stats{}, err
-	}
-	if err := faultpoint.Hit("incr.apply.corner"); err != nil {
-		rollback()
-		return Stats{}, fmt.Errorf("incr: apply: %w", err)
-	}
-	// Corners re-analyze against the staged base result; nothing commits
-	// until every corner succeeds, so an abort mid-sweep rolls the whole
-	// batch back with the published per-corner state untouched.
-	pend, err := s.analyzeCornersDelta(ctx, o, model, s.model, res, seed)
-	if err != nil {
-		rollback()
-		return Stats{}, err
-	}
-	s.model, s.res = model, res
-	s.commitCorners(pend)
+	s.commit(next)
 	rollback = nil // committed: a later panic must not unwind the batch
 	s.applied += len(deltas)
 
-	cone := make(map[int]bool, len(bstats.Rebuilt))
-	for _, stg := range bstats.Rebuilt {
+	cone := make(map[int]bool, len(ps.Build.Rebuilt))
+	for _, stg := range ps.Build.Rebuilt {
 		cone[stg.Index] = true
 	}
-	for i, rel := range dstats.Relaxed {
+	for i, rel := range ps.Delta.Relaxed {
 		if rel {
 			if stg := s.stages.ByNode(s.nl.Nodes[i]); stg != nil {
 				cone[stg.Index] = true
@@ -547,13 +477,13 @@ func (s *Session) Apply(ctx context.Context, deltas []Delta) (Stats, error) {
 	st := Stats{
 		Deltas:        len(deltas),
 		StagesTotal:   len(s.stages.Stages),
-		StagesRebuilt: len(bstats.Rebuilt),
+		StagesRebuilt: len(ps.Build.Rebuilt),
 		ConeStages:    len(cone),
-		Comps:         dstats.Comps,
-		CompsRelaxed:  dstats.CompsRelaxed,
-		NodesRelaxed:  dstats.NodesRelaxed,
+		Comps:         ps.Delta.Comps,
+		CompsRelaxed:  ps.Delta.CompsRelaxed,
+		NodesRelaxed:  ps.Delta.NodesRelaxed,
 		Nodes:         len(s.nl.Nodes),
-		ReusedWave:    dstats.ReusedWave,
+		ReusedWave:    ps.Delta.ReusedWave,
 		Corners:       len(s.corners),
 		Elapsed:       time.Since(start),
 	}
@@ -562,7 +492,7 @@ func (s *Session) Apply(ctx context.Context, deltas []Delta) (Stats, error) {
 	}
 	s.record(&st)
 	s.last = st
-	s.publish(st, bstats)
+	s.publish(st, ps.Build)
 	return st, nil
 }
 
@@ -591,54 +521,68 @@ func (s *Session) publish(st Stats, bstats delay.BuildStats) {
 		Observe(st.Elapsed.Seconds())
 }
 
-func capsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // SelfCheck re-derives the whole pipeline from scratch — fresh partition,
-// flow, timing arcs, full analysis — and verifies the session's current
-// result is bit-identical: every timing arc, every arrival (settle and
-// early, both polarities), and every check. This is the equivalence
-// invariant of the incremental engine; it returns nil when it holds.
+// flow, timing arcs, full analysis at every corner — and verifies the
+// session's current state is bit-identical: every timing arc, every
+// arrival (settle and early, both polarities), every check, and every
+// corner's backward pass. This is the equivalence invariant of the
+// incremental engine; it returns nil when it holds.
 func (s *Session) SelfCheck(ctx context.Context) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	o := s.opt.Obs.ForRequest(ctx)
 	defer o.Span("verify").End()
-	s.nl.Finalize()
-	st := stage.Extract(s.nl)
-	flow.Analyze(s.nl)
-	model, err := delay.BuildCtx(ctx, s.nl, st, s.opt.Params, s.delayOpt(o))
+	// The reference shares nothing the session computed: no shard cache,
+	// no session arena, no previous result, no plan but its own.
+	ref := s.pipe
+	ref.Cache, ref.Arenas = nil, nil
+	want, _, err := ref.Run(ctx, o, pipeline.State{NL: s.nl}, pipeline.Devices, nil)
 	if err != nil {
+		return fmt.Errorf("selfcheck reference analysis: %w", err)
+	}
+	if err := compareArcs(s.model, want.Model); err != nil {
+		return err
+	}
+	if err := compareResults(s.res, want.Base); err != nil {
 		return err
 	}
 	refOpt := s.opt.Core
 	refOpt.Obs = o
-	ref, err := core.Analyze(ctx, s.nl, model, s.opt.Sched, refOpt)
-	if err != nil {
-		return fmt.Errorf("selfcheck reference analysis: %w", err)
-	}
-	if len(model.Edges) != len(s.model.Edges) {
-		return fmt.Errorf("selfcheck: %d timing arcs, reference %d", len(s.model.Edges), len(model.Edges))
-	}
-	for i := range model.Edges {
-		if model.Edges[i] != s.model.Edges[i] {
-			return fmt.Errorf("selfcheck: timing arc %d differs: %+v vs reference %+v",
-				i, s.model.Edges[i], model.Edges[i])
+	for i, cs := range s.corners {
+		wc := want.Corners[i]
+		if err := compareArcs(cs.model, wc.Model); err != nil {
+			return fmt.Errorf("corner %s: %w", cs.corner.Name, err)
+		}
+		if err := compareResults(cs.res, wc.Res); err != nil {
+			return fmt.Errorf("corner %s: %w", cs.corner.Name, err)
+		}
+		refReq, err := wc.Res.Required(ctx, refOpt)
+		if err != nil {
+			return fmt.Errorf("selfcheck corner %s reference backward pass: %w", cs.corner.Name, err)
+		}
+		gotReq, err := s.required(ctx, cs.res)
+		if err != nil {
+			return fmt.Errorf("selfcheck corner %s backward pass: %w", cs.corner.Name, err)
+		}
+		if err := compareRequired(gotReq, refReq, s.nl.Nodes); err != nil {
+			return fmt.Errorf("corner %s: %w", cs.corner.Name, err)
 		}
 	}
-	if err := compareResults(s.res, ref); err != nil {
-		return err
+	return nil
+}
+
+// compareArcs asserts bit-identical timing arcs.
+func compareArcs(got, ref *delay.Model) error {
+	if len(got.Edges) != len(ref.Edges) {
+		return fmt.Errorf("selfcheck: %d timing arcs, reference %d", len(got.Edges), len(ref.Edges))
 	}
-	return s.selfCheckCorners(ctx, model)
+	for i := range ref.Edges {
+		if got.Edges[i] != ref.Edges[i] {
+			return fmt.Errorf("selfcheck: timing arc %d differs: %+v vs reference %+v",
+				i, got.Edges[i], ref.Edges[i])
+		}
+	}
+	return nil
 }
 
 // compareResults asserts bit-identical arrivals and semantically identical

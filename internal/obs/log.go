@@ -1,66 +1,41 @@
 package obs
 
 import (
+	"context"
 	"fmt"
 	"io"
-	"strconv"
-	"sync"
+	"log/slog"
+	"strings"
 	"time"
-	"unicode/utf8"
 )
 
-// Logger is a dependency-free leveled structured logger. Lines are either
-// logfmt-style text (`ts level msg key=value ...`) or JSON objects, one
-// per line, with deterministic field order (ts, level, msg, then fields
-// in call order). Like the rest of this package, a nil *Logger is the
-// disabled state: every method no-ops, so call sites never branch on
+// Logger is a leveled structured logger on log/slog. Lines are either
+// logfmt-style text or JSON objects, one per line, and both start with
+// the fields ts (RFC 3339, UTC), level (lowercase) and msg, then the
+// call's fields in order. Like the rest of this package, a nil *Logger is
+// the disabled state: every method no-ops, so call sites never branch on
 // "is logging on".
 type Logger struct {
-	mu     sync.Mutex
-	w      io.Writer
-	level  Level
-	format Format
-	// now is the clock, swappable in tests for deterministic timestamps.
-	now func() time.Time
+	sl *slog.Logger
 }
 
 // Level orders log severities.
-type Level int8
+type Level = slog.Level
 
 const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
+	LevelDebug = slog.LevelDebug
+	LevelInfo  = slog.LevelInfo
+	LevelWarn  = slog.LevelWarn
+	LevelError = slog.LevelError
 )
 
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
-	}
-	return "level(" + strconv.Itoa(int(l)) + ")"
-}
-
-// ParseLevel parses a -log-level flag value.
+// ParseLevel parses a -log-level flag value: debug, info, warn or error.
 func ParseLevel(s string) (Level, error) {
-	switch s {
-	case "debug":
-		return LevelDebug, nil
-	case "info":
-		return LevelInfo, nil
-	case "warn":
-		return LevelWarn, nil
-	case "error":
-		return LevelError, nil
+	var lv Level
+	if err := lv.UnmarshalText([]byte(s)); err != nil {
+		return LevelInfo, fmt.Errorf("unknown log level %q (want debug, info, warn, or error)", s)
 	}
-	return LevelInfo, fmt.Errorf("unknown log level %q (want debug, info, warn, or error)", s)
+	return lv, nil
 }
 
 // Format selects the line encoding.
@@ -83,22 +58,39 @@ func ParseFormat(s string) (Format, error) {
 }
 
 // Field is one key/value pair on a log line.
-type Field struct {
-	Key string
-	Val any
-}
+type Field = slog.Attr
 
 // F builds a Field; it keeps call sites terse.
-func F(key string, val any) Field { return Field{Key: key, Val: val} }
+func F(key string, val any) Field { return slog.Any(key, val) }
 
-// NewLogger returns a logger writing to w. Writes are serialized by an
-// internal mutex, and each line is emitted as a single Write call.
+// NewLogger returns a logger writing to w. Each line is emitted as a
+// single Write call.
 func NewLogger(w io.Writer, format Format, level Level) *Logger {
-	return &Logger{w: w, format: format, level: level, now: time.Now}
+	opt := &slog.HandlerOptions{Level: level, ReplaceAttr: lineContract}
+	if format == FormatJSON {
+		return &Logger{slog.New(slog.NewJSONHandler(w, opt))}
+	}
+	return &Logger{slog.New(slog.NewTextHandler(w, opt))}
+}
+
+// lineContract renames slog's time key to ts in UTC, lowercases the
+// level, and prints durations as Go durations ("1.5s").
+func lineContract(_ []string, a slog.Attr) slog.Attr {
+	switch {
+	case a.Key == slog.TimeKey:
+		return slog.String("ts", a.Value.Time().UTC().Format(time.RFC3339Nano))
+	case a.Key == slog.LevelKey:
+		return slog.String(slog.LevelKey, strings.ToLower(a.Value.String()))
+	case a.Value.Kind() == slog.KindDuration:
+		return slog.String(a.Key, a.Value.Duration().String())
+	}
+	return a
 }
 
 // Enabled reports whether lines at lv would be emitted; nil-safe.
-func (l *Logger) Enabled(lv Level) bool { return l != nil && lv >= l.level }
+func (l *Logger) Enabled(lv Level) bool {
+	return l != nil && l.sl.Enabled(context.Background(), lv)
+}
 
 // Debug emits a debug-level line; nil-safe.
 func (l *Logger) Debug(msg string, fields ...Field) { l.log(LevelDebug, msg, fields) }
@@ -113,147 +105,7 @@ func (l *Logger) Warn(msg string, fields ...Field) { l.log(LevelWarn, msg, field
 func (l *Logger) Error(msg string, fields ...Field) { l.log(LevelError, msg, fields) }
 
 func (l *Logger) log(lv Level, msg string, fields []Field) {
-	if !l.Enabled(lv) {
-		return
+	if l != nil {
+		l.sl.LogAttrs(context.Background(), lv, msg, fields...)
 	}
-	buf := make([]byte, 0, 256)
-	ts := l.now().UTC().Format(time.RFC3339Nano)
-	if l.format == FormatJSON {
-		buf = append(buf, `{"ts":`...)
-		buf = appendJSONString(buf, ts)
-		buf = append(buf, `,"level":`...)
-		buf = appendJSONString(buf, lv.String())
-		buf = append(buf, `,"msg":`...)
-		buf = appendJSONString(buf, msg)
-		for _, f := range fields {
-			buf = append(buf, ',')
-			buf = appendJSONString(buf, f.Key)
-			buf = append(buf, ':')
-			buf = appendJSONValue(buf, f.Val)
-		}
-		buf = append(buf, '}', '\n')
-	} else {
-		buf = append(buf, ts...)
-		buf = append(buf, ' ')
-		buf = append(buf, lv.String()...)
-		buf = append(buf, ' ')
-		buf = appendTextValue(buf, msg)
-		for _, f := range fields {
-			buf = append(buf, ' ')
-			buf = append(buf, f.Key...)
-			buf = append(buf, '=')
-			buf = appendTextValue(buf, valueString(f.Val))
-		}
-		buf = append(buf, '\n')
-	}
-	l.mu.Lock()
-	l.w.Write(buf)
-	l.mu.Unlock()
-}
-
-// valueString renders a field value for the text format.
-func valueString(v any) string {
-	switch x := v.(type) {
-	case string:
-		return x
-	case error:
-		return x.Error()
-	case fmt.Stringer:
-		return x.String()
-	default:
-		return fmt.Sprint(v)
-	}
-}
-
-// appendTextValue appends a logfmt value: bare when it has no spaces,
-// quotes, or control bytes, quoted otherwise.
-func appendTextValue(buf []byte, s string) []byte {
-	plain := s != ""
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c <= ' ' || c == '"' || c == '=' {
-			plain = false
-			break
-		}
-	}
-	if plain {
-		return append(buf, s...)
-	}
-	return strconv.AppendQuote(buf, s)
-}
-
-// appendJSONValue appends v as a JSON value. The common scalar types are
-// encoded directly; everything else is stringified — log fields are for
-// humans and grep, not for round-tripping arbitrary structures.
-func appendJSONValue(buf []byte, v any) []byte {
-	switch x := v.(type) {
-	case nil:
-		return append(buf, "null"...)
-	case string:
-		return appendJSONString(buf, x)
-	case bool:
-		return strconv.AppendBool(buf, x)
-	case int:
-		return strconv.AppendInt(buf, int64(x), 10)
-	case int32:
-		return strconv.AppendInt(buf, int64(x), 10)
-	case int64:
-		return strconv.AppendInt(buf, x, 10)
-	case uint64:
-		return strconv.AppendUint(buf, x, 10)
-	case float64:
-		// Non-finite floats are not valid JSON numbers; quote them.
-		if x != x || x > 1.7976931348623157e308 || x < -1.7976931348623157e308 {
-			return appendJSONString(buf, strconv.FormatFloat(x, 'g', -1, 64))
-		}
-		return strconv.AppendFloat(buf, x, 'g', -1, 64)
-	case time.Duration:
-		return appendJSONString(buf, x.String())
-	case error:
-		return appendJSONString(buf, x.Error())
-	default:
-		return appendJSONString(buf, fmt.Sprint(v))
-	}
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a JSON string literal. strconv.Quote is
-// not a JSON escaper (it emits \x and octal escapes JSON forbids), so the
-// escaping is done here: quote, backslash, and control bytes get escaped,
-// everything else — including multi-byte UTF-8 — passes through, with
-// invalid bytes replaced by U+FFFD.
-func appendJSONString(buf []byte, s string) []byte {
-	buf = append(buf, '"')
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			switch {
-			case c == '"':
-				buf = append(buf, '\\', '"')
-			case c == '\\':
-				buf = append(buf, '\\', '\\')
-			case c == '\n':
-				buf = append(buf, '\\', 'n')
-			case c == '\r':
-				buf = append(buf, '\\', 'r')
-			case c == '\t':
-				buf = append(buf, '\\', 't')
-			case c < 0x20:
-				buf = append(buf, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-			default:
-				buf = append(buf, c)
-			}
-			i++
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			buf = append(buf, "�"...)
-			i++
-			continue
-		}
-		buf = append(buf, s[i:i+size]...)
-		i += size
-	}
-	return append(buf, '"')
 }

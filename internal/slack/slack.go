@@ -1,15 +1,14 @@
-// Package slack is the multi-corner (MCMM) analysis layer: it runs the
-// forward and backward timing passes at every requested PVT corner
-// concurrently over one shared netlist, stage partition, and propagation
-// plan, and merges the per-corner slacks into a worst-slack-per-node
-// signoff view.
+// Package slack is the multi-corner (MCMM) analysis layer: it completes
+// the pipeline's corner step with every corner's backward pass and merges
+// the per-corner slacks into a worst-slack-per-node signoff view.
 //
 // The sharing is what makes N corners affordable: a corner differs from
 // the typical process only by uniform R/C derates (tech.Corner), so its
 // timing model is the base model with delays rescaled (delay.ScaleModel —
-// same arcs, same masks, same structure) and its analysis can run against
-// the base plan (core.Options.Plan). Per corner, only the delay values
-// and the arrival/required/slack arrays are distinct; the netlist, stage
+// same arcs, same masks, same structure), its analysis runs against the
+// base analysis's propagation plan, and the typical corner is the base
+// analysis itself. Per corner, only the delay values and the
+// arrival/required/slack arrays are distinct; the netlist, stage
 // partition, flow orientation, adjacency, SCC condensation, and
 // levelization are computed once. Because every corner's inputs are
 // deterministic and the engine is bit-identical at any worker count, the
@@ -21,14 +20,12 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
-	"time"
 
 	"nmostv/internal/clocks"
 	"nmostv/internal/core"
 	"nmostv/internal/delay"
 	"nmostv/internal/netlist"
-	"nmostv/internal/obs"
+	"nmostv/internal/pipeline"
 	"nmostv/internal/tech"
 )
 
@@ -36,14 +33,10 @@ import (
 type Options struct {
 	// Sched is the clock schedule every corner is analyzed against.
 	Sched clocks.Schedule
-	// Core is passed through to each corner's analysis (workers, input
-	// times, SCC bound). Its Plan field is overwritten with the shared
-	// plan; its Arena must be nil — corners run concurrently and the
-	// arena contract is single-analysis-at-a-time.
+	// Core is passed through to each corner's forward and backward pass
+	// (workers, input times, SCC bound); its Obs receives the sweep's
+	// spans.
 	Core core.Options
-	// Obs receives the per-corner analysis-latency histogram and sweep
-	// counters; nil disables instrumentation.
-	Obs *obs.Obs
 }
 
 // CornerResult is one corner's complete analysis.
@@ -71,57 +64,44 @@ type Sweep struct {
 	WorstCorner []int32
 }
 
-// Analyze runs every corner concurrently over the shared plan. The base
-// model must have been built from nl at the typical (unscaled) process;
-// an empty corner list analyzes just the typical corner. The context
-// aborts all corners; the first error wins.
+// Analyze runs the base analysis of a prepared model and then every
+// corner against its plan. The base model must have been built from nl
+// at the typical (unscaled) process; an empty corner list analyzes just
+// the typical corner. The context aborts the sweep.
 func Analyze(ctx context.Context, nl *netlist.Netlist, base *delay.Model, corners []tech.Corner, opt Options) (*Sweep, error) {
+	return sweep(ctx, pipeline.State{NL: nl, Model: base}, opt.Sched, corners, opt.Core)
+}
+
+// AnalyzeFrom is Analyze for a design already analyzed at the typical
+// process: base is the typical corner, and the other corners are
+// analyzed against its schedule over its plan.
+func AnalyzeFrom(ctx context.Context, base *core.Result, corners []tech.Corner, opt core.Options) (*Sweep, error) {
+	return sweep(ctx, pipeline.State{NL: base.NL, Model: base.Model, Base: base}, base.Sched, corners, opt)
+}
+
+// sweep runs the analysis steps st lacks, then each corner's backward
+// pass and the merge.
+func sweep(ctx context.Context, st pipeline.State, sched clocks.Schedule, corners []tech.Corner, opt core.Options) (*Sweep, error) {
 	if len(corners) == 0 {
 		corners = []tech.Corner{tech.Typical()}
 	}
-	seen := make(map[string]bool, len(corners))
-	for _, c := range corners {
-		if err := c.Validate(); err != nil {
-			return nil, err
-		}
-		if seen[c.Name] {
-			return nil, fmt.Errorf("slack: corner %q listed twice", c.Name)
-		}
-		seen[c.Name] = true
-	}
-	if err := opt.Sched.Validate(); err != nil {
+	if err := tech.ValidateCorners(corners); err != nil {
 		return nil, err
 	}
-	opt.Core.Arena = nil // corners run concurrently; no shared scratch
 	defer opt.Obs.Span("corner-sweep").End()
-
-	sp := opt.Obs.Span("shared-plan")
-	plan := core.NewPlan(len(nl.Nodes), base)
-	sp.End()
-
-	sw := &Sweep{Corners: make([]CornerResult, len(corners))}
-	var wg sync.WaitGroup
-	errs := make([]error, len(corners))
-	for i, c := range corners {
-		wg.Add(1)
-		go func(i int, c tech.Corner) {
-			defer wg.Done()
-			cr, err := analyzeCorner(ctx, nl, base, plan, c, opt)
-			if err != nil {
-				errs[i] = fmt.Errorf("slack: corner %s: %w", c.Name, err)
-				return
-			}
-			sw.Corners[i] = cr
-		}(i, c)
+	p := pipeline.Pipeline{Sched: sched, Core: opt, Corners: corners}
+	if err := p.Analyze(ctx, opt.Obs, &st); err != nil {
+		return nil, fmt.Errorf("slack: %w", err)
 	}
-	wg.Wait()
-	for _, err := range errs {
+	crs := make([]CornerResult, len(st.Corners))
+	for i, c := range st.Corners {
+		req, err := c.Res.Required(ctx, opt)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("slack: corner %s: %w", c.Corner.Name, err)
 		}
+		crs[i] = CornerResult{Corner: c.Corner, Model: c.Model, Res: c.Res, Req: req}
 	}
-	sw.merge(len(nl.Nodes))
-	return sw, nil
+	return Merge(crs)
 }
 
 // Merge assembles a Sweep from per-corner analyses computed elsewhere —
@@ -142,30 +122,6 @@ func Merge(corners []CornerResult) (*Sweep, error) {
 	sw := &Sweep{Corners: corners}
 	sw.merge(len(nl.Nodes))
 	return sw, nil
-}
-
-// analyzeCorner derives one corner's model and runs both timing passes
-// against the shared plan.
-func analyzeCorner(ctx context.Context, nl *netlist.Netlist, base *delay.Model, plan *core.Plan, c tech.Corner, opt Options) (CornerResult, error) {
-	start := time.Now()
-	copt := opt.Core
-	copt.Plan = plan
-	model := delay.ScaleModel(base, c.RScale, c.CScale)
-	res, err := core.Analyze(ctx, nl, model, opt.Sched, copt)
-	if err != nil {
-		return CornerResult{}, err
-	}
-	req, err := res.Required(ctx, copt)
-	if err != nil {
-		return CornerResult{}, err
-	}
-	lbl := obs.Label{Key: "corner", Val: c.Name}
-	opt.Obs.Counter("slack_corner_analyses_total",
-		"completed per-corner analyses (forward + backward pass)", lbl).Inc()
-	opt.Obs.Histogram("slack_corner_analysis_seconds",
-		"wall time of one corner's forward + backward analysis", nil, lbl).
-		Observe(time.Since(start).Seconds())
-	return CornerResult{Corner: c, Model: model, Res: res, Req: req}, nil
 }
 
 // merge computes the worst-slack-per-node view. min is exact in floating

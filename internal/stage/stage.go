@@ -193,11 +193,11 @@ func Extract(nl *netlist.Netlist) *Result {
 	for si := int32(0); si < nc; si++ {
 		s := &stageSlab[si]
 		s.Index = int(si)
-		s.Trans = transFlat[tp:tp:tp+devCnt[si]]
+		s.Trans = transFlat[tp : tp : tp+devCnt[si]]
 		tp += devCnt[si]
-		s.Nodes = nodesFlat[np:np:np+nodeCnt[si]]
+		s.Nodes = nodesFlat[np : np : np+nodeCnt[si]]
 		np += nodeCnt[si]
-		s.GateInputs = gatesFlat[gp:gp:gp+gateCnt[si]]
+		s.GateInputs = gatesFlat[gp : gp : gp+gateCnt[si]]
 		gp += gateCnt[si]
 		res.Stages[si] = s
 	}

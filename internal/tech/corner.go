@@ -90,7 +90,6 @@ func ParseCorners(spec string) ([]Corner, error) {
 		return nil, nil
 	}
 	var out []Corner
-	seen := map[string]bool{}
 	for _, field := range strings.Split(spec, ",") {
 		field = strings.TrimSpace(field)
 		if field == "" {
@@ -112,16 +111,28 @@ func ParseCorners(spec string) ([]Corner, error) {
 		} else {
 			return nil, fmt.Errorf("tech: corner %q: want a builtin name or name:rscale:cscale", field)
 		}
-		if err := c.Validate(); err != nil {
-			return nil, err
-		}
-		if seen[c.Name] {
-			return nil, fmt.Errorf("tech: corner %q listed twice", c.Name)
-		}
-		seen[c.Name] = true
 		out = append(out, c)
 	}
+	if err := ValidateCorners(out); err != nil {
+		return nil, err
+	}
 	return out, nil
+}
+
+// ValidateCorners reports whether a corner list is usable: every corner
+// valid, no name listed twice.
+func ValidateCorners(corners []Corner) error {
+	seen := make(map[string]bool, len(corners))
+	for _, c := range corners {
+		if err := c.Validate(); err != nil {
+			return err
+		}
+		if seen[c.Name] {
+			return fmt.Errorf("tech: corner %q listed twice", c.Name)
+		}
+		seen[c.Name] = true
+	}
+	return nil
 }
 
 // Scaled returns the parameter set derated to the given corner factors:

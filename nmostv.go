@@ -20,6 +20,7 @@ package nmostv
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"os"
 
@@ -31,6 +32,7 @@ import (
 	"nmostv/internal/flow"
 	"nmostv/internal/netlist"
 	"nmostv/internal/obs"
+	"nmostv/internal/pipeline"
 	"nmostv/internal/simfile"
 	"nmostv/internal/slack"
 	"nmostv/internal/stage"
@@ -144,26 +146,19 @@ type PrepareOptions struct {
 
 // Prepare runs the pre-analysis pipeline on a finalized netlist.
 func Prepare(nl *Netlist, p Params, opt PrepareOptions) *Design {
-	d := &Design{NL: nl, Params: p}
-	sp := opt.Obs.Span("stage-partition")
-	d.Stages = stage.Extract(nl)
-	sp.End()
-	sp = opt.Obs.Span("flow")
-	if opt.DisableFlow {
-		flow.Reset(nl)
-	} else {
-		d.Flow = flow.Analyze(nl)
-	}
-	sp.End()
-	d.Model = delay.Build(nl, d.Stages, p, delay.Options{
+	pl := pipeline.Pipeline{Params: p, NoFlow: opt.DisableFlow, Delay: delay.Options{
 		MaxPaths: opt.MaxPaths,
 		MaxDepth: opt.MaxDepth,
 		SetHigh:  opt.SetHigh,
 		SetLow:   opt.SetLow,
 		Workers:  opt.Workers,
-		Obs:      opt.Obs,
-	})
-	return d
+	}}
+	st, err := pl.Prepare(context.Background(), opt.Obs, nl)
+	if err != nil {
+		// Only an armed fault point fails an uncanceled build.
+		panic(fmt.Sprintf("nmostv: prepare: %v", err))
+	}
+	return &Design{NL: nl, Params: p, Stages: st.Stages, Flow: st.Flow, Model: st.Model}
 }
 
 // AnalyzeCase is the one-call form of TV case analysis: it re-prepares the
@@ -184,13 +179,14 @@ func (d *Design) AnalyzeContext(ctx context.Context, sched Schedule, opt Analyze
 	return core.Analyze(ctx, d.NL, d.Model, sched, opt)
 }
 
-// AnalyzeCorners runs forward and backward timing passes at every corner
-// concurrently over the design's shared propagation plan and merges the
-// per-corner slacks into a worst-slack-per-node view. An empty corner
-// list analyzes just the typical corner.
-func (d *Design) AnalyzeCorners(sched Schedule, corners []Corner, opt AnalyzeOptions) (*CornerSweep, error) {
-	return slack.Analyze(context.Background(), d.NL, d.Model, corners,
-		slack.Options{Sched: sched, Core: opt, Obs: opt.Obs})
+// AnalyzeCorners extends base, an analysis of the design under opt, to
+// PVT corners: base is the typical corner, and every other corner
+// rescales the design's arcs and is analyzed against base's schedule
+// over its propagation plan. Each corner then gets its backward pass, and the
+// per-corner slacks merge into a worst-slack-per-node view. An empty
+// corner list analyzes just the typical corner.
+func (d *Design) AnalyzeCorners(base *Result, corners []Corner, opt AnalyzeOptions) (*CornerSweep, error) {
+	return slack.AnalyzeFrom(context.Background(), base, corners, opt)
 }
 
 // MinPeriod searches for the smallest passing clock period in [lo, hi] ns
