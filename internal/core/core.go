@@ -211,6 +211,10 @@ type Result struct {
 	wave           *waveSchedule
 	clockedStorage []bool
 	loopNodes      []*netlist.Node
+
+	// reqMu guards req, the backward pass Required memoizes.
+	reqMu sync.Mutex
+	req   *Required
 }
 
 // Settle returns the overall settle time of a node: the latest of its rise

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 
@@ -142,29 +141,24 @@ type RankedPath struct {
 }
 
 // TopPaths returns the k most constrained endpoints, worst (smallest
-// slack) first: the minimum-slack latch or output check per endpoint node,
-// each with its path. When the design has no deadline checks at all, it
-// falls back to the k latest-settling nodes ranked against the cycle end,
-// reported as output-style checks. Returns fewer than k entries when the
-// design has fewer endpoints, nil when everything is static.
+// slack) first: the minimum-slack latch or output check per endpoint node
+// (the first such check on a tie), each with its path. When the design
+// has no deadline checks at all, it falls back to the k latest-settling
+// nodes ranked against the cycle end, reported as output-style checks.
+// Returns fewer than k entries when the design has fewer endpoints, nil
+// when k ≤ 0. One pass over the checks selects the k endpoints (TopK,
+// keyed by node), so only k paths are ever reconstructed.
 func (r *Result) TopPaths(k int) []RankedPath {
 	if k <= 0 {
 		return nil
 	}
-	worst := make(map[int]Check)
+	top := NewTopK(k, compareEndpoint, func(c Check) int { return c.Node.Index })
 	for _, c := range r.Checks {
-		if c.Kind != CheckLatch && c.Kind != CheckOutput {
-			continue
-		}
-		if old, ok := worst[c.Node.Index]; !ok || c.Slack < old.Slack {
-			worst[c.Node.Index] = c
+		if c.Kind == CheckLatch || c.Kind == CheckOutput {
+			top.Offer(c)
 		}
 	}
-	var picks []Check
-	for _, c := range worst {
-		picks = append(picks, c)
-	}
-	if len(picks) == 0 {
+	if top.Len() == 0 {
 		for _, n := range r.NL.Nodes {
 			if n.IsSupply() || n.IsClock() {
 				continue
@@ -177,7 +171,7 @@ func (r *Result) TopPaths(k int) []RankedPath {
 			if r.FallAt[n.Index] > r.RiseAt[n.Index] {
 				pol = Fall
 			}
-			picks = append(picks, Check{
+			top.Offer(Check{
 				Kind: CheckOutput, Node: n, Pol: pol,
 				Arrival: s, Deadline: r.Sched.Period,
 				Slack: r.Sched.Period - s, OK: r.Sched.Period-s >= 0,
@@ -185,20 +179,23 @@ func (r *Result) TopPaths(k int) []RankedPath {
 			})
 		}
 	}
-	sort.Slice(picks, func(i, j int) bool {
-		if picks[i].Slack != picks[j].Slack {
-			return picks[i].Slack < picks[j].Slack
-		}
-		return picks[i].Node.Index < picks[j].Node.Index
-	})
-	if len(picks) > k {
-		picks = picks[:k]
-	}
+	picks := top.Sorted()
 	out := make([]RankedPath, len(picks))
 	for i, c := range picks {
 		out[i] = RankedPath{Check: c, Steps: r.CheckPath(c)}
 	}
 	return out
+}
+
+// compareEndpoint orders TopPaths' endpoints: slack, then node index.
+func compareEndpoint(a, b Check) int {
+	if a.Slack != b.Slack {
+		if a.Slack < b.Slack {
+			return -1
+		}
+		return 1
+	}
+	return a.Node.Index - b.Node.Index
 }
 
 // CheckPath reconstructs the worst-case path leading to a check: for

@@ -45,7 +45,6 @@ package core
 import (
 	"context"
 	"math"
-	"slices"
 
 	"nmostv/internal/delay"
 	"nmostv/internal/netlist"
@@ -100,12 +99,32 @@ func (q *Required) WorstSlack() (idx int, pol Polarity, slack float64, ok bool) 
 	return idx, pol, slack, ok
 }
 
-// Required runs the backward pass over this result's propagation plan and
-// returns per-node required times and slacks. The result's arrivals are
-// read but never written, so concurrent calls on one Result are safe.
-// opt supplies Workers, SCCIterBound, and Obs; the context aborts the
-// reverse walk between levels like the forward passes.
+// Required returns this result's backward pass: per-node required times
+// and slacks over its propagation plan. The pass runs on the first call
+// and stays with the result, so later calls — the corner sweep over a
+// base result whose slack tv already ranked, a session's next query —
+// return the same *Required without a second pass; concurrent first
+// calls share one computation, and a call its context aborts keeps
+// nothing. The result's arrivals are read but never written. opt
+// supplies Workers, SCCIterBound, and Obs, and should be the options the
+// result was analyzed with (the pass is bit-identical at any worker
+// count); the context aborts the reverse walk between levels like the
+// forward passes.
 func (r *Result) Required(ctx context.Context, opt Options) (*Required, error) {
+	r.reqMu.Lock()
+	defer r.reqMu.Unlock()
+	if r.req == nil {
+		q, err := r.backwardPass(ctx, opt)
+		if err != nil {
+			return nil, err
+		}
+		r.req = q
+	}
+	return r.req, nil
+}
+
+// backwardPass computes the required times Required memoizes.
+func (r *Result) backwardPass(ctx context.Context, opt Options) (*Required, error) {
 	opt = opt.withDefaults()
 	n := len(r.NL.Nodes)
 	q := &Required{}
@@ -323,37 +342,38 @@ type SlackEntry struct {
 // slack first — over the given required times. Unconstrained transitions
 // (+Inf slack) and supply/clock nodes are omitted; k ≤ 0 returns every
 // constrained transition. Ties order by node index then polarity, so the
-// ranking is deterministic.
+// ranking is deterministic. It costs one pass over the nodes plus the
+// selection of k rows (TopK), not a sort of every constrained transition.
 func (r *Result) SlackRanking(q *Required, k int) []SlackEntry {
-	var out []SlackEntry
+	top := NewTopK(k, compareSlackEntry, nil)
 	for _, nd := range r.NL.Nodes {
 		if nd.IsSupply() || nd.IsClock() {
 			continue
 		}
 		i := nd.Index
 		if !math.IsInf(q.SlackRise[i], 1) {
-			out = append(out, SlackEntry{Node: nd, Pol: Rise,
+			top.Offer(SlackEntry{Node: nd, Pol: Rise,
 				Arrival: r.RiseAt[i], Required: q.RiseRAT[i], Slack: q.SlackRise[i]})
 		}
 		if !math.IsInf(q.SlackFall[i], 1) {
-			out = append(out, SlackEntry{Node: nd, Pol: Fall,
+			top.Offer(SlackEntry{Node: nd, Pol: Fall,
 				Arrival: r.FallAt[i], Required: q.FallRAT[i], Slack: q.SlackFall[i]})
 		}
 	}
-	slices.SortFunc(out, func(a, c SlackEntry) int {
-		if a.Slack != c.Slack {
-			if a.Slack < c.Slack {
-				return -1
-			}
-			return 1
+	return top.Sorted()
+}
+
+// compareSlackEntry is the ranking's total order: slack, then node
+// index, then polarity.
+func compareSlackEntry(a, c SlackEntry) int {
+	if a.Slack != c.Slack {
+		if a.Slack < c.Slack {
+			return -1
 		}
-		if a.Node.Index != c.Node.Index {
-			return a.Node.Index - c.Node.Index
-		}
-		return int(a.Pol) - int(c.Pol)
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
+		return 1
 	}
-	return out
+	if a.Node.Index != c.Node.Index {
+		return a.Node.Index - c.Node.Index
+	}
+	return int(a.Pol) - int(c.Pol)
 }

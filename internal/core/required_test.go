@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 
 	"nmostv/internal/clocks"
@@ -11,6 +14,7 @@ import (
 	"nmostv/internal/flow"
 	"nmostv/internal/gen"
 	"nmostv/internal/netlist"
+	"nmostv/internal/obs"
 	"nmostv/internal/stage"
 	"nmostv/internal/tech"
 )
@@ -24,9 +28,11 @@ func analyzeFor(t *testing.T, nl *netlist.Netlist, m *delay.Model, period float6
 	return r
 }
 
+// requiredFor runs a fresh backward pass, bypassing Required's memo, so
+// the worker-count comparisons below compare independent passes.
 func requiredFor(t *testing.T, r *Result, workers int) *Required {
 	t.Helper()
-	q, err := r.Required(context.Background(), Options{Workers: workers})
+	q, err := r.backwardPass(context.Background(), Options{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,4 +479,59 @@ func TestRequiredCanceled(t *testing.T) {
 	if _, err := r.Required(ctx, Options{Workers: 1}); err == nil {
 		t.Fatal("pre-canceled context must abort the backward pass")
 	}
+}
+
+// TestRequiredMemoized: Required runs the backward pass once per result
+// and returns that pass to every later call, whatever their worker
+// count; a call its context aborts keeps nothing, so the calls after it
+// — here several at once — share one pass, bit-identical to a fresh one.
+func TestRequiredMemoized(t *testing.T) {
+	nl, m := datapathModel(gen.DatapathConfig{Bits: 4, Words: 4, ShiftAmounts: 2})
+	r := analyzeFor(t, nl, m, 800, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := r.Required(ctx, Options{Workers: 1}); err == nil {
+		t.Fatal("pre-canceled context must abort the backward pass")
+	}
+	tr := obs.NewTracer()
+	got := make([]*Required, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			q, err := r.Required(context.Background(), Options{Workers: 1 + i, Obs: &obs.Obs{Tr: tr}})
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = q
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for _, q := range got[1:] {
+		if q != got[0] {
+			t.Fatal("concurrent Required calls returned different passes")
+		}
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []struct{ Name string }
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	passes := 0
+	for _, ev := range events {
+		if ev.Name == "required" {
+			passes++
+		}
+	}
+	if passes != 1 {
+		t.Fatalf("concurrent Required calls ran %d backward passes, want 1", passes)
+	}
+	assertRequiredIdentical(t, 1, requiredFor(t, r, 1), got[0])
 }

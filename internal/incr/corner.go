@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"nmostv/internal/core"
 	"nmostv/internal/delay"
@@ -34,8 +33,6 @@ type cornerState struct {
 	// hits counts batches that reused the corner model because the base
 	// model was unchanged; misses counts re-derivations (ScaleModel).
 	hits, misses int64
-
-	req requiredCache
 }
 
 // commit publishes a run's staged state and exports its corner metrics.
@@ -63,48 +60,18 @@ func (s *Session) commit(next pipeline.State) {
 	}
 }
 
-// requiredCache lazily computes and memoizes the backward pass for one
-// published result. Keying on the result pointer makes commits invalidate
-// it for free; the private mutex lets concurrent read-locked queries
-// share one computation without racing.
-type requiredCache struct {
-	mu  sync.Mutex
-	res *core.Result
-	req *core.Required
-}
-
-// get returns the required times for res, computing them on first use.
-// opt must not carry an arena: queries run concurrently under the session
-// read lock, and the backward pass needs no scratch reuse. The context
-// cancels a first-use computation and carries the caller's request span,
-// so a query that triggers the lazy backward pass records its "required"
-// phase spans in that request's flight-recorder trace.
-func (c *requiredCache) get(ctx context.Context, res *core.Result, opt core.Options) (*core.Required, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.res == res && c.req != nil {
-		return c.req, nil
-	}
-	opt.Obs = opt.Obs.ForRequest(ctx)
-	req, err := res.Required(ctx, opt)
-	if err != nil {
-		return nil, err
-	}
-	c.res, c.req = res, req
-	return req, nil
-}
-
-// required returns the lazily cached backward pass of a published
-// result. The base analysis, and the typical corner that aliases it, use
-// the latest version's cache, which Diff shares; any other corner uses
-// its own. Caller holds a lock.
+// required returns the backward pass of a published result, which the
+// result memoizes (core.Result.Required): the base analysis, the typical
+// corner that aliases it, and the latest version Diff reads share one
+// pass, and a commit invalidates nothing because it publishes new
+// results. The context cancels a first-use computation and carries the
+// caller's request span, so a query that triggers the lazy backward pass
+// records its "required" phase spans in that request's flight-recorder
+// trace. Caller holds a lock.
 func (s *Session) required(ctx context.Context, res *core.Result) (*core.Required, error) {
-	for _, cs := range s.corners {
-		if cs.res == res && res != s.res {
-			return cs.req.get(ctx, res, s.opt.Core)
-		}
-	}
-	return s.history[len(s.history)-1].req.get(ctx, res, s.opt.Core)
+	opt := s.opt.Core
+	opt.Obs = opt.Obs.ForRequest(ctx)
+	return res.Required(ctx, opt)
 }
 
 // compareRequired asserts bit-identical required times and slacks.

@@ -14,6 +14,7 @@ import (
 	"nmostv/internal/delay"
 	"nmostv/internal/netlist"
 	"nmostv/internal/paths"
+	"nmostv/internal/slack"
 	"nmostv/internal/tverr"
 )
 
@@ -22,11 +23,10 @@ import (
 const DefaultHistoryDepth = 4
 
 // version is one committed analysis retained in the ring. res is
-// immutable; req lazily caches its backward pass.
+// immutable apart from its memoized backward pass.
 type version struct {
 	seq   int64
 	res   *core.Result
-	req   requiredCache
 	stats Stats
 	when  time.Time
 }
@@ -234,13 +234,18 @@ func (s *Session) Why(ctx context.Context, node, pol, corner string) (WhyInfo, e
 			"no node %q in design %s", node, s.name)
 	}
 	if corner == "" && len(s.corners) > 0 {
-		// Pick the corner that sets this node's worst slack; fall back
-		// to the base analysis when no corner constrains it.
-		sw, err := s.mergedSweep(ctx)
-		if err != nil {
-			return WhyInfo{}, err
+		// Pick the corner that sets this node's worst slack, by the
+		// merged view's rule but for this node alone; fall back to the
+		// base analysis when no corner constrains it.
+		reqs := make([]*core.Required, len(s.corners))
+		for i, cs := range s.corners {
+			req, err := s.required(ctx, cs.res)
+			if err != nil {
+				return WhyInfo{}, err
+			}
+			reqs[i] = req
 		}
-		if ci := sw.WorstCorner[n.Index]; ci >= 0 {
+		if _, ci := slack.NodeWorst(reqs, n.Index); ci >= 0 {
 			corner = s.corners[ci].corner.Name
 		}
 	}
@@ -344,8 +349,10 @@ type DiffInfo struct {
 // sequence numbers from Stats.Version; 0 means "the previous version"
 // and "the latest" respectively. eps 0 compares bitwise. limit > 0
 // truncates the reported node list (ChangedCount keeps the true total);
-// k <= 0 skips the rank comparison. The context cancels the lazy
-// backward passes a slack comparison may trigger.
+// k <= 0 skips the rank comparison, and a k beyond the design's path
+// population costs only that population. The context cancels the lazy
+// backward passes a slack comparison may trigger and the path walks of
+// the rank comparison.
 func (s *Session) Diff(ctx context.Context, from, to int64, eps float64, k, limit int) (DiffInfo, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -369,14 +376,17 @@ func (s *Session) Diff(ctx context.Context, from, to int64, eps float64, k, limi
 	// table has since grown cannot run it. Gate on matching lengths.
 	var reqA, reqB *core.Required
 	if len(vf.res.RiseAt) == len(s.nl.Nodes) && len(vt.res.RiseAt) == len(s.nl.Nodes) {
-		if reqA, err = vf.req.get(ctx, vf.res, s.opt.Core); err != nil {
+		if reqA, err = s.required(ctx, vf.res); err != nil {
 			return DiffInfo{}, err
 		}
-		if reqB, err = vt.req.get(ctx, vt.res, s.opt.Core); err != nil {
+		if reqB, err = s.required(ctx, vt.res); err != nil {
 			return DiffInfo{}, err
 		}
 	}
-	d := paths.DiffResults(vf.res, vt.res, reqA, reqB, eps, k)
+	d, err := paths.DiffResults(ctx, vf.res, vt.res, reqA, reqB, eps, k)
+	if err != nil {
+		return DiffInfo{}, err
+	}
 	info := DiffInfo{
 		From: vf.seq, To: vt.seq, Epsilon: eps,
 		NodesCompared: d.NodesCompared, Added: d.Added,

@@ -2,6 +2,7 @@ package paths
 
 import (
 	"cmp"
+	"context"
 	"hash/fnv"
 	"math"
 	"slices"
@@ -81,9 +82,11 @@ func deltaOf(x, y float64) float64 {
 // arrival arrays (settle and earliest, both polarities) — or, when
 // required times are supplied, its worst slack — moved beyond eps.
 // With k > 0, the top-k worst paths of both sides are generated and
-// matched to report rank changes. Both results must be published
-// (immutable); the comparison takes no locks.
-func DiffResults(a, b *core.Result, reqA, reqB *core.Required, eps float64, k int) Diff {
+// matched to report rank changes; the walks stop at the design's path
+// population, so their storage follows the paths found, never k, and
+// they stop with ctx's error when the context is done. Both results
+// must be published (immutable); the comparison takes no locks.
+func DiffResults(ctx context.Context, a, b *core.Result, reqA, reqB *core.Required, eps float64, k int) (Diff, error) {
 	n := min(len(a.RiseAt), len(b.RiseAt))
 	d := Diff{Epsilon: eps, NodesCompared: n, Added: len(b.RiseAt) - n}
 	if d.Added < 0 {
@@ -113,9 +116,12 @@ func DiffResults(a, b *core.Result, reqA, reqB *core.Required, eps float64, k in
 		})
 	}
 	if k > 0 {
-		d.RankMoves = rankMoves(a, b, k)
+		var err error
+		if d.RankMoves, err = rankMoves(ctx, a, b, k); err != nil {
+			return Diff{}, err
+		}
 	}
-	return d
+	return d, nil
 }
 
 // CountChanged returns how many shared nodes differ bitwise in any
@@ -161,24 +167,34 @@ func pathSig(p Path) uint64 {
 	return h.Sum64()
 }
 
-func rankMoves(a, b *core.Result, k int) []RankMove {
+func rankMoves(ctx context.Context, a, b *core.Result, k int) ([]RankMove, error) {
 	type entry struct {
 		p    Path
 		rank int
 	}
-	top := func(r *core.Result) map[uint64]entry {
-		m := make(map[uint64]entry, k)
+	top := func(r *core.Result) (map[uint64]entry, error) {
+		m := make(map[uint64]entry)
 		g := New(r)
 		for i := 0; i < k; i++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			p, ok := g.Next()
 			if !ok {
 				break
 			}
 			m[pathSig(p)] = entry{p, p.Rank}
 		}
-		return m
+		return m, nil
 	}
-	ta, tb := top(a), top(b)
+	ta, err := top(a)
+	if err != nil {
+		return nil, err
+	}
+	tb, err := top(b)
+	if err != nil {
+		return nil, err
+	}
 	var out []RankMove
 	for sig, ea := range ta {
 		eb, inB := tb[sig]
@@ -219,5 +235,5 @@ func rankMoves(a, b *core.Result, k int) []RankMove {
 		}
 		return cmp.Compare(x.Pol, y.Pol)
 	})
-	return out
+	return out, nil
 }

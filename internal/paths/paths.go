@@ -172,11 +172,35 @@ type Generator struct {
 	emitIdx    int
 	rank       int
 	seq        int64
+	// states and ends hold every state and endpoint the search creates.
+	states slab[state]
+	ends   slab[endpoint]
+}
+
+// slab places values in fixed-capacity chunks of slabChunk. As in the
+// netlist's node and device slabs, a chunk never grows, so pointers into
+// it stay stable, and a full chunk is replaced by a fresh one: seeding
+// tens of thousands of endpoints costs a few dozen allocations instead
+// of two per seed.
+type slab[T any] []T
+
+const slabChunk = 1024
+
+// put places v in the current chunk and returns its address.
+func (s *slab[T]) put(v T) *T {
+	if len(*s) == cap(*s) {
+		*s = make([]T, 0, slabChunk)
+	}
+	*s = append(*s, v)
+	return &(*s)[len(*s)-1]
 }
 
 // New builds a generator over res. Construction is O(arcs) — it seeds
-// one or two states per feasible capturing arc and per output — and
-// performs no path search; all search work happens in Next.
+// one or two states per feasible capturing arc and per output, then
+// orders them into a heap in one linear pass — and performs no path
+// search; all search work happens in Next. The heap's (prio, seq) order
+// is total, so heapifying the seeds at once pops exactly what pushing
+// them one by one would.
 func New(res *core.Result) *Generator {
 	g := &Generator{res: res, model: res.Model, sched: res.Sched}
 	g.loop = make([]bool, len(res.RiseAt))
@@ -189,7 +213,15 @@ func New(res *core.Result) *Generator {
 		// settling node against the period.
 		g.seedSettles()
 	}
+	heap.Init(&g.h)
 	return g
+}
+
+// seed admits a seed state; New heapifies the seeds once they are all in.
+func (g *Generator) seed(end *endpoint, arc, node int32, pol core.Polarity, suf suffix) {
+	if st := g.newState(end, nil, arc, node, pol, suf); st != nil {
+		g.h = append(g.h, st)
+	}
 }
 
 func (g *Generator) arrival(v int32, pol core.Polarity) float64 {
@@ -223,9 +255,9 @@ func (g *Generator) seedLatches() (candidates int) {
 				phase = 2
 			}
 			fromPol := core.CausePol(e, pol)
-			ep := &endpoint{kind: KindLatch, node: e.To, pol: pol, phase: phase,
-				deadline: dl, edge: int32(i)}
-			g.addState(ep, nil, int32(i), e.From, fromPol,
+			ep := g.ends.put(endpoint{kind: KindLatch, node: e.To, pol: pol, phase: phase,
+				deadline: dl, edge: int32(i)})
+			g.seed(ep, int32(i), e.From, fromPol,
 				suffix{a: d, b: clamp + d, lo: math.Inf(-1), hi: dl})
 			if phase == 1 && g.res.ClockedStorage(e.To) {
 				// φ1 storage captures across the cycle boundary: a cause
@@ -233,9 +265,9 @@ func (g *Generator) seedLatches() (candidates int) {
 				// Disjoint feasibility (lo = dl) keeps the two regimes
 				// from double-counting any path.
 				cw, dlw := clamp+g.sched.Period, dl+g.sched.Period
-				epw := &endpoint{kind: KindLatch, node: e.To, pol: pol, phase: phase,
-					wrapped: true, deadline: dlw, edge: int32(i)}
-				g.addState(epw, nil, int32(i), e.From, fromPol,
+				epw := g.ends.put(endpoint{kind: KindLatch, node: e.To, pol: pol, phase: phase,
+					wrapped: true, deadline: dlw, edge: int32(i)})
+				g.seed(epw, int32(i), e.From, fromPol,
 					suffix{a: d, b: cw + d, lo: dl, hi: dlw})
 			}
 		}
@@ -269,8 +301,8 @@ func (g *Generator) seedTerminal(v int32, kind Kind) (candidates int) {
 			continue
 		}
 		candidates++
-		ep := &endpoint{kind: kind, node: v, pol: pol, deadline: g.sched.Period, edge: -1}
-		g.addState(ep, nil, -1, v, pol,
+		ep := g.ends.put(endpoint{kind: kind, node: v, pol: pol, deadline: g.sched.Period, edge: -1})
+		g.seed(ep, -1, v, pol,
 			suffix{a: 0, b: math.Inf(-1), lo: math.Inf(-1), hi: math.Inf(1)})
 	}
 	return candidates
@@ -290,38 +322,40 @@ const fpGuard = 1e-12
 // widen nudges a bound toward +Inf by the guard margin.
 func widen(x float64) float64 { return x + fpGuard*math.Max(1, math.Abs(x)) }
 
-// addState admits a new frontier if it can still carry a feasible path:
+// newState admits a new frontier if it can still carry a feasible path:
 // the frontier transition happens, is not loop-tainted, and its window
-// (lo, hi] is reachable. Fixed sources complete immediately with an
-// exact slack; everything else gets an admissible bound from capping
-// the frontier arrival at the engine fixpoint.
-func (g *Generator) addState(end *endpoint, parent *state, arc int32, node int32, pol core.Polarity, suf suffix) {
+// (lo, hi] is reachable; it returns nil otherwise. Fixed sources
+// complete immediately with an exact slack; everything else gets an
+// admissible bound from capping the frontier arrival at the engine
+// fixpoint. The state is placed in the state slab and numbered in
+// admission order; the caller puts it on the heap.
+func (g *Generator) newState(end *endpoint, parent *state, arc int32, node int32, pol core.Polarity, suf suffix) *state {
 	if g.loop[node] {
-		return
+		return nil
 	}
 	at := g.arrival(node, pol)
 	if math.IsInf(at, -1) {
-		return
+		return nil
 	}
-	st := &state{node: node, pol: pol, suf: suf, end: end, arc: arc, parent: parent}
+	st := state{node: node, pol: pol, suf: suf, end: end, arc: arc, parent: parent}
 	if pe, _ := g.res.DominantPred(int(node), pol); pe < 0 {
 		// Fixed source: arrival is exactly at, not an upper bound, and
 		// both the feasibility test and the slack are exact backward
 		// arithmetic — no widening.
 		if !(at > suf.lo && at <= suf.hi) {
-			return
+			return nil
 		}
 		st.complete, st.t0 = true, at
 		st.prio = end.deadline - math.Max(at+suf.a, suf.b)
 	} else {
 		if widen(at) <= suf.lo {
-			return // every path into the frontier is below the window floor
+			return nil // every path into the frontier is below the window floor
 		}
 		st.prio = end.deadline - widen(math.Max(math.Min(at, suf.hi)+suf.a, suf.b))
 	}
 	g.seq++
 	st.seq = g.seq
-	heap.Push(&g.h, st)
+	return g.states.put(st)
 }
 
 // composeArc extends a suffix backward across one arc: transfer
@@ -379,7 +413,9 @@ func (g *Generator) expand(st *state) {
 		if !ok {
 			continue
 		}
-		g.addState(st.end, st, ei, e.From, fromPol, suf)
+		if next := g.newState(st.end, st, ei, e.From, fromPol, suf); next != nil {
+			heap.Push(&g.h, next)
+		}
 	}
 }
 

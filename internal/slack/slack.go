@@ -19,7 +19,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 
 	"nmostv/internal/clocks"
 	"nmostv/internal/core"
@@ -124,22 +123,35 @@ func Merge(corners []CornerResult) (*Sweep, error) {
 	return sw, nil
 }
 
-// merge computes the worst-slack-per-node view. min is exact in floating
-// point and ties keep the earliest corner, so the merged arrays are a
-// pure deterministic function of the per-corner results.
+// merge computes the worst-slack-per-node view with NodeWorst's fold, so
+// the merged arrays are a pure deterministic function of the per-corner
+// results.
 func (sw *Sweep) merge(n int) {
 	sw.WorstSlack = make([]float64, n)
 	sw.WorstCorner = make([]int32, n)
-	for i := 0; i < n; i++ {
-		best, bc := math.Inf(1), int32(-1)
-		for ci := range sw.Corners {
-			if s := sw.Corners[ci].Req.NodeSlack(i); s < best {
-				best, bc = s, int32(ci)
-			}
-		}
-		sw.WorstSlack[i] = best
-		sw.WorstCorner[i] = bc
+	reqs := make([]*core.Required, len(sw.Corners))
+	for ci := range sw.Corners {
+		reqs[ci] = sw.Corners[ci].Req
 	}
+	for i := 0; i < n; i++ {
+		sw.WorstSlack[i], sw.WorstCorner[i] = NodeWorst(reqs, i)
+	}
+}
+
+// NodeWorst is the merge rule for one node: the minimum of node i's
+// slack (the worse polarity) over the corners' required times, and the
+// index of the corner that sets it. min is exact in floating point and a
+// strict < keeps the earliest corner on a tie; a node unconstrained at
+// every corner gets +Inf and -1. A query about one node reads its worst
+// corner here in O(corners) instead of merging the whole design.
+func NodeWorst(reqs []*core.Required, i int) (slack float64, corner int32) {
+	slack, corner = math.Inf(1), -1
+	for ci, q := range reqs {
+		if s := q.NodeSlack(i); s < slack {
+			slack, corner = s, int32(ci)
+		}
+	}
+	return slack, corner
 }
 
 // Corner returns the analysis of the named corner.
@@ -163,15 +175,16 @@ type Entry struct {
 }
 
 // Ranking returns the k most critical nodes in the merged view, worst
-// slack first (k ≤ 0 = all constrained nodes). Each node appears once,
-// at its worst corner and polarity; supplies and clocks are omitted.
+// slack first (k ≤ 0 = all constrained nodes), ties by node index. Each
+// node appears once, at its worst corner and polarity; supplies and
+// clocks are omitted. One pass over the merged arrays selects the k rows
+// (core.TopK), so only they are built.
 func (sw *Sweep) Ranking(k int) []Entry {
 	if len(sw.Corners) == 0 {
 		return nil
 	}
-	nl := sw.Corners[0].Res.NL
-	var out []Entry
-	for _, nd := range nl.Nodes {
+	top := core.NewTopK(k, compareEntry, nil)
+	for _, nd := range sw.Corners[0].Res.NL.Nodes {
 		if nd.IsSupply() || nd.IsClock() {
 			continue
 		}
@@ -188,25 +201,25 @@ func (sw *Sweep) Ranking(k int) []Entry {
 		if pol == core.Fall {
 			at = cr.Res.FallAt[nd.Index]
 		}
-		out = append(out, Entry{
+		top.Offer(Entry{
 			Node: nd, Corner: cr.Corner.Name, Pol: pol,
 			Arrival: at, Required: cr.Req.RAT(nd.Index, pol),
 			Slack: sw.WorstSlack[nd.Index],
 		})
 	}
-	slices.SortFunc(out, func(a, b Entry) int {
-		if a.Slack != b.Slack {
-			if a.Slack < b.Slack {
-				return -1
-			}
-			return 1
+	return top.Sorted()
+}
+
+// compareEntry is the merged ranking's total order: slack, then node
+// index (each node has one row).
+func compareEntry(a, b Entry) int {
+	if a.Slack != b.Slack {
+		if a.Slack < b.Slack {
+			return -1
 		}
-		return a.Node.Index - b.Node.Index
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
+		return 1
 	}
-	return out
+	return a.Node.Index - b.Node.Index
 }
 
 // WorstOverall returns the single worst merged slack and where it
