@@ -26,6 +26,13 @@
 // recorder_overhead_ceiling times the recorder-off median — the recorder
 // is always on in production, so a regression here taxes every request.
 //
+// When the baseline carries an apply_ratio_target_transistors entry, the
+// gate also measures the edit→check loop against a cold load at that
+// size, three corners: the median single-device resize followed by the
+// merged slack read must stay within apply_ratio_ceiling times the median
+// cold load plus its first slack read. A resize that costs as much as a
+// load — an O(design) step on the apply or read path — fails it.
+//
 // Usage:
 //
 //	perfgate                      # gate against testdata/perf_baseline.json
@@ -63,7 +70,12 @@ type baseline struct {
 	// default, 1.25).
 	JournalTarget          int     `json:"journal_target_transistors,omitempty"`
 	JournalOverheadCeiling float64 `json:"journal_overhead_ceiling,omitempty"`
-	Note                   string  `json:"note,omitempty"`
+	// ApplyRatioTarget, when positive, adds the apply-ratio gate: at this
+	// size, three corners, the median resize+slack edit must stay within
+	// ApplyRatioCeiling × the median cold load+slack.
+	ApplyRatioTarget  int     `json:"apply_ratio_target_transistors,omitempty"`
+	ApplyRatioCeiling float64 `json:"apply_ratio_ceiling,omitempty"`
+	Note              string  `json:"note,omitempty"`
 }
 
 type gateResult struct {
@@ -84,6 +96,10 @@ type gateResult struct {
 	// enables the durability gate.
 	JournalCeiling float64          `json:"journal_overhead_ceiling,omitempty"`
 	JournalSample  *bench.T11Sample `json:"journal_sample,omitempty"`
+	// ApplyRatioCeiling and ApplyRatioSample are present when the
+	// baseline enables the apply-ratio gate.
+	ApplyRatioCeiling float64                 `json:"apply_ratio_ceiling,omitempty"`
+	ApplyRatioSample  *bench.ApplyRatioSample `json:"apply_ratio_sample,omitempty"`
 }
 
 func main() {
@@ -160,12 +176,24 @@ func main() {
 			float64(js.SnapshotBytes)/(1<<20), float64(js.SaveNS)/1e6, float64(js.RestoreNS)/1e6)
 	}
 
+	var applySample *bench.ApplyRatioSample
+	applyPass := true
+	if b.ApplyRatioTarget > 0 {
+		as := bench.MeasureApplyRatio(b.ApplyRatioTarget, b.Workers)
+		applySample = &as
+		applyPass = as.Ratio <= b.ApplyRatioCeiling
+		fmt.Printf("perfgate: resize+slack at %d transistors, %d corners: %.1fms against cold load+slack %.1fms = %.2f× (ceiling %.2f×), %d of %d edits kept the plan\n",
+			as.Transistors, as.Corners, float64(as.EditNS)/1e6, float64(as.ColdNS)/1e6,
+			as.Ratio, b.ApplyRatioCeiling, as.ReusedWave, as.Edits)
+	}
+
 	if *out != "" {
 		res := gateResult{Experiment: "perf-smoke", Baseline: b, Floor: floor,
-			Pass: pass && cornerPass && recorderPass && journalPass, Sample: sample,
+			Pass: pass && cornerPass && recorderPass && journalPass && applyPass, Sample: sample,
 			CornerFloor: cornerFloor, CornerSample: cornerSample,
 			RecorderCeiling: recorderCeiling, RecorderSample: recorderSample,
-			JournalCeiling: journalCeiling, JournalSample: journalSample}
+			JournalCeiling: journalCeiling, JournalSample: journalSample,
+			ApplyRatioCeiling: b.ApplyRatioCeiling, ApplyRatioSample: applySample}
 		blob, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "perfgate: marshal: %v\n", err)
@@ -192,6 +220,10 @@ func main() {
 	}
 	if !journalPass {
 		fmt.Fprintf(os.Stderr, "perfgate: FAIL — journal append overhead exceeded its ceiling on the apply path\n")
+		os.Exit(1)
+	}
+	if !applyPass {
+		fmt.Fprintf(os.Stderr, "perfgate: FAIL — a resize plus its slack read exceeded its ceiling against a cold load\n")
 		os.Exit(1)
 	}
 	fmt.Println("perfgate: PASS")

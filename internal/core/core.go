@@ -207,14 +207,21 @@ type Result struct {
 
 	// wave, clockedStorage, and loopNodes persist the propagation plan
 	// and derived classifications so AnalyzeIncremental can extend this
-	// result after a delta instead of starting over.
+	// result after a delta instead of starting over. moves records how
+	// the arcs moved from the previous result's model (for Plan).
 	wave           *waveSchedule
 	clockedStorage []bool
 	loopNodes      []*netlist.Node
+	moves          arcMoves
 
-	// reqMu guards req, the backward pass Required memoizes.
-	reqMu sync.Mutex
-	req   *Required
+	// reqMu guards req, the backward pass Required memoizes, and what an
+	// incremental result keeps for it until it runs: the previous
+	// result's Required (never the previous Result, so versions cannot
+	// chain) and the nodes whose required times may have changed.
+	reqMu    sync.Mutex
+	req      *Required
+	reqPrev  *Required
+	reqSeeds []int32
 }
 
 // Settle returns the overall settle time of a node: the latest of its rise

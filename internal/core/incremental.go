@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -20,7 +21,7 @@ type DeltaStats struct {
 	// arrivals were re-relaxed in either pass (settle or early).
 	CompsRelaxed, NodesRelaxed int
 	// ReusedWave reports whether the previous propagation plan was kept
-	// (the timing-arc model did not change).
+	// (arc endpoints unchanged).
 	ReusedWave bool
 	// Relaxed marks, per node index, the nodes re-relaxed in either pass.
 	// When the call ran with Options.Arena, the mask is arena-backed:
@@ -32,13 +33,18 @@ type DeltaStats struct {
 // instead of starting over. dirtySeed marks (by node index) every node
 // whose incoming timing arcs may have changed — for a delta this is the
 // nodes of the stages the delay cache rebuilt; new nodes, changed source
-// anchors, and changed storage classifications are detected here and added
-// to the seed. Only the components of the propagation plan reachable from
-// the seed through value changes are re-relaxed; everything else keeps the
+// anchors, changed storage classifications, and components whose member
+// list a rebuilt plan changed are detected here and added to the seed.
+// Only the components of the propagation plan reachable from the seed
+// through value changes are re-relaxed; everything else keeps the
 // previous fixpoint, which is provably equal to what a from-scratch run
-// would compute (untouched components have identical incoming arrivals and
-// identical internal arcs). The returned Result is bit-identical to
-// Analyze(nl, model, sched, opt) on the same state.
+// would compute (untouched components have identical incoming arrivals,
+// identical internal arcs, and the same member list). The returned Result
+// is bit-identical to Analyze(nl, model, sched, opt) on the same state.
+//
+// When prev's backward pass has run, the result also keeps prev's
+// Required and a list of seed nodes, so its own first Required call
+// re-relaxes only the changed fanin cone (see Required).
 //
 // prev must come from Analyze or AnalyzeIncremental on an earlier state of
 // the same netlist (nodes are append-only; model may be rebuilt). A nil
@@ -80,21 +86,22 @@ func AnalyzeIncremental(ctx context.Context, nl *netlist.Netlist, model *delay.M
 	defer opt.Obs.Span("analyze-incremental").End()
 	stats := DeltaStats{}
 
+	// The plan reads only the node count and each arc's endpoints, so it
+	// is kept whenever no arc moved. A shared per-corner plan comes with
+	// the moves its base analysis found.
 	sp := opt.Obs.Span("wave-plan")
-	if model == prev.Model && n == len(prev.wave.compOf) {
-		r.wave = prev.wave
-		stats.ReusedWave = true
-	} else if opt.Plan.fits(n, len(model.Edges)) {
-		// A shared per-corner plan: the model was rebuilt (new edge
-		// indices) but its structure matches the supplied plan, so the
-		// plan is reused and only the predecessor records remap.
+	r.moves = opt.Plan.movesFrom(prev, model)
+	switch {
+	case opt.Plan.fits(n, len(model.Edges)):
 		r.wave = opt.Plan.ws
-		stats.ReusedWave = true
-		remapPreds(r, prev)
-	} else {
+	case r.moves.idx == nil && n == len(prev.wave.compOf):
+		r.wave = prev.wave
+	default:
 		r.wave = newWaveSchedule(n, model, a.arena)
-		remapPreds(r, prev)
 	}
+	stats.ReusedWave = r.wave == prev.wave
+	r.moves.apply(r.predRise)
+	r.moves.apply(r.predFall)
 	sp.End()
 	stats.Comps = r.wave.numComps()
 
@@ -122,8 +129,9 @@ func AnalyzeIncremental(ctx context.Context, nl *netlist.Netlist, model *delay.M
 	}
 
 	// Structural seed: caller's dirty nodes, nodes that did not exist in
-	// prev, and nodes whose storage classification flipped (their
-	// incoming-arc filter changed).
+	// prev, nodes whose storage classification flipped (their
+	// incoming-arc filter changed), and components a rebuilt plan
+	// reordered or split.
 	base := a.arena.bools(n)
 	for i := 0; i < n; i++ {
 		if (i < len(dirtySeed) && dirtySeed[i]) || i >= len(prev.RiseAt) {
@@ -134,6 +142,9 @@ func AnalyzeIncremental(ctx context.Context, nl *netlist.Netlist, model *delay.M
 		if a.clockedStorage[i] != ps {
 			base[i] = true
 		}
+	}
+	if r.wave != prev.wave {
+		seedChangedComps(r.wave, prev.wave, base)
 	}
 
 	// Settle seed: structure plus changed source anchors (initSources
@@ -188,11 +199,71 @@ func AnalyzeIncremental(ctx context.Context, nl *netlist.Netlist, model *delay.M
 	if err := a.abortErr(); err != nil {
 		return nil, DeltaStats{}, err
 	}
+	if q := prev.memo(); q != nil {
+		r.reqPrev = q
+		r.reqSeeds = a.requiredSeeds(prev, base, snapRise, snapFall)
+	}
 	sp = opt.Obs.Span("checks")
 	a.runChecks()
 	sp.End()
 	return r, stats, nil
 }
+
+// seedChangedComps marks, for a plan rebuilt from old, the first node of
+// every component whose node sequence differs from old's component of
+// that node. Keeping a component's previous values is only sound when it
+// relaxes over the same member list: a component that does not converge
+// stops after SCCIterBound·|comp|+8 rounds, and the Gauss–Seidel order —
+// hence its values, and which of two equal arcs a node records — follows
+// the list. Each new component is compared once, so the pass is O(n).
+// Components holding a new node are seeded already.
+func seedChangedComps(ws, old *waveSchedule, seed []bool) {
+	for ci := 0; ci < ws.numComps(); ci++ {
+		comp := ws.comp(int32(ci))
+		v := comp[0]
+		if int(v) < len(old.compOf) && !slices.Equal(comp, old.comp(old.compOf[v])) {
+			seed[v] = true
+		}
+	}
+}
+
+// requiredSeeds lists the nodes whose required times may differ from
+// prev's even where every successor's required time is unchanged: the
+// structural seed, the From nodes of the seed nodes' old and new in-arcs
+// (the arcs that may have changed, appeared or vanished, and the arcs a
+// flipped storage filter reclassified), and every node whose settle
+// arrival changed (arrivals decide which arcs transmit, and the slack).
+// The list is as long as the cone, not the design.
+func (a *analysis) requiredSeeds(prev *Result, base []bool, snapRise, snapFall []float64) []int32 {
+	listed := a.arena.bools(len(base))
+	var seeds []int32
+	add := func(v int32) {
+		if !listed[v] {
+			listed[v] = true
+			seeds = append(seeds, v)
+		}
+	}
+	for i, b := range base {
+		v := int32(i)
+		if b {
+			add(v)
+			for _, ei := range a.wave.in(v) {
+				add(a.Model.Edges[ei].From)
+			}
+			if i < len(prev.wave.compOf) {
+				for _, ei := range prev.wave.in(v) {
+					add(prev.Model.Edges[ei].From)
+				}
+			}
+		}
+		if !sameBits(a.RiseAt[i], snapRise[i]) || !sameBits(a.FallAt[i], snapFall[i]) {
+			add(v)
+		}
+	}
+	return seeds
+}
+
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 
 // propagateDirty is propagate restricted to the dirty cone: components
 // holding a seeded node reset their non-fixed arrivals and re-relax exactly
@@ -322,48 +393,122 @@ func (a *analysis) seedComps(ws *waveSchedule, seed []bool) []atomic.Bool {
 	return dirty
 }
 
-// edgeIdent identifies a timing arc independently of its index: the
-// per-stage edge merge keys arcs by exactly these fields, and every arc's
-// To node belongs to the one stage that generated it, so the tuple is
-// unique across the whole model and stable across rebuilds.
-type edgeIdent struct {
-	from, to           int32
-	invert, gateArc    bool
-	maskRise, maskFall uint8
+// arcMoves maps the arc indices of the model a previous result was
+// analyzed with onto a new model's. idx[i] is old arc i's new index, -1
+// when the arc is gone; a nil idx is the identity — no arc moved, which
+// is every resize and setcap. from names the plan the previous result
+// ran on, so an analysis sharing the plan handle (a corner extending its
+// own previous result) can tell the moves apply to it too.
+type arcMoves struct {
+	from uint64
+	idx  []int32
 }
 
-func identOf(e *delay.Edge) edgeIdent {
-	return edgeIdent{
-		from: e.From, to: e.To,
-		invert: e.Invert, gateArc: e.GateArc,
-		maskRise: e.MaskRise, maskFall: e.MaskFall,
+// movesFrom returns the arc moves from prev's model to model: the
+// plan's own when they were found against prev's plan, otherwise a fresh
+// walk.
+func (p *Plan) movesFrom(prev *Result, model *delay.Model) arcMoves {
+	if p != nil && p.moves.from == prev.wave.id {
+		return p.moves
 	}
+	return arcMoves{from: prev.wave.id, idx: moveArcs(prev.Model.Edges, model.Edges)}
 }
 
-// remapPreds rewrites the copied predecessor records, which index the
-// previous model's edge array, to the new model's indices. Arcs that no
-// longer exist reset to "source"; their nodes are in the dirty seed and
-// recompute their preds anyway.
-func remapPreds(r, prev *Result) {
-	idx := make(map[edgeIdent]int32, len(r.Model.Edges))
-	for i := range r.Model.Edges {
-		idx[identOf(&r.Model.Edges[i])] = int32(i)
+// moveArcs maps old's arc indices onto cur's in one linear walk, nil
+// when every arc keeps its index. Both arrays are in the merge's
+// canonical order — (From, To, Invert), then stage order — and an arc's
+// identity adds GateArc and the two masks, which the per-stage merge
+// keys on, so identical arcs meet in the same small (From, To, Invert)
+// group on both sides. Every arc's To belongs to the one stage that
+// generated it, so an identity occurs at most once per model.
+func moveArcs(old, cur []delay.Edge) []int32 {
+	k := 0
+	if len(old) == len(cur) {
+		if len(old) == 0 || &old[0] == &cur[0] {
+			return nil
+		}
+		for k < len(old) && sameArc(&old[k], &cur[k]) {
+			k++
+		}
+		if k == len(old) {
+			return nil
+		}
 	}
-	remap := func(preds []pred) {
-		for i := range preds {
-			if preds[i].edge < 0 {
-				continue
+	idx := make([]int32, len(old))
+	for i := 0; i < k; i++ {
+		idx[i] = int32(i)
+	}
+	i, j := k, k
+	for i < len(old) {
+		c := -1 // past cur's end, every remaining old arc is gone
+		if j < len(cur) {
+			c = cmpArcGroup(&old[i], &cur[j])
+		}
+		switch {
+		case c < 0:
+			idx[i] = -1
+			i++
+		case c > 0:
+			j++
+		default:
+			end := j + 1
+			for end < len(cur) && cmpArcGroup(&cur[end], &cur[j]) == 0 {
+				end++
 			}
-			old := &prev.Model.Edges[preds[i].edge]
-			if ni, ok := idx[identOf(old)]; ok {
-				preds[i].edge = ni
+			for ; i < len(old) && cmpArcGroup(&old[i], &cur[j]) == 0; i++ {
+				idx[i] = -1
+				for jj := j; jj < end; jj++ {
+					if sameArc(&old[i], &cur[jj]) {
+						idx[i] = int32(jj)
+						break
+					}
+				}
+			}
+			j = end
+		}
+	}
+	return idx
+}
+
+// cmpArcGroup orders two arcs by the merge's sort key (From, To, Invert).
+func cmpArcGroup(x, y *delay.Edge) int {
+	switch {
+	case x.From != y.From:
+		return int(x.From) - int(y.From)
+	case x.To != y.To:
+		return int(x.To) - int(y.To)
+	case x.Invert == y.Invert:
+		return 0
+	case x.Invert:
+		return 1
+	default:
+		return -1
+	}
+}
+
+// sameArc reports whether two arcs have the same identity: endpoints,
+// polarity kind and phase masks. Delays may differ.
+func sameArc(x, y *delay.Edge) bool {
+	return x.From == y.From && x.To == y.To && x.Invert == y.Invert &&
+		x.GateArc == y.GateArc && x.MaskRise == y.MaskRise && x.MaskFall == y.MaskFall
+}
+
+// apply rewrites predecessor records, which index the previous model's
+// arcs, to the new model's indices. A record whose arc is gone resets to
+// "source"; its node is in the dirty seed and recomputes it anyway.
+func (m arcMoves) apply(preds []pred) {
+	if m.idx == nil {
+		return
+	}
+	for i := range preds {
+		if e := preds[i].edge; e >= 0 {
+			if ne := m.idx[e]; ne >= 0 {
+				preds[i].edge = ne
 			} else {
 				preds[i] = pred{edge: -1}
 			}
 		}
 	}
-	remap(r.predRise)
-	remap(r.predFall)
 }
 
 // growCopy fills dst with src, padding the tail beyond len(src) with

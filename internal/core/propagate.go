@@ -19,6 +19,9 @@ import (
 // concurrently, cannot change the fixpoint. That is the wavefront: levels
 // run in sequence, components within a level run in parallel.
 type waveSchedule struct {
+	// id names the plan for arcMoves.from; ids are never reused, so no
+	// reference to a previous plan has to outlive it.
+	id uint64
 	// CSR adjacency: node v's out-arcs are outEdge[outStart[v]:
 	// outStart[v+1]] (edge indices, ascending), likewise in. Flat
 	// offset+payload arrays instead of a slice-header per node: no
@@ -82,11 +85,14 @@ func buildAdjacency(n int, m *delay.Model, ws *waveSchedule) {
 	ws.inStart, ws.inEdge = inStart, inEdge
 }
 
+// planIDs numbers the plans newWaveSchedule builds.
+var planIDs atomic.Uint64
+
 // newWaveSchedule computes the shared propagation plan for a model. The
 // plan itself escapes (it is retained across incremental calls); ar backs
 // only construction scratch (degree counts, Tarjan state).
 func newWaveSchedule(n int, m *delay.Model, ar *Arena) *waveSchedule {
-	ws := &waveSchedule{}
+	ws := &waveSchedule{id: planIDs.Add(1)}
 	buildAdjacency(n, m, ws)
 	tarjan(n, ws, m, ar)
 	nc := ws.numComps()
@@ -239,14 +245,17 @@ func (a *analysis) runLevel(li int, lvl []int32, fn func(ci int32)) bool {
 
 // Plan is an opaque shareable handle to a propagation plan (adjacency,
 // SCC condensation, levelization). The plan depends only on a model's
-// edge *structure* — arc endpoints and which delays are infinite are what
-// shape adjacency and reachability — so analyses of models derived by
+// arc endpoints and node count, so analyses of models derived by
 // delay.ScaleModel (same arcs, delays uniformly rescaled) can share one
 // plan instead of recomputing it per corner: pass it via Options.Plan.
-// The plan is read-only during propagation and safe for concurrent
+// The handle also carries how the arcs moved since the analysis that
+// produced it extended its previous result, so a corner extending its
+// own previous result remaps its predecessor records without a second
+// walk. The plan is read-only during propagation and safe for concurrent
 // analyses.
 type Plan struct {
-	ws *waveSchedule
+	ws    *waveSchedule
+	moves arcMoves
 }
 
 // fits reports whether the plan matches a model with n nodes and m arcs;
@@ -262,7 +271,7 @@ func (r *Result) Plan() *Plan {
 	if r.wave == nil {
 		return nil
 	}
-	return &Plan{ws: r.wave}
+	return &Plan{ws: r.wave, moves: r.moves}
 }
 
 // propagate computes the longest-path fixpoint of arrival times. The arc

@@ -45,6 +45,7 @@ package core
 import (
 	"context"
 	"math"
+	"sync/atomic"
 
 	"nmostv/internal/delay"
 	"nmostv/internal/netlist"
@@ -110,38 +111,65 @@ func (q *Required) WorstSlack() (idx int, pol Polarity, slack float64, ok bool) 
 // result was analyzed with (the pass is bit-identical at any worker
 // count); the context aborts the reverse walk between levels like the
 // forward passes.
+//
+// A result AnalyzeIncremental extended from one whose pass had run
+// starts from that pass's required times and re-relaxes only the
+// components its seed nodes reach; once its own pass has run it drops
+// the previous one.
 func (r *Result) Required(ctx context.Context, opt Options) (*Required, error) {
 	r.reqMu.Lock()
 	defer r.reqMu.Unlock()
 	if r.req == nil {
-		q, err := r.backwardPass(ctx, opt)
+		q, err := r.backwardPass(ctx, opt, r.reqPrev, r.reqSeeds)
 		if err != nil {
 			return nil, err
 		}
-		r.req = q
+		r.req, r.reqPrev, r.reqSeeds = q, nil, nil
 	}
 	return r.req, nil
 }
 
-// backwardPass computes the required times Required memoizes.
-func (r *Result) backwardPass(ctx context.Context, opt Options) (*Required, error) {
+// memo returns the memoized backward pass, nil when it has not run.
+func (r *Result) memo() *Required {
+	r.reqMu.Lock()
+	defer r.reqMu.Unlock()
+	return r.req
+}
+
+// backwardPass computes the required times Required memoizes. With a
+// previous pass it copies that pass's required times and re-relaxes the
+// components holding a seed node, waking upstream components only where
+// a required time changed bitwise — propagateDirty's protocol run
+// backward. Without one, every component is dirty: the from-scratch pass
+// is the same walk. Slacks are one subtraction per node after the walk.
+func (r *Result) backwardPass(ctx context.Context, opt Options, prev *Required, seeds []int32) (*Required, error) {
 	opt = opt.withDefaults()
-	n := len(r.NL.Nodes)
+	n := len(r.RiseAt)
 	q := &Required{}
 	block := make([]float64, 4*n)
 	q.RiseRAT = block[0*n : 1*n : 1*n]
 	q.FallRAT = block[1*n : 2*n : 2*n]
 	q.SlackRise = block[2*n : 3*n : 3*n]
 	q.SlackFall = block[3*n : 4*n : 4*n]
-	fillFloat(q.RiseRAT, PosInf)
-	fillFloat(q.FallRAT, PosInf)
 
 	a := &analysis{Result: r, opt: opt, ctx: orBackground(ctx)}
 	a.initMetrics()
 	defer opt.Obs.Span("required").End()
-	b := &backward{analysis: a, q: q}
+	b := &backward{analysis: a, q: q, prev: prev, outputs: make([]bool, n)}
 	sp := opt.Obs.Span("required-seeds")
-	b.seedRequired()
+	for _, c := range r.Checks {
+		if c.Kind == CheckOutput {
+			b.outputs[c.Node.Index] = true
+		}
+	}
+	if prev != nil {
+		growCopy(q.RiseRAT, prev.RiseRAT, PosInf)
+		growCopy(q.FallRAT, prev.FallRAT, PosInf)
+		b.dirty = make([]atomic.Bool, r.wave.numComps())
+		for _, v := range seeds {
+			b.dirty[r.wave.compOf[v]].Store(true)
+		}
+	}
 	sp.End()
 	sp = opt.Obs.Span("required-propagate")
 	b.propagateRequired()
@@ -159,6 +187,16 @@ func (r *Result) backwardPass(ctx context.Context, opt Options) (*Required, erro
 type backward struct {
 	*analysis
 	q *Required
+	// outputs marks, per node index, the primary outputs that transition:
+	// the nodes runChecks gave an output check. Reading them off the
+	// checks, not the nodes' flags in walk order, spares the walk a cache
+	// miss per node.
+	outputs []bool
+	// prev is the previous version's pass an incremental walk starts
+	// from, and dirty flags its components to re-relax; both are nil for
+	// a from-scratch walk, where every component is dirty.
+	prev  *Required
+	dirty []atomic.Bool
 }
 
 func (b *backward) rat(idx int32, pol Polarity) float64 {
@@ -184,6 +222,16 @@ func (b *backward) lowerRAT(idx int32, pol Polarity, t float64) bool {
 	return false
 }
 
+// moved reports whether node idx's required times differ bitwise from
+// the previous pass's.
+func (b *backward) moved(idx int32) bool {
+	if int(idx) >= len(b.prev.RiseRAT) {
+		return true
+	}
+	return !sameBits(b.q.RiseRAT[idx], b.prev.RiseRAT[idx]) ||
+		!sameBits(b.q.FallRAT[idx], b.prev.FallRAT[idx])
+}
+
 // phaseOfMask maps a single-phase mask to its clock phase number.
 func phaseOfMask(mask uint8) int {
 	if mask == delay.MaskPhi2 {
@@ -192,13 +240,15 @@ func phaseOfMask(mask uint8) int {
 	return 1
 }
 
-// seedRequired applies the endpoint constraints: one per masked arc whose
-// cause transitions (mirroring runChecks' latch/missed-window rules,
-// including the φ1 cross-cycle wrap) and one per primary-output
-// transition (the cycle boundary).
-func (b *backward) seedRequired() {
-	for i := range b.Model.Edges {
-		e := &b.Model.Edges[i]
+// seedEndpoints applies node idx's endpoint constraints: one per masked
+// out-arc whose cause transitions (mirroring runChecks' latch and
+// missed-window rules, including the φ1 cross-cycle wrap) and, for a
+// primary output that transitions, the cycle boundary. Out-arcs are in
+// ascending arc order, so a node's seeds apply in the order a scan of
+// the whole arc array would apply them.
+func (b *backward) seedEndpoints(idx int32) {
+	for _, ei := range b.wave.out(idx) {
+		e := &b.Model.Edges[ei]
 		for _, pol := range bothPols {
 			var d float64
 			var mask uint8
@@ -232,43 +282,65 @@ func (b *backward) seedRequired() {
 			b.lowerRAT(e.From, fromPol, req)
 		}
 	}
-	for _, nd := range b.NL.Nodes {
-		if !nd.Flags.Has(netlist.FlagOutput) {
-			continue
-		}
-		idx := int32(nd.Index)
-		if !isInfNeg(b.RiseAt[idx]) {
-			b.lowerRAT(idx, Rise, b.Sched.Period)
-		}
-		if !isInfNeg(b.FallAt[idx]) {
-			b.lowerRAT(idx, Fall, b.Sched.Period)
-		}
+	if !b.outputs[idx] {
+		return
+	}
+	if !isInfNeg(b.RiseAt[idx]) {
+		b.lowerRAT(idx, Rise, b.Sched.Period)
+	}
+	if !isInfNeg(b.FallAt[idx]) {
+		b.lowerRAT(idx, Fall, b.Sched.Period)
 	}
 }
 
 // propagateRequired computes the min-fixpoint of required times in
-// reverse wavefront order. Cyclic components iterate with the same bound
-// as the forward pass; a non-converging loop keeps its (finite, bounded)
-// partial values — its nodes are already flagged CheckLoop by the forward
-// pass.
+// reverse wavefront order. A dirty component resets its nodes to +Inf,
+// applies their endpoint seeds and relaxes from its out-arcs; cyclic
+// components iterate with the same bound as the forward pass, and a
+// non-converging loop keeps its (finite, bounded) partial values — its
+// nodes are already flagged CheckLoop by the forward pass. A component
+// writes only its own nodes and reads only its own and later levels', so
+// it computes exactly what a from-scratch walk computes once its
+// successors are final; in an incremental walk a node whose required time
+// moved wakes the components feeding it, which sit at earlier levels the
+// reverse walk has not reached.
 func (b *backward) propagateRequired() {
 	ws := b.wave
 	b.forEachCompReverse(func(ci int32) {
-		comp := ws.comp(ci)
-		if !ws.cyclic[ci] {
-			b.relaxNodeRequired(comp[0], ws.out(comp[0]))
+		if b.dirty != nil && !b.dirty[ci].Load() {
 			return
 		}
-		bound := b.opt.SCCIterBound*len(comp) + 8
-		for iter := 0; iter < bound; iter++ {
-			changed := false
-			for _, idx := range comp {
-				if b.relaxNodeRequired(idx, ws.out(idx)) {
-					changed = true
+		comp := ws.comp(ci)
+		for _, idx := range comp {
+			b.q.RiseRAT[idx], b.q.FallRAT[idx] = PosInf, PosInf
+		}
+		for _, idx := range comp {
+			b.seedEndpoints(idx)
+		}
+		if !ws.cyclic[ci] {
+			b.relaxNodeRequired(comp[0], ws.out(comp[0]))
+		} else {
+			bound := b.opt.SCCIterBound*len(comp) + 8
+			for iter := 0; iter < bound; iter++ {
+				changed := false
+				for _, idx := range comp {
+					if b.relaxNodeRequired(idx, ws.out(idx)) {
+						changed = true
+					}
+				}
+				if !changed {
+					break
 				}
 			}
-			if !changed {
-				break
+		}
+		for _, idx := range comp {
+			if b.dirty == nil || !b.moved(idx) {
+				continue
+			}
+			for _, ei := range ws.in(idx) {
+				if fc := ws.compOf[b.Model.Edges[ei].From]; fc != ci {
+					b.dirty[fc].Store(true)
+				}
 			}
 		}
 	})

@@ -32,7 +32,7 @@ func analyzeFor(t *testing.T, nl *netlist.Netlist, m *delay.Model, period float6
 // the worker-count comparisons below compare independent passes.
 func requiredFor(t *testing.T, r *Result, workers int) *Required {
 	t.Helper()
-	q, err := r.backwardPass(context.Background(), Options{Workers: workers})
+	q, err := r.backwardPass(context.Background(), Options{Workers: workers}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,6 +105,67 @@ func TestCornerCacheHitMiss(t *testing.T) {
 	}
 }
 
+// TestPlanReuse pins the plan-reuse rule. Resize and setcap batches keep
+// every arc's endpoints, so the base keeps its previous propagation plan
+// (ReusedWave) and every corner runs on the base's plan. A batch that
+// moves arcs rebuilds the plan, the corners share the new one, and the
+// session still passes SelfCheck.
+func TestPlanReuse(t *testing.T) {
+	ctx := context.Background()
+	s := newCornerSession(t, 1)
+	// planOf names a result's plan by the array its arc lists alias.
+	planOf := func(r *core.Result) *int32 {
+		for v := range r.RiseAt {
+			if arcs := r.ArcsInto(int32(v)); len(arcs) > 0 {
+				return &arcs[0]
+			}
+		}
+		t.Fatal("design has no arcs")
+		return nil
+	}
+	onBasePlan := func(what string) {
+		for _, cs := range s.corners {
+			if planOf(cs.res) != planOf(s.res) {
+				t.Fatalf("%s: corner %s does not run on the base's plan", what, cs.corner.Name)
+			}
+		}
+	}
+	t0 := s.nl.Trans[0]
+	var n string
+	for _, nd := range s.nl.Nodes {
+		if !nd.IsSupply() && !nd.IsClock() {
+			n = nd.Name
+			break
+		}
+	}
+	for _, batch := range [][]Delta{
+		{{Op: "resize", ID: t0.ID, W: t0.W * 2}},
+		{{Op: "setcap", Node: n, Cap: 0.33}},
+	} {
+		was := planOf(s.res)
+		st, err := s.Apply(ctx, batch)
+		if err != nil {
+			t.Fatalf("%s: %v", batch[0].Op, err)
+		}
+		if !st.ReusedWave || planOf(s.res) != was {
+			t.Fatalf("%s: reused_wave %v, plan kept %v; want both", batch[0].Op, st.ReusedWave, planOf(s.res) == was)
+		}
+		onBasePlan(batch[0].Op)
+	}
+	was := planOf(s.res)
+	st, err := s.Apply(ctx, []Delta{{Op: "add", Kind: "e", Gate: n, A: "plan_new_node", B: "gnd", W: 4, L: 2}})
+	if err != nil {
+		t.Fatalf("add: %v", err)
+	}
+	if st.ReusedWave || planOf(s.res) == was {
+		t.Fatal("add: an edit that moves arcs kept the previous plan")
+	}
+	onBasePlan("add")
+	if err := s.SelfCheck(ctx); err != nil {
+		t.Fatalf("SelfCheck: %v", err)
+	}
+}
+
 // TestCornerRollback: an abort after the base pass but before the corner
 // sweep rolls the whole batch back — the published base and per-corner
 // results are the exact same objects, the netlist is restored, and the

@@ -81,8 +81,8 @@ type Stats struct {
 	NodesRelaxed int `json:"nodes_relaxed"`
 	// Nodes is the node count after the batch.
 	Nodes int `json:"nodes"`
-	// ReusedWave reports that the timing-arc model was unchanged and the
-	// propagation plan was reused outright.
+	// ReusedWave reports that the propagation plan was kept: arc
+	// endpoints unchanged (every resize and setcap), so no arc moved.
 	ReusedWave bool `json:"reused_wave,omitempty"`
 	// Version is the session's publish sequence number: it increments on
 	// every committed (re-)analysis and names this result for Diff.
@@ -524,9 +524,10 @@ func (s *Session) publish(st Stats, bstats delay.BuildStats) {
 // SelfCheck re-derives the whole pipeline from scratch — fresh partition,
 // flow, timing arcs, full analysis at every corner — and verifies the
 // session's current state is bit-identical: every timing arc, every
-// arrival (settle and early, both polarities), every check, and every
-// corner's backward pass. This is the equivalence invariant of the
-// incremental engine; it returns nil when it holds.
+// arrival (settle and early, both polarities), every dominant-predecessor
+// record (what /why, /critical and /paths walk), every check, and the
+// backward pass of the base and of every corner. This is the equivalence
+// invariant of the incremental engine; it returns nil when it holds.
 func (s *Session) SelfCheck(ctx context.Context) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -540,31 +541,31 @@ func (s *Session) SelfCheck(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("selfcheck reference analysis: %w", err)
 	}
-	if err := compareArcs(s.model, want.Model); err != nil {
-		return err
-	}
-	if err := compareResults(s.res, want.Base); err != nil {
-		return err
-	}
 	refOpt := s.opt.Core
 	refOpt.Obs = o
+	check := func(gotModel, refModel *delay.Model, got, ref *core.Result) error {
+		if err := compareArcs(gotModel, refModel); err != nil {
+			return err
+		}
+		if err := compareResults(got, ref); err != nil {
+			return err
+		}
+		refReq, err := ref.Required(ctx, refOpt)
+		if err != nil {
+			return fmt.Errorf("selfcheck reference backward pass: %w", err)
+		}
+		gotReq, err := s.required(ctx, got)
+		if err != nil {
+			return fmt.Errorf("selfcheck backward pass: %w", err)
+		}
+		return compareRequired(gotReq, refReq, s.nl.Nodes)
+	}
+	if err := check(s.model, want.Model, s.res, want.Base); err != nil {
+		return err
+	}
 	for i, cs := range s.corners {
 		wc := want.Corners[i]
-		if err := compareArcs(cs.model, wc.Model); err != nil {
-			return fmt.Errorf("corner %s: %w", cs.corner.Name, err)
-		}
-		if err := compareResults(cs.res, wc.Res); err != nil {
-			return fmt.Errorf("corner %s: %w", cs.corner.Name, err)
-		}
-		refReq, err := wc.Res.Required(ctx, refOpt)
-		if err != nil {
-			return fmt.Errorf("selfcheck corner %s reference backward pass: %w", cs.corner.Name, err)
-		}
-		gotReq, err := s.required(ctx, cs.res)
-		if err != nil {
-			return fmt.Errorf("selfcheck corner %s backward pass: %w", cs.corner.Name, err)
-		}
-		if err := compareRequired(gotReq, refReq, s.nl.Nodes); err != nil {
+		if err := check(cs.model, wc.Model, cs.res, wc.Res); err != nil {
 			return fmt.Errorf("corner %s: %w", cs.corner.Name, err)
 		}
 	}
@@ -585,11 +586,21 @@ func compareArcs(got, ref *delay.Model) error {
 	return nil
 }
 
-// compareResults asserts bit-identical arrivals and semantically identical
-// check sets (checks are compared on their exported fields after a total
-// ordering, since ties in the report sort may legally reorder).
+// compareResults asserts bit-identical arrivals and predecessor records
+// and semantically identical check sets (checks are compared on their
+// exported fields after a total ordering, since ties in the report sort
+// may legally reorder). Predecessor arcs compare by index: the caller has
+// already found both models' arcs identical index for index.
 func compareResults(got, ref *core.Result) error {
 	for i := range ref.RiseAt {
+		for _, pol := range []core.Polarity{core.Rise, core.Fall} {
+			ga, gp := got.DominantPred(i, pol)
+			ra, rp := ref.DominantPred(i, pol)
+			if ga != ra || gp != rp {
+				return fmt.Errorf("selfcheck: node %s %s predecessor differs: arc %d (%s) vs reference arc %d (%s)",
+					ref.NL.Nodes[i], pol, ga, gp, ra, rp)
+			}
+		}
 		if got.RiseAt[i] != ref.RiseAt[i] || got.FallAt[i] != ref.FallAt[i] {
 			return fmt.Errorf("selfcheck: node %s settle arrivals differ: rise %v/%v fall %v/%v",
 				ref.NL.Nodes[i], got.RiseAt[i], ref.RiseAt[i], got.FallAt[i], ref.FallAt[i])

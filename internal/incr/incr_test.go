@@ -132,29 +132,78 @@ func randomDelta(rng *rand.Rand, s *Session) Delta {
 
 // TestRandomDeltaEquivalence is the property test of the tentpole
 // invariant: after every random batch of edits, the incremental result is
-// bit-identical to a from-scratch analysis — at serial and full worker
+// bit-identical to a from-scratch analysis — arrivals, predecessor
+// records, checks and the backward pass — at serial and full worker
 // counts, over the datapath, shifter, PLA, and shift-register workloads.
+//
+// It also replays sessions a sweep once found failing (40 seeds × the
+// four workloads × 1 and 2 workers, rand.NewSource(seed*977+workers)):
+// a topology edit rebuilt the plan and reordered or split a cyclic
+// component that no seed reached, which kept values that depended on its
+// old member list. Two of them replay with three corners as well.
 func TestRandomDeltaEquivalence(t *testing.T) {
-	p := tech.Default()
+	type session struct {
+		name, workload  string
+		source          int64
+		workers, rounds int
+		corners         bool
+	}
+	var sessions []session
 	for _, w := range testWorkloads() {
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-			t.Run(fmt.Sprintf("%s/workers%d", w.name, workers), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(len(w.name))*31 + int64(workers)))
-				s := newTestSession(t, w.name, w.build(p), workers)
-				for round := 0; round < 6; round++ {
-					batch := make([]Delta, 1+rng.Intn(3))
-					for i := range batch {
-						batch[i] = randomDelta(rng, s)
-					}
-					if _, err := s.Apply(context.Background(), batch); err != nil {
-						t.Fatalf("round %d: Apply: %v", round, err)
-					}
-					if err := s.SelfCheck(context.Background()); err != nil {
-						t.Fatalf("round %d after %v: %v", round, batch, err)
-					}
-				}
-			})
+			sessions = append(sessions, session{fmt.Sprintf("%s/workers%d", w.name, workers),
+				w.name, int64(len(w.name))*31 + int64(workers), workers, 6, false})
 		}
+	}
+	for _, r := range []struct {
+		workload string
+		source   int64
+		round    int
+	}{
+		{"shiftreg16", 979, 4}, {"shiftreg16", 3909, 2}, {"shiftreg16", 10748, 4},
+		{"pla6x10x4", 11726, 5}, {"shiftreg16", 13680, 6}, {"shiftreg16", 14656, 4},
+		{"shiftreg16", 18565, 4}, {"shiftreg16", 19541, 2}, {"shiftreg16", 25403, 7},
+		{"shiftreg16", 27358, 2}, {"shiftreg16", 29311, 9}, {"shiftreg16", 33219, 2},
+		{"shiftreg16", 35173, 7}, {"shiftreg16", 35174, 8}, {"shiftreg16", 36150, 8},
+		{"datapath8x8", 37127, 5},
+	} {
+		workers := int(r.source % 977)
+		name := fmt.Sprintf("replay/%s/source%d/workers%d", r.workload, r.source, workers)
+		sessions = append(sessions, session{name, r.workload, r.source, workers, r.round + 1, false})
+		if r.source == 3909 || r.source == 11726 {
+			sessions = append(sessions, session{name + "/corners", r.workload, r.source, workers, r.round + 1, true})
+		}
+	}
+	p := tech.Default()
+	builds := make(map[string]func(tech.Params) *netlist.Netlist)
+	for _, w := range testWorkloads() {
+		builds[w.name] = w.build
+	}
+	for _, sc := range sessions {
+		opt := Options{Params: p, Sched: testSchedule(), Core: core.Options{Workers: sc.workers}}
+		if sc.corners {
+			opt.Corners = tech.Corners()
+		}
+		t.Run(sc.name, func(t *testing.T) {
+			ctx := context.Background()
+			rng := rand.New(rand.NewSource(sc.source))
+			s, err := New(ctx, sc.workload, builds[sc.workload](p), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for round := 0; round < sc.rounds; round++ {
+				batch := make([]Delta, 1+rng.Intn(3))
+				for i := range batch {
+					batch[i] = randomDelta(rng, s)
+				}
+				if _, err := s.Apply(ctx, batch); err != nil {
+					t.Fatalf("round %d: Apply: %v", round, err)
+				}
+				if err := s.SelfCheck(ctx); err != nil {
+					t.Fatalf("round %d after %v: %v", round, batch, err)
+				}
+			}
+		})
 	}
 }
 

@@ -199,7 +199,7 @@ func (p *Pipeline) arenas() []core.Arena {
 
 // build rebuilds every stage's arcs, or with a cache only the changed
 // stages'; when none changed and no capacitance moved, st keeps its
-// model so the analyses reuse its propagation plan.
+// model, so the corners keep theirs too.
 func (p *Pipeline) build(ctx context.Context, o *obs.Obs, st *State) (delay.BuildStats, error) {
 	opt := p.Delay
 	opt.Obs = o
@@ -230,7 +230,8 @@ func (p *Pipeline) base(ctx context.Context, o *obs.Obs, st *State, prev *core.R
 // rescaled, or its previous one when the base model did not change, and
 // its analysis extends its previous result (if any) from the base's seed
 // over the base's plan: uniform scaling keeps every arc, and changes one
-// exactly when it changes the base arc.
+// exactly when it changes the base arc. The plan handle carries the arc
+// moves the base analysis found, so no corner walks the arcs again.
 func (p *Pipeline) corners(ctx context.Context, o *obs.Obs, st *State, prev State, seed []bool, arenas []core.Arena) error {
 	st.Corners = nil
 	if len(p.Corners) == 0 {
