@@ -200,7 +200,9 @@ type Result struct {
 	// ns (best case); PosInf for transitions that never occur.
 	EarlyRise, EarlyFall []float64
 
-	// Checks holds every verification result, violations first.
+	// Checks holds every verification result in one total order:
+	// violations first, then slack, node, polarity, kind, phase and
+	// producing arc.
 	Checks []Check
 
 	predRise, predFall []pred
@@ -314,7 +316,7 @@ func Analyze(ctx context.Context, nl *netlist.Netlist, model *delay.Model, sched
 		return nil, err
 	}
 	sp = opt.Obs.Span("checks")
-	a.runChecks()
+	a.runChecks(nil, nil)
 	sp.End()
 	return r, nil
 }

@@ -2,8 +2,6 @@ package core
 
 import (
 	"math"
-
-	"nmostv/internal/delay"
 )
 
 // PosInf is the earliest arrival of a node that never transitions.
@@ -130,64 +128,6 @@ func (a *analysis) setEarly(idx int, pol Polarity, t float64) {
 	} else {
 		a.EarlyFall[idx] = t
 	}
-}
-
-// raceChecks emits CheckRace findings: for every clocked data arc into a
-// storage node of phase q, the earliest same-cycle data arrival measured
-// against the previous closing of that clock (Fall(q) − T). The margin is
-// the clock skew the latch tolerates before freshly launched data could
-// reach it while still transparent from the previous phase. Informational
-// in a correct design — margins are large and positive — but the number a
-// designer trimming non-overlap wants.
-func (a *analysis) raceChecks() []Check {
-	type key struct {
-		node  int
-		phase int
-	}
-	worst := map[key]Check{}
-	for i := range a.Model.Edges {
-		e := &a.Model.Edges[i]
-		if !a.clockedStorage[e.To] || a.Model.IsClock(e.From) {
-			continue
-		}
-		for _, pol := range bothPols {
-			var d float64
-			var mask uint8
-			if pol == Rise {
-				d, mask = e.DRise, e.MaskRise
-			} else {
-				d, mask = e.DFall, e.MaskFall
-			}
-			if mask == 0 || mask == delay.MaskPhi1|delay.MaskPhi2 || isInfPos(d) {
-				continue
-			}
-			phase := 1
-			if mask == delay.MaskPhi2 {
-				phase = 2
-			}
-			cause := a.earlyArrival(int(e.From), causePol(e, pol))
-			if math.IsInf(cause, 1) {
-				continue
-			}
-			prevClose := a.Sched.Fall(phase) - a.Sched.Period
-			margin := cause - prevClose
-			c := Check{
-				Kind: CheckRace, Node: a.NL.Nodes[e.To], Pol: pol, Phase: phase,
-				Arrival: cause, Deadline: prevClose,
-				Slack: margin, OK: margin >= 0,
-				edge: int32(i),
-			}
-			k := key{int(e.To), phase}
-			if old, ok := worst[k]; !ok || c.Slack < old.Slack {
-				worst[k] = c
-			}
-		}
-	}
-	var out []Check
-	for _, c := range worst {
-		out = append(out, c)
-	}
-	return out
 }
 
 // SkewTolerance returns the smallest race margin in ns — how much relative

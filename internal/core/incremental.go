@@ -203,8 +203,14 @@ func AnalyzeIncremental(ctx context.Context, nl *netlist.Netlist, model *delay.M
 		r.reqPrev = q
 		r.reqSeeds = a.requiredSeeds(prev, base, snapRise, snapFall)
 	}
+	// Checks name arcs by index and read the schedule, so they splice
+	// only over the previous plan under the same schedule.
 	sp = opt.Obs.Span("checks")
-	a.runChecks()
+	var affected []bool
+	if r.wave == prev.wave && sched == prev.Sched {
+		affected = a.affectedChecks(relaxed, snapRise, snapFall, snapER, snapEF)
+	}
+	a.runChecks(prev.Checks, affected)
 	sp.End()
 	return r, stats, nil
 }
@@ -427,7 +433,7 @@ func moveArcs(old, cur []delay.Edge) []int32 {
 		if len(old) == 0 || &old[0] == &cur[0] {
 			return nil
 		}
-		for k < len(old) && sameArc(&old[k], &cur[k]) {
+		for k < len(old) && delay.SameArc(&old[k], &cur[k]) {
 			k++
 		}
 		if k == len(old) {
@@ -458,7 +464,7 @@ func moveArcs(old, cur []delay.Edge) []int32 {
 			for ; i < len(old) && cmpArcGroup(&old[i], &cur[j]) == 0; i++ {
 				idx[i] = -1
 				for jj := j; jj < end; jj++ {
-					if sameArc(&old[i], &cur[jj]) {
+					if delay.SameArc(&old[i], &cur[jj]) {
 						idx[i] = int32(jj)
 						break
 					}
@@ -484,13 +490,6 @@ func cmpArcGroup(x, y *delay.Edge) int {
 	default:
 		return -1
 	}
-}
-
-// sameArc reports whether two arcs have the same identity: endpoints,
-// polarity kind and phase masks. Delays may differ.
-func sameArc(x, y *delay.Edge) bool {
-	return x.From == y.From && x.To == y.To && x.Invert == y.Invert &&
-		x.GateArc == y.GateArc && x.MaskRise == y.MaskRise && x.MaskFall == y.MaskFall
 }
 
 // apply rewrites predecessor records, which index the previous model's

@@ -74,14 +74,17 @@ func chainDesign(p tech.Params) *netlist.Netlist {
 }
 
 // TestIncrementalRequiredChain is the property test of the incremental
-// backward pass. Random chains of edits — resizes, setcaps, device adds
-// and removes over a design with cyclic components — are analyzed step
-// by step with AnalyzeIncremental, seeded as a session seeds it. After each
-// step the forward result must equal a from-scratch analysis, and the
-// result's Required must equal a from-scratch backward pass bit for bit,
-// both when it starts from the previous result's memo (incremental) and
-// when it has none (full). A result whose pass has run must have
-// released the previous Required.
+// forward and backward passes. Random chains of edits — resizes, setcaps,
+// device adds and removes over a design with cyclic components — are
+// built as a session builds them (a resize or setcap names its loads to
+// the cached build) and analyzed step by step with AnalyzeIncremental,
+// seeded as a session seeds it. After each step the forward result must
+// equal a from-scratch analysis: arrivals, and the checks in order with
+// their producing arcs, whether the step spliced them (no arc moved) or
+// derived them all. The result's Required must equal a from-scratch
+// backward pass bit for bit, both when it starts from the previous
+// result's memo (incremental) and when it has none (full). A result whose
+// pass has run must have released the previous Required.
 func TestIncrementalRequiredChain(t *testing.T) {
 	for chain := int64(1); chain <= 12; chain++ {
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0) + 1} {
@@ -103,7 +106,7 @@ func runRequiredChain(t *testing.T, chain int64, workers int) {
 	cache := delay.NewCache()
 	st := stage.Extract(nl)
 	flow.Analyze(nl)
-	m, _, err := delay.BuildWithCache(ctx, nl, st, p, dopt, cache)
+	m, _, err := delay.BuildWithCache(ctx, nl, st, p, dopt, cache, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,16 +127,18 @@ func runRequiredChain(t *testing.T, chain int64, workers int) {
 	}
 	incremental, moved := 0, 0
 	for step := 0; step < 60; step++ {
-		var seedNodes []int
+		var seedNodes, loads []int
 		topo := false
 		switch k := rng.Intn(8); {
 		case k < 3:
 			tr := nl.Trans[rng.Intn(len(nl.Trans))]
 			tr.W *= 0.5 + rng.Float64()*1.5
+			loads = []int{tr.Gate.Index, tr.A.Index, tr.B.Index}
 		case k < 5:
 			nd := node()
 			nd.Cap = rng.Float64() * 0.4
 			seedNodes = append(seedNodes, nd.Index)
+			loads = []int{nd.Index}
 		case k < 7:
 			b := node()
 			if rng.Intn(3) == 0 {
@@ -157,7 +162,7 @@ func runRequiredChain(t *testing.T, chain int64, workers int) {
 			flow.Analyze(nl)
 		}
 		var bs delay.BuildStats
-		if m, bs, err = delay.BuildWithCache(ctx, nl, st, p, dopt, cache); err != nil {
+		if m, bs, err = delay.BuildWithCache(ctx, nl, st, p, dopt, cache, loads); err != nil {
 			t.Fatal(err)
 		}
 		seed := make([]bool, len(nl.Nodes))
@@ -213,7 +218,7 @@ func runRequiredChain(t *testing.T, chain int64, workers int) {
 		}
 		res = next
 	}
-	if incremental == 0 || moved == 0 {
-		t.Fatalf("chain ran %d incremental passes and %d plan rebuilds; want both", incremental, moved)
+	if incremental == 0 || moved == 0 || moved == 60 {
+		t.Fatalf("chain ran %d incremental passes and %d plan rebuilds in 60 steps; want both, and steps that splice checks", incremental, moved)
 	}
 }

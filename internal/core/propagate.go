@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -469,166 +468,4 @@ func tarjan(n int, ws *waveSchedule, m *delay.Model, ar *Arena) {
 		}
 	}
 	ws.compStart, ws.compNodes = compStart, compBuf
-}
-
-// runChecks populates Result.Checks from the settled arrivals.
-func (a *analysis) runChecks() {
-	// Worst-per-(node, polarity, phase) latch aggregation over a dense
-	// arena-backed slot table — slot -> index into checks — instead of a
-	// hash map keyed by the triple. Entries land in first-touch (edge
-	// scan) order, which is deterministic where the map iteration this
-	// replaces was randomized; the final total-order sort renders both
-	// indistinguishable for every key it inspects.
-	nn := len(a.NL.Nodes)
-	worstSlot := a.arena.int32s(4 * nn)
-	for i := range worstSlot {
-		worstSlot[i] = -1
-	}
-	var checks []Check
-	var missed []Check
-	deadSeen := a.arena.bools(nn)
-	var dead []Check
-
-	for i := range a.Model.Edges {
-		e := &a.Model.Edges[i]
-		for _, pol := range []Polarity{Rise, Fall} {
-			var d float64
-			var mask uint8
-			if pol == Rise {
-				d, mask = e.DRise, e.MaskRise
-			} else {
-				d, mask = e.DFall, e.MaskFall
-			}
-			if mask == 0 || isInfPos(d) {
-				continue
-			}
-			clamp, deadline, _, alive := a.maskWindow(mask)
-			if !alive {
-				if !deadSeen[e.To] {
-					deadSeen[e.To] = true
-					dead = append(dead, Check{
-						Kind: CheckDeadPath, Node: a.NL.Nodes[e.To], Pol: pol, OK: false, edge: int32(i),
-					})
-				}
-				continue
-			}
-			phase := 1
-			if mask == delay.MaskPhi2 {
-				phase = 2
-			}
-			cause := a.arrival(int(e.From), causePol(e, pol))
-			if isInfNeg(cause) {
-				continue
-			}
-			// Data arcs into φ1 storage wrap into the next cycle's
-			// window: in the canonical frame (φ1 first), φ1 latches
-			// capture values produced by the preceding φ2 half — i.e.
-			// across the cycle boundary. φ2 latches capture same-cycle
-			// φ1-launched data and must not wrap: missing their window
-			// is a real violation, and allowing the wrap would also
-			// make period feasibility non-monotone (a silently
-			// multicycle reinterpretation of the design).
-			if cause > deadline && phase == 1 && a.clockedStorage[e.To] {
-				clamp += a.Sched.Period
-				deadline += a.Sched.Period
-			}
-			if cause > deadline {
-				missed = append(missed, Check{
-					Kind: CheckMissedWindow, Node: a.NL.Nodes[e.To], Pol: pol, Phase: phase,
-					Arrival: cause, Deadline: deadline,
-					Slack: deadline - cause, OK: false, edge: int32(i),
-				})
-				continue
-			}
-			launch := cause
-			if launch < clamp {
-				launch = clamp
-			}
-			arr := launch + d
-			c := Check{
-				Kind: CheckLatch, Node: a.NL.Nodes[e.To], Pol: pol, Phase: phase,
-				Arrival: arr, Deadline: deadline,
-				Slack: deadline - arr, OK: deadline-arr >= 0,
-				edge: int32(i),
-			}
-			slot := 4*int(e.To) + 2*(phase-1)
-			if pol == Fall {
-				slot++
-			}
-			if j := worstSlot[slot]; j >= 0 {
-				if c.Slack < checks[j].Slack {
-					checks[j] = c
-				}
-			} else {
-				worstSlot[slot] = int32(len(checks))
-				checks = append(checks, c)
-			}
-		}
-	}
-
-	checks = append(checks, missed...)
-	checks = append(checks, dead...)
-
-	for _, n := range a.NL.Nodes {
-		if !n.Flags.Has(netlist.FlagOutput) {
-			continue
-		}
-		s := a.Settle(n)
-		if isInfNeg(s) {
-			continue // static output
-		}
-		pol := Rise
-		if a.FallAt[n.Index] > a.RiseAt[n.Index] {
-			pol = Fall
-		}
-		checks = append(checks, Check{
-			Kind: CheckOutput, Node: n, Pol: pol,
-			Arrival: s, Deadline: a.Sched.Period,
-			Slack: a.Sched.Period - s, OK: a.Sched.Period-s >= 0,
-			edge: -1,
-		})
-	}
-
-	for _, n := range a.loopNodes {
-		checks = append(checks, Check{Kind: CheckLoop, Node: n, OK: false, edge: -1})
-	}
-
-	checks = append(checks, a.raceChecks()...)
-
-	// Sort an index permutation with a non-reflective generic sort: the
-	// insertion-position tiebreak makes the comparator a strict total
-	// order, so the result is exactly what the stable reflective sort
-	// this replaces produced — without a typedmemmove per swap of the
-	// ~100-byte Check struct.
-	idx := make([]int32, len(checks))
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	slices.SortFunc(idx, func(i, j int32) int {
-		ci, cj := &checks[i], &checks[j]
-		if ci.OK != cj.OK {
-			if !ci.OK {
-				return -1
-			}
-			return 1
-		}
-		if ci.Slack != cj.Slack {
-			if ci.Slack < cj.Slack {
-				return -1
-			}
-			return 1
-		}
-		if ci.Node.Index != cj.Node.Index {
-			return ci.Node.Index - cj.Node.Index
-		}
-		if ci.Pol != cj.Pol {
-			return int(ci.Pol) - int(cj.Pol)
-		}
-		return int(i) - int(j)
-	})
-	sorted := make([]Check, len(checks))
-	for i, j := range idx {
-		sorted[i] = checks[j]
-	}
-	a.Checks = sorted
 }

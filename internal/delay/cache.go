@@ -2,71 +2,80 @@ package delay
 
 import (
 	"context"
+	"slices"
 
 	"nmostv/internal/netlist"
 	"nmostv/internal/stage"
 	"nmostv/internal/tech"
 )
 
-// Cache retains per-stage edge shards across netlist edits, keyed by the
-// stage content fingerprint (stage.Fingerprint). A shard stays valid as
-// long as nothing the edge builder reads from its stage changed: device
-// sizes and flow orientation, channel-node loading, node annotations, and
-// the case-analysis constants. The incremental session recomputes
-// fingerprints after every delta; stages whose fingerprint misses the
-// cache — and only those — are rebuilt.
+// Cache is the record of the last completed cached build: the partition
+// it built over, each stage's content fingerprint (stage.Fingerprint) and
+// arc shard, the model, and where every shard arc landed in the model's
+// arc array. The next build keeps a stage's shard while the stage's
+// fingerprint is unchanged — the fingerprint covers everything the edge
+// builder reads from the stage: device sizes and flow orientation,
+// channel-node loading, node annotations, and the case-analysis
+// constants — and rebuilds only the others.
 //
-// A Cache is single-owner state (one per incremental session); it is not
+// Records are immutable and every build replaces the record wholesale,
+// so Checkpoint and Rollback are pointer swaps. A Cache is single-owner
+// state (one per incremental session, one build configuration); it is not
 // safe for concurrent use.
 type Cache struct {
-	entries map[uint64]cacheEntry
+	last *record
 	// scratch is the reusable graph snapshot backing store: a session's
 	// repeated rebuilds refill the same flat arrays instead of
-	// reallocating O(nodes + devices) state per edit.
+	// reallocating O(nodes + devices) state per edit. A sized build only
+	// patches it, so it must describe the last build's netlist state;
+	// stale says it may not (a rollback, or an aborted build that patched
+	// or refilled it from a netlist its caller then undid), and the next
+	// build refills it.
 	scratch *graph
+	stale   bool
 }
 
-type cacheEntry struct {
-	// ids guards against fingerprint collisions: a hit must also match
-	// the stage's ordered device-ID list exactly.
-	ids []int64
-	sh  shard
+// record is one completed build. Its arrays are never written after the
+// build that made it, so later builds share or copy them.
+type record struct {
+	stages *stage.Result
+	fps    []uint64
+	shards []shard
+	model  *Model
+	place  placement
 }
 
 // NewCache returns an empty shard cache.
-func NewCache() *Cache {
-	return &Cache{entries: make(map[uint64]cacheEntry)}
-}
+func NewCache() *Cache { return &Cache{} }
 
-// Checkpoint captures the cache's current contents for a later Rollback.
-// It is O(1): BuildWithCache refreshes the cache by replacing the entry
-// map wholesale (entries themselves are immutable), so the old map stays
-// valid behind the captured reference.
+// Checkpoint captures the cache's last build for a later Rollback.
 type Checkpoint struct {
-	entries map[uint64]cacheEntry
+	last *record
 }
 
-// Checkpoint returns a handle on the current contents.
-func (c *Cache) Checkpoint() Checkpoint { return Checkpoint{entries: c.entries} }
+// Checkpoint returns a handle on the last build.
+func (c *Cache) Checkpoint() Checkpoint { return Checkpoint{last: c.last} }
 
-// Rollback restores the contents captured by a Checkpoint. A session
+// Rollback restores the last build captured by a Checkpoint. A session
 // that unwinds an aborted delta batch must also unwind the cache: a
 // completed BuildWithCache for the aborted state would otherwise leave
-// entries keyed by the mutated fingerprints, and re-applying the same
-// batch would hit wholesale — reporting zero rebuilt stages and starving
-// the incremental analyzer's seed set.
-func (c *Cache) Rollback(cp Checkpoint) { c.entries = cp.entries }
+// shards and fingerprints of the mutated netlist, and re-applying the
+// same batch would hit wholesale — reporting zero rebuilt stages and
+// starving the incremental analyzer's seed set. The graph scratch was
+// patched for the aborted state, so it is marked stale too.
+func (c *Cache) Rollback(cp Checkpoint) {
+	c.last = cp.last
+	c.stale = true
+}
 
-func idsMatch(ids []int64, s *stage.Stage) bool {
-	if len(ids) != len(s.Trans) {
-		return false
+// Fingerprints returns the per-stage fingerprints of the last completed
+// build, nil before the first. The slice is shared with the cache:
+// callers must not modify it.
+func (c *Cache) Fingerprints() []uint64 {
+	if c.last == nil {
+		return nil
 	}
-	for i, t := range s.Trans {
-		if ids[i] != t.ID {
-			return false
-		}
-	}
-	return true
+	return c.last.fps
 }
 
 // BuildStats reports how much of a cached build was recomputed.
@@ -76,47 +85,119 @@ type BuildStats struct {
 	// Rebuilt lists the stages whose shards were recomputed (cache
 	// misses), in stage-index order.
 	Rebuilt []*stage.Stage
+	// Patch is set when a sized build derived the model from the last
+	// build's without placing its arcs again; see Patch.
+	Patch *Patch
 }
 
-// BuildWithCache is Build with per-stage shard reuse: stages whose
-// fingerprint (and device-ID list) match a cache entry keep their cached
-// edges; the rest are rebuilt on the option's worker pool. The merged,
-// sorted model is bit-identical to a from-scratch Build on the same
-// netlist state — the fingerprint covers every input of the per-stage
-// computation, and merge order and the global sort are unchanged. The
-// cache is refreshed wholesale to the current fingerprints, so entries for
-// stages that no longer exist are evicted.
+// Patch lists every difference between a sized build's model and Base,
+// the model of the build before it: the arcs at positions Arcs were
+// rewritten, and the loading at nodes Nodes recomputed. Every other arc
+// and capacitance is bitwise Base's, and the node flag and phase arrays
+// are Base's own.
+type Patch struct {
+	Base  *Model
+	Arcs  []int32
+	Nodes []int
+}
+
+// BuildWithCache is Build with per-stage shard reuse against the cache's
+// last build: stages whose fingerprint matches keep their cached edges;
+// the rest are rebuilt on the option's worker pool. The merged, sorted
+// model is bit-identical to a from-scratch Build on the same netlist
+// state — the fingerprint covers every input of the per-stage
+// computation, and the merge order is unchanged.
+//
+// loads selects the probe. nil probes every stage, against a fingerprint
+// map of the last build (a hit must also match the stage's device-ID
+// list, which rules out fingerprint collisions). A non-nil loads is the
+// caller's promise that since the last build only device sizes and node
+// capacitances changed, and that it names the gate and both channel
+// terminals of every resized device and every node whose capacitance was
+// set: exactly the nodes whose loading (NodeCap) can have moved, and —
+// through the terminals — the stage of every resized device, even one
+// whose loading did not move (an L-only resize changes no diffusion
+// cap). On the last build's partition such a sized build copies the last
+// Caps and recomputes them at the named nodes, fingerprints only the
+// stages owning a named node, and counts every other stage as a hit. On
+// any other partition it probes every stage.
+//
+// When every rebuilt shard keeps its arc identities (From, To, Invert,
+// GateArc and the phase masks, in order) the arcs keep their merged
+// positions: the build copies the last model's arc array and writes the
+// rebuilt shards over it instead of placing every arc again, and a sized
+// build reports the rewritten positions as a Patch. When nothing was
+// rebuilt and no loading moved, the last model itself is returned.
 //
 // The context is polled once per rebuilt shard. An aborted build returns
-// the error with no model and — critically — without refreshing the
-// cache: the entries still describe the last completed build, so a
+// the error with no model and leaves the last build in place, so a
 // rolled-back session keeps its warm shards.
-func BuildWithCache(ctx context.Context, nl *netlist.Netlist, st *stage.Result, p tech.Params, opt Options, c *Cache) (*Model, BuildStats, error) {
+func BuildWithCache(ctx context.Context, nl *netlist.Netlist, st *stage.Result, p tech.Params, opt Options, c *Cache, loads []int) (*Model, BuildStats, error) {
 	opt = opt.withDefaults()
 	defer opt.Obs.Span("delay-build-cached").End()
-	m := &Model{Caps: ComputeCaps(nl, p)}
-	m.snapshotNodes(nl)
+	prev := c.last
+	same := prev != nil && prev.stages == st
+	sized := same && loads != nil
 	forced := forcedMap(nl, opt)
-	c.scratch = newGraph(nl, p, m.Caps, forced, c.scratch)
-
 	stages := st.Stages
-	shards := make([]shard, len(stages))
-	fps := make([]uint64, len(stages))
+	var m *Model
+	var probe []int
+	if sized {
+		m = &Model{Caps: slices.Clone(prev.model.Caps), NodeFlags: prev.model.NodeFlags, NodePhase: prev.model.NodePhase}
+		for _, n := range loads {
+			m.Caps[n] = NodeCap(nl.Nodes[n], p)
+			if si := st.NodeStage[n]; si >= 0 {
+				probe = append(probe, int(si))
+			}
+		}
+		slices.Sort(probe)
+		probe = slices.Compact(probe)
+	} else {
+		m = &Model{Caps: ComputeCaps(nl, p)}
+		m.snapshotNodes(nl)
+	}
+	if sized && !c.stale {
+		c.scratch.refresh(st, probe, m.Caps, p)
+	} else {
+		c.scratch = newGraph(nl, p, m.Caps, forced, c.scratch)
+		c.stale = false
+	}
+
+	var fps []uint64
+	var shards []shard
 	var todo []int
 	sp := opt.Obs.Span("fingerprint+probe")
-	for i, s := range stages {
-		fps[i] = s.Fingerprint(m.Caps, forced)
-		if e, ok := c.entries[fps[i]]; ok && idsMatch(e.ids, s) {
-			shards[i] = e.sh
-			continue
+	if sized {
+		fps, shards = slices.Clone(prev.fps), slices.Clone(prev.shards)
+		for _, i := range probe {
+			if fps[i] = stages[i].Fingerprint(m.Caps, forced); fps[i] != prev.fps[i] {
+				todo = append(todo, i)
+			}
 		}
-		todo = append(todo, i)
+	} else {
+		fps, shards = make([]uint64, len(stages)), make([]shard, len(stages))
+		var known map[uint64]int
+		if prev != nil {
+			known = make(map[uint64]int, len(prev.fps))
+			for k, fp := range prev.fps {
+				known[fp] = k
+			}
+		}
+		for i, s := range stages {
+			fps[i] = s.Fingerprint(m.Caps, forced)
+			if k, ok := known[fps[i]]; ok && sameDevices(prev.stages.Stages[k], s) {
+				shards[i] = prev.shards[k]
+				continue
+			}
+			todo = append(todo, i)
+		}
 	}
 	sp.End()
 	sp = opt.Obs.Span("shard-build")
 	err := buildShards(ctx, c.scratch, st, opt, shards, todo)
 	sp.End()
 	if err != nil {
+		c.stale = true
 		return nil, BuildStats{}, err
 	}
 
@@ -128,23 +209,70 @@ func BuildWithCache(ctx context.Context, nl *netlist.Netlist, st *stage.Result, 
 		"stage shards reused from the content-addressed cache").Add(int64(len(stages) - len(todo)))
 	opt.Obs.Counter("delay_cache_misses_total",
 		"stage shards rebuilt on cache miss").Add(int64(len(todo)))
-	fresh := make(map[uint64]cacheEntry, len(stages))
-	for i, s := range stages {
-		fresh[fps[i]] = cacheEntry{ids: s.DeviceIDs(), sh: shards[i]}
-	}
-	c.entries = fresh
 
 	sp = opt.Obs.Span("merge+sort")
-	mergeShards(m, shards)
-	sp.End()
+	defer sp.End()
+	keep := same
+	for _, i := range todo {
+		keep = keep && sameArcs(shards[i].edges, prev.shards[i].edges)
+	}
+	if !keep {
+		c.last = &record{stages: st, fps: fps, shards: shards, model: m, place: mergeShards(m, shards)}
+		return m, stats, nil
+	}
+	if len(todo) == 0 && slices.Equal(m.Caps, prev.model.Caps) &&
+		slices.Equal(m.NodeFlags, prev.model.NodeFlags) && slices.Equal(m.NodePhase, prev.model.NodePhase) {
+		m = prev.model
+	} else {
+		m.Edges = slices.Clone(prev.model.Edges)
+		m.Truncated = prev.model.Truncated
+		var arcs []int32
+		for _, i := range todo {
+			pos := prev.place.of(i)
+			shards[i].scatter(m.Edges, pos)
+			arcs = append(arcs, pos...)
+			m.Truncated += shards[i].truncated - prev.shards[i].truncated
+		}
+		if sized {
+			stats.Patch = &Patch{Base: prev.model, Arcs: arcs, Nodes: loads}
+		}
+	}
+	c.last = &record{stages: st, fps: fps, shards: shards, model: m, place: prev.place}
 	return m, stats, nil
+}
+
+// sameDevices reports whether two stages hold the same devices, by stable
+// ID, in the same order.
+func sameDevices(a, b *stage.Stage) bool {
+	if len(a.Trans) != len(b.Trans) {
+		return false
+	}
+	for i, t := range a.Trans {
+		if b.Trans[i].ID != t.ID {
+			return false
+		}
+	}
+	return true
+}
+
+// sameArcs reports whether two shards hold arcs of the same identities in
+// the same order; delays may differ.
+func sameArcs(a, b []Edge) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !SameArc(&a[i], &b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Fingerprints computes the per-stage content fingerprints for the
 // current netlist state without building any edges — exactly the keys a
-// BuildWithCache on the same state would probe. Session persistence uses
-// it: the snapshot stores these as a compact proof that a restore
-// re-derived the same partition and shard-cache keyspace.
+// full-probe BuildWithCache on the same state computes. Session
+// self-checks compare a session's retained fingerprints against these.
 func Fingerprints(nl *netlist.Netlist, st *stage.Result, p tech.Params, opt Options) []uint64 {
 	opt = opt.withDefaults()
 	caps := ComputeCaps(nl, p)

@@ -1,0 +1,220 @@
+package delay
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"nmostv/internal/flow"
+	"nmostv/internal/gen"
+	"nmostv/internal/netlist"
+	"nmostv/internal/stage"
+	"nmostv/internal/tech"
+)
+
+// sizedFixture is a design with every arc kind — latch masks, precharge
+// gate arcs, pass propagation, restoring stacks — plus an enhancement
+// pullup gated by VDD, whose L-only resize moves no terminal's loading.
+func sizedFixture(p tech.Params) (*netlist.Netlist, *netlist.Transistor) {
+	b := gen.New("sized", p)
+	phi1, phi2 := b.Clock("phi1", 1), b.Clock("phi2", 2)
+	in := b.Input("in")
+	b.Output(b.ShiftRegister(in, phi1, phi2, 4))
+	b.Output(b.PassChain(b.Inverter(in), phi2, 3))
+	dyn := b.PrechargedNode(phi1)
+	b.DischargeBranch(dyn, in, phi2)
+	b.Output(b.Inverter(dyn))
+	// A node discharged and precharged by one clock: its inverting and
+	// non-inverting arcs from that clock are built in the order the
+	// merge must swap.
+	dyn2 := b.PrechargedNode(phi2)
+	b.DischargeBranch(dyn2, phi2, in)
+	b.Output(b.Inverter(dyn2))
+	b.Output(b.Nand(in, b.Inverter(in), b.Nor(in, b.Input("in2"))))
+	out := b.Fresh("vddpu")
+	pu := b.NL.AddTransistor(netlist.Enh, b.NL.VDD, b.NL.VDD, out, 4, 8)
+	b.NL.AddTransistor(netlist.Enh, in, out, b.NL.GND, 8, 4)
+	b.Output(b.Inverter(out))
+	return b.Finish(), pu
+}
+
+// sameModel asserts two models bit-identical in every array.
+func sameModel(t *testing.T, what string, got, want *Model) {
+	t.Helper()
+	if len(got.Edges) != len(want.Edges) {
+		t.Fatalf("%s: %d arcs, want %d", what, len(got.Edges), len(want.Edges))
+	}
+	for i := range want.Edges {
+		g, w := got.Edges[i], want.Edges[i]
+		if g != w || math.Float64bits(g.DRise) != math.Float64bits(w.DRise) ||
+			math.Float64bits(g.DFall) != math.Float64bits(w.DFall) {
+			t.Fatalf("%s: arc %d is %v, want %v", what, i, g, w)
+		}
+	}
+	if len(got.Caps) != len(want.Caps) {
+		t.Fatalf("%s: %d caps, want %d", what, len(got.Caps), len(want.Caps))
+	}
+	for i := range want.Caps {
+		if math.Float64bits(got.Caps[i]) != math.Float64bits(want.Caps[i]) {
+			t.Fatalf("%s: node %d cap %v, want %v", what, i, got.Caps[i], want.Caps[i])
+		}
+	}
+	if !slices.Equal(got.NodeFlags, want.NodeFlags) || !slices.Equal(got.NodePhase, want.NodePhase) {
+		t.Fatalf("%s: node flags or phases differ", what)
+	}
+	if got.Truncated != want.Truncated {
+		t.Fatalf("%s: truncated %d, want %d", what, got.Truncated, want.Truncated)
+	}
+}
+
+// TestSizedBuildMatchesFullProbe: over random sequences of resizes (W,
+// L or both, with an L-only resize of a VDD-gated pullup in each) and
+// setcaps, a sized BuildWithCache — loads naming each resized device's
+// gate and terminals and each set node — equals a full-probe
+// BuildWithCache and a from-scratch Build bit for bit, rebuilds the
+// same stages, and retains the from-scratch fingerprints. A patch lists
+// exactly the arcs of the rebuilt stages, and the corner model it
+// derives equals ScaleModel.
+func TestSizedBuildMatchesFullProbe(t *testing.T) {
+	ctx := context.Background()
+	p := tech.Default()
+	slow := tech.Corners()[0]
+	for seq := int64(1); seq <= 8; seq++ {
+		t.Run(fmt.Sprintf("seq%d", seq), func(t *testing.T) {
+			nl, pu := sizedFixture(p)
+			st := stage.Extract(nl)
+			flow.Analyze(nl)
+			opt := Options{Workers: int(seq%3) + 1}
+			sized, full := NewCache(), NewCache()
+			prev, _, err := BuildWithCache(ctx, nl, st, p, opt, sized, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := BuildWithCache(ctx, nl, st, p, opt, full, nil); err != nil {
+				t.Fatal(err)
+			}
+			prevCorner := ScaleModel(prev, slow.RScale, slow.CScale)
+			rng := rand.New(rand.NewSource(seq))
+			patched := 0
+			for step := 0; step < 40; step++ {
+				var loads []int
+				resize := func(tr *netlist.Transistor, w, l float64) {
+					tr.W, tr.L = w, l
+					loads = append(loads, tr.Gate.Index, tr.A.Index, tr.B.Index)
+				}
+				switch k := rng.Intn(6); {
+				case step == 7:
+					resize(pu, pu.W, pu.L*1.5)
+				case k < 2:
+					tr := nl.Trans[rng.Intn(len(nl.Trans))]
+					resize(tr, tr.W*(0.5+rng.Float64()), tr.L)
+				case k < 3:
+					tr := nl.Trans[rng.Intn(len(nl.Trans))]
+					resize(tr, tr.W, tr.L*(0.5+rng.Float64()))
+				default:
+					for j := rng.Intn(3); j >= 0; j-- {
+						nd := nl.Nodes[rng.Intn(len(nl.Nodes))]
+						nd.Cap = rng.Float64() * 0.3
+						loads = append(loads, nd.Index)
+					}
+				}
+				m, bs, err := BuildWithCache(ctx, nl, st, p, opt, sized, loads)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mf, bf, err := BuildWithCache(ctx, nl, st, p, opt, full, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				what := fmt.Sprintf("step %d", step)
+				sameModel(t, what+" sized vs Build", m, Build(nl, st, p, opt))
+				sameModel(t, what+" sized vs full probe", m, mf)
+				if !slices.Equal(bs.Rebuilt, bf.Rebuilt) {
+					t.Fatalf("%s: sized build rebuilt %v, full probe %v", what, bs.Rebuilt, bf.Rebuilt)
+				}
+				if !slices.Equal(sized.Fingerprints(), Fingerprints(nl, st, p, opt)) {
+					t.Fatalf("%s: retained fingerprints differ from a from-scratch probe", what)
+				}
+				corner := ScaleModel(m, slow.RScale, slow.CScale)
+				if pt := bs.Patch; pt != nil {
+					patched++
+					if pt.Base != prev {
+						t.Fatalf("%s: patch is not over the previous model", what)
+					}
+					var want []int32
+					for k, e := range m.Edges {
+						if si := st.NodeStage[e.To]; si >= 0 && slices.Contains(bs.Rebuilt, st.Stages[si]) {
+							want = append(want, int32(k))
+						}
+					}
+					if got := slices.Sorted(slices.Values(pt.Arcs)); !slices.Equal(got, want) {
+						t.Fatalf("%s: patch arcs %v, rebuilt stages' arcs %v", what, got, want)
+					}
+					sameModel(t, what+" patched corner", pt.Scale(prevCorner, m, slow.RScale, slow.CScale), corner)
+				} else if m != prev && len(bs.Rebuilt) == 0 {
+					t.Fatalf("%s: nothing rebuilt but no patch over the previous model", what)
+				}
+				prev, prevCorner = m, corner
+			}
+			if patched == 0 {
+				t.Fatal("no step patched the previous model")
+			}
+		})
+	}
+}
+
+// TestPlaceMatchesStableSort pins the merge order against its definition:
+// the shards concatenated in stage order, stably sorted by (From, To,
+// Invert). The placement must send every shard arc to the position the
+// sort gives it.
+func TestPlaceMatchesStableSort(t *testing.T) {
+	p := tech.Default()
+	nl, _ := sizedFixture(p)
+	st := stage.Extract(nl)
+	flow.Analyze(nl)
+	opt := Options{Workers: 1}.withDefaults()
+	shards := make([]shard, len(st.Stages))
+	todo := make([]int, len(st.Stages))
+	for i := range todo {
+		todo[i] = i
+	}
+	if err := buildShards(context.Background(), newGraph(nl, p, ComputeCaps(nl, p), forcedMap(nl, opt), nil), st, opt, shards, todo); err != nil {
+		t.Fatal(err)
+	}
+	var want []Edge
+	for _, sh := range shards {
+		want = append(want, sh.edges...)
+	}
+	slices.SortStableFunc(want, func(x, y Edge) int {
+		switch {
+		case x.From != y.From:
+			return int(x.From) - int(y.From)
+		case x.To != y.To:
+			return int(x.To) - int(y.To)
+		case x.Invert == y.Invert:
+			return 0
+		case x.Invert:
+			return 1
+		default:
+			return -1
+		}
+	})
+	m := &Model{Caps: ComputeCaps(nl, p)}
+	pl := mergeShards(m, shards)
+	if !slices.Equal(m.Edges, want) {
+		t.Fatal("merged arcs are not the stable sort of the concatenated shards")
+	}
+	for i, sh := range shards {
+		for j, pos := range pl.of(i) {
+			if m.Edges[pos] != sh.edges[j] {
+				t.Fatalf("shard %d arc %d placed at %d, which holds another arc", i, j, pos)
+			}
+		}
+	}
+	if slices.IndexFunc(m.Edges, func(e Edge) bool { return e.Invert }) < 0 {
+		t.Fatal("fixture has no inverting arcs to order")
+	}
+}

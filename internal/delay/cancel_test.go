@@ -38,8 +38,9 @@ func TestBuildCtxPreCanceled(t *testing.T) {
 }
 
 // TestBuildWithCacheAbortKeepsEntries: an aborted cached build must NOT
-// refresh the cache — the entries still describe the last completed
-// build, so the session's rolled-back state keeps its warm shards.
+// replace the cache's record — the last completed build stays in place,
+// so the session's rolled-back state keeps its warm shards, and undoing
+// the edit rebuilds nothing.
 func TestBuildWithCacheAbortKeepsEntries(t *testing.T) {
 	defer faultpoint.Reset()
 	b, p := chainFixture(t, 16)
@@ -47,11 +48,11 @@ func TestBuildWithCacheAbortKeepsEntries(t *testing.T) {
 	st := stage.Extract(nl)
 	flow.Analyze(nl)
 	c := NewCache()
-	if _, _, err := BuildWithCache(context.Background(), nl, st, p, Options{Workers: 1}, c); err != nil {
+	if _, _, err := BuildWithCache(context.Background(), nl, st, p, Options{Workers: 1}, c, nil); err != nil {
 		t.Fatal(err)
 	}
-	warm := len(c.entries)
-	if warm == 0 {
+	warm := c.last
+	if warm == nil || len(warm.fps) == 0 {
 		t.Fatal("cache not primed by successful build")
 	}
 
@@ -61,12 +62,12 @@ func TestBuildWithCacheAbortKeepsEntries(t *testing.T) {
 		tr.W *= 2
 	}
 	faultpoint.Arm("delay.build.shard", faultpoint.Action{Err: faultpoint.ErrInjected})
-	m, _, err := BuildWithCache(context.Background(), nl, st, p, Options{Workers: 1}, c)
+	m, _, err := BuildWithCache(context.Background(), nl, st, p, Options{Workers: 1}, c, nil)
 	if !errors.Is(err, faultpoint.ErrInjected) || m != nil {
 		t.Fatalf("aborted BuildWithCache = (%v, %v), want injected fault", m, err)
 	}
-	if len(c.entries) != warm {
-		t.Fatalf("abort refreshed the cache: %d entries, want %d", len(c.entries), warm)
+	if c.last != warm {
+		t.Fatal("abort replaced the cache's last build")
 	}
 	faultpoint.Reset()
 
@@ -74,7 +75,7 @@ func TestBuildWithCacheAbortKeepsEntries(t *testing.T) {
 	for _, tr := range nl.Trans {
 		tr.W /= 2
 	}
-	_, stats, err := BuildWithCache(context.Background(), nl, st, p, Options{Workers: 1}, c)
+	_, stats, err := BuildWithCache(context.Background(), nl, st, p, Options{Workers: 1}, c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

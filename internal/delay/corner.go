@@ -1,5 +1,7 @@
 package delay
 
+import "slices"
+
 // Corner derivation: a PVT corner expressed as uniform R/C derates (see
 // tech.Corner) scales every first-order RC delay by exactly
 // rScale·cScale, because each enumerated arc delay is a sum of R·C
@@ -22,21 +24,53 @@ func ScaleModel(base *Model, rScale, cScale float64) *Model {
 	if rScale == 1 && cScale == 1 {
 		return base
 	}
-	ds := rScale * cScale
-	m := &Model{
-		Edges:     make([]Edge, len(base.Edges)),
-		Caps:      make([]float64, len(base.Caps)),
-		NodeFlags: base.NodeFlags,
-		NodePhase: base.NodePhase,
-		Truncated: base.Truncated,
-	}
-	copy(m.Edges, base.Edges)
+	m := scaled(base, slices.Clone(base.Edges), make([]float64, len(base.Caps)))
 	for i := range m.Edges {
-		m.Edges[i].DRise *= ds
-		m.Edges[i].DFall *= ds
+		scaleArc(&m.Edges[i], rScale, cScale)
 	}
 	for i, c := range base.Caps {
 		m.Caps[i] = c * cScale
 	}
 	return m
+}
+
+// Scale derives the corner model of a patched build's model m from prev,
+// the same corner's model of the patch's Base (ScaleModel(Base, rScale,
+// cScale)): prev's arcs and capacitances are copied and only those the
+// patch lists are rescaled from m. The result is bitwise ScaleModel(m,
+// rScale, cScale), because every other arc and capacitance of m is
+// Base's.
+func (pt *Patch) Scale(prev, m *Model, rScale, cScale float64) *Model {
+	if rScale == 1 && cScale == 1 {
+		return m
+	}
+	c := scaled(m, slices.Clone(prev.Edges), slices.Clone(prev.Caps))
+	for _, i := range pt.Arcs {
+		c.Edges[i] = m.Edges[i]
+		scaleArc(&c.Edges[i], rScale, cScale)
+	}
+	for _, n := range pt.Nodes {
+		c.Caps[n] = m.Caps[n] * cScale
+	}
+	return c
+}
+
+// scaled is a corner model of base over the given arc and capacitance
+// arrays, sharing base's structural arrays.
+func scaled(base *Model, edges []Edge, caps []float64) *Model {
+	return &Model{
+		Edges:     edges,
+		Caps:      caps,
+		NodeFlags: base.NodeFlags,
+		NodePhase: base.NodePhase,
+		Truncated: base.Truncated,
+	}
+}
+
+// scaleArc is the corner rule for one arc: both delays times
+// rScale·cScale.
+func scaleArc(e *Edge, rScale, cScale float64) {
+	ds := rScale * cScale
+	e.DRise *= ds
+	e.DFall *= ds
 }

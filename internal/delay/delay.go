@@ -330,27 +330,30 @@ func buildShards(ctx context.Context, g *graph, st *stage.Result, opt Options,
 	return stopErr
 }
 
-// mergeShards concatenates the shards in stage order into m.Edges and
-// applies the deterministic global sort.
-func mergeShards(m *Model, shards []shard) {
-	total := 0
-	m.Truncated = 0
-	for i := range shards {
-		total += len(shards[i].edges)
-		m.Truncated += shards[i].truncated
-	}
-	// The canonical order is (From, To, Invert, shard concatenation
-	// position). From is a dense node index, so a counting sort gets
-	// there in O(E + N): count per source node, prefix-sum into bucket
-	// starts, then scatter straight from the shard buffers into the
-	// final array — shards visited in stage order keeps the scatter
-	// stable, and no intermediate concatenation copy is needed. Each
-	// bucket is one node's out-arcs (a handful of edges), finished with
-	// a stable sort on (To, Invert). This replaces a global E·log E
-	// comparison sort with two linear passes.
-	nn := len(m.Caps)
+// placement records where a merge put every shard arc. Shard i's arcs
+// are numbered off[i] to off[i+1]-1 in concatenation order, and pos[id]
+// is arc id's index in the merged array.
+type placement struct {
+	off, pos []int32
+}
+
+// of returns the merged positions of shard i's arcs, in shard order.
+func (pl placement) of(i int) []int32 { return pl.pos[pl.off[i]:pl.off[i+1]] }
+
+// place computes the canonical merged order of the shards' arcs over nn
+// nodes: (From, To, Invert, shard concatenation position). From is a
+// dense node index, so a counting sort gets there in O(E + N): count per
+// source node, prefix-sum into bucket starts, and drop each arc's key
+// into its bucket, shards visited in stage order. A key packs To, Invert
+// and the arc's concatenation number, so ascending keys are the
+// (To, Invert) order with concatenation order breaking ties, and each
+// bucket — one node's out-arcs, a handful — finishes with a plain sort
+// of integers.
+func place(shards []shard, nn int) placement {
+	off := make([]int32, len(shards)+1)
 	start := make([]int32, nn+1)
 	for i := range shards {
+		off[i+1] = off[i] + int32(len(shards[i].edges))
 		for j := range shards[i].edges {
 			start[shards[i].edges[j].From+1]++
 		}
@@ -358,35 +361,53 @@ func mergeShards(m *Model, shards []shard) {
 	for i := 0; i < nn; i++ {
 		start[i+1] += start[i]
 	}
-	edges := make([]Edge, total)
+	keys := make([]uint64, off[len(shards)])
+	id := uint64(0)
 	for i := range shards {
 		for j := range shards[i].edges {
 			e := &shards[i].edges[j]
-			edges[start[e.From]] = *e
+			k := uint64(e.To)<<33 | id
+			if e.Invert {
+				k |= 1 << 32
+			}
+			keys[start[e.From]] = k
 			start[e.From]++
+			id++
 		}
 	}
 	// start[i] is now the end of bucket i.
 	lo := int32(0)
 	for i := 0; i < nn; i++ {
-		hi := start[i]
-		if hi-lo > 1 {
-			slices.SortStableFunc(edges[lo:hi], func(a, c Edge) int {
-				if a.To != c.To {
-					return int(a.To) - int(c.To)
-				}
-				if a.Invert != c.Invert {
-					if a.Invert {
-						return 1
-					}
-					return -1
-				}
-				return 0
-			})
+		if start[i]-lo > 1 {
+			slices.Sort(keys[lo:start[i]])
 		}
-		lo = hi
+		lo = start[i]
 	}
-	m.Edges = edges
+	pos := make([]int32, len(keys))
+	for p, k := range keys {
+		pos[uint32(k)] = int32(p)
+	}
+	return placement{off: off, pos: pos}
+}
+
+// scatter writes the shard's arcs at their merged positions.
+func (sh *shard) scatter(edges []Edge, pos []int32) {
+	for j := range sh.edges {
+		edges[pos[j]] = sh.edges[j]
+	}
+}
+
+// mergeShards places every shard's arcs into m.Edges in the canonical
+// order and returns the placement.
+func mergeShards(m *Model, shards []shard) placement {
+	pl := place(shards, len(m.Caps))
+	m.Edges = make([]Edge, len(pl.pos))
+	m.Truncated = 0
+	for i := range shards {
+		shards[i].scatter(m.Edges, pl.of(i))
+		m.Truncated += shards[i].truncated
+	}
+	return pl
 }
 
 // Build computes the timing edges for the netlist. The netlist must be
@@ -435,6 +456,14 @@ type edgeKey struct {
 	from, to           int32
 	invert, gateArc    bool
 	maskRise, maskFall uint8
+}
+
+// SameArc reports whether two arcs have the same identity: endpoints,
+// polarity kind and phase masks, the key the per-stage merge combines
+// duplicates on. Delays and the representative device may differ.
+func SameArc(x, y *Edge) bool {
+	return x.From == y.From && x.To == y.To && x.Invert == y.Invert &&
+		x.GateArc == y.GateArc && x.MaskRise == y.MaskRise && x.MaskFall == y.MaskFall
 }
 
 // builder computes edges one stage at a time. Each worker owns one

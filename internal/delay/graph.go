@@ -2,6 +2,7 @@ package delay
 
 import (
 	"nmostv/internal/netlist"
+	"nmostv/internal/stage"
 	"nmostv/internal/tech"
 )
 
@@ -139,6 +140,21 @@ func newGraph(nl *netlist.Netlist, p tech.Params, caps []float64,
 	}
 	g.termStart[0] = 0
 	return g
+}
+
+// refresh patches a graph filled for the last build after a sized edit
+// (device sizes and node capacitances only): the loading becomes caps,
+// and every device of the probed stages gets its resistance at its
+// current size. A resized device belongs to the stage its terminals
+// name, so that covers every resistance that can have moved; nothing
+// else the builder reads depends on a size.
+func (g *graph) refresh(st *stage.Result, probe []int, caps []float64, p tech.Params) {
+	g.caps = caps
+	for _, si := range probe {
+		for _, t := range st.Stages[si].Trans {
+			g.rEff[t.Index] = DeviceR(t, p)
+		}
+	}
 }
 
 // other returns the channel terminal of device di opposite node n, which

@@ -15,7 +15,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -223,7 +222,7 @@ func (s *Session) runFull(ctx context.Context) (Stats, error) {
 	start := time.Now()
 	o := s.opt.Obs.ForRequest(ctx)
 	defer o.Span("full-analysis").End()
-	next, ps, err := s.pipe.Run(ctx, o, pipeline.State{NL: s.nl}, pipeline.Devices, nil)
+	next, ps, err := s.pipe.Run(ctx, o, pipeline.State{NL: s.nl}, pipeline.Devices, nil, nil)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -281,7 +280,11 @@ func (s *Session) Apply(ctx context.Context, deltas []Delta) (Stats, error) {
 	// Flow orientation reads topology, flags, and ForceFlow — never W, L,
 	// or Cap — so batches of pure resize/setcap deltas keep it valid.
 	edit := pipeline.Sizes
-	var seedNodes []int
+	// loads names every node whose loading a resize or setcap can move
+	// (see pipeline.Run); a device with no channel terminal off the
+	// supplies names no stage, so resizing one probes every stage.
+	var seedNodes, loads []int
+	sized := true
 	for i := range deltas {
 		d := &deltas[i]
 		fail := func(format string, args ...any) (Stats, error) {
@@ -304,6 +307,8 @@ func (s *Session) Apply(ctx context.Context, deltas []Delta) (Stats, error) {
 			if !(w > 0) || !(l > 0) || math.IsInf(w, 1) || math.IsInf(l, 1) {
 				return fail("bad size w=%v l=%v", w, l)
 			}
+			loads = append(loads, t.Gate.Index, t.A.Index, t.B.Index)
+			sized = sized && !(t.A.IsSupply() && t.B.IsSupply())
 			acts = append(acts, func() func() {
 				ow, ol := t.W, t.L
 				t.W, t.L = w, l
@@ -319,6 +324,7 @@ func (s *Session) Apply(ctx context.Context, deltas []Delta) (Stats, error) {
 				return fail("bad cap %v pF", c)
 			}
 			seedNodes = append(seedNodes, n.Index)
+			loads = append(loads, n.Index)
 			acts = append(acts, func() func() {
 				oc := n.Cap
 				n.Cap = c
@@ -412,6 +418,9 @@ func (s *Session) Apply(ctx context.Context, deltas []Delta) (Stats, error) {
 		}
 	}
 
+	if !sized {
+		loads = nil
+	}
 	rsp.End()
 
 	// Phase 2: mutate, re-derive, re-analyze the cone. From here to
@@ -454,7 +463,7 @@ func (s *Session) Apply(ctx context.Context, deltas []Delta) (Stats, error) {
 	// The pipeline stages the base and every corner before anything
 	// commits, so an abort anywhere rolls the whole batch back with the
 	// published state untouched.
-	next, ps, err := s.pipe.Run(ctx, o, s.state(), edit, seedNodes)
+	next, ps, err := s.pipe.Run(ctx, o, s.state(), edit, seedNodes, loads)
 	if err != nil {
 		rollback()
 		return Stats{}, err
@@ -523,9 +532,11 @@ func (s *Session) publish(st Stats, bstats delay.BuildStats) {
 
 // SelfCheck re-derives the whole pipeline from scratch — fresh partition,
 // flow, timing arcs, full analysis at every corner — and verifies the
-// session's current state is bit-identical: every timing arc, every
-// arrival (settle and early, both polarities), every dominant-predecessor
-// record (what /why, /critical and /paths walk), every check, and the
+// session's current state is bit-identical: the shard cache's per-stage
+// fingerprints (which a sized build updates only for the stages it
+// probed), every timing arc, every arrival (settle and early, both
+// polarities), every dominant-predecessor record (what /why, /critical
+// and /paths walk), every check in order with its producing arc, and the
 // backward pass of the base and of every corner. This is the equivalence
 // invariant of the incremental engine; it returns nil when it holds.
 func (s *Session) SelfCheck(ctx context.Context) error {
@@ -537,9 +548,19 @@ func (s *Session) SelfCheck(ctx context.Context) error {
 	// no session arena, no previous result, no plan but its own.
 	ref := s.pipe
 	ref.Cache, ref.Arenas = nil, nil
-	want, _, err := ref.Run(ctx, o, pipeline.State{NL: s.nl}, pipeline.Devices, nil)
+	want, _, err := ref.Run(ctx, o, pipeline.State{NL: s.nl}, pipeline.Devices, nil, nil)
 	if err != nil {
 		return fmt.Errorf("selfcheck reference analysis: %w", err)
+	}
+	fps := s.pipe.Cache.Fingerprints()
+	wantFPs := delay.Fingerprints(s.nl, want.Stages, s.opt.Params, s.delayOpt(o))
+	if len(fps) != len(wantFPs) {
+		return fmt.Errorf("selfcheck: %d stage fingerprints retained, reference %d", len(fps), len(wantFPs))
+	}
+	for i := range wantFPs {
+		if fps[i] != wantFPs[i] {
+			return fmt.Errorf("selfcheck: stage %d fingerprint %016x retained, reference %016x", i, fps[i], wantFPs[i])
+		}
 	}
 	refOpt := s.opt.Core
 	refOpt.Obs = o
@@ -586,10 +607,9 @@ func compareArcs(got, ref *delay.Model) error {
 	return nil
 }
 
-// compareResults asserts bit-identical arrivals and predecessor records
-// and semantically identical check sets (checks are compared on their
-// exported fields after a total ordering, since ties in the report sort
-// may legally reorder). Predecessor arcs compare by index: the caller has
+// compareResults asserts bit-identical arrivals, predecessor records and
+// checks. Checks come in a total order, so the lists must agree element
+// by element. Predecessor and check arcs compare by index: the caller has
 // already found both models' arcs identical index for index.
 func compareResults(got, ref *core.Result) error {
 	for i := range ref.RiseAt {
@@ -610,62 +630,16 @@ func compareResults(got, ref *core.Result) error {
 				ref.NL.Nodes[i], got.EarlyRise[i], ref.EarlyRise[i], got.EarlyFall[i], ref.EarlyFall[i])
 		}
 	}
-	gc, rc := canonChecks(got.Checks), canonChecks(ref.Checks)
-	if len(gc) != len(rc) {
-		return fmt.Errorf("selfcheck: %d checks, reference %d", len(gc), len(rc))
+	if len(got.Checks) != len(ref.Checks) {
+		return fmt.Errorf("selfcheck: %d checks, reference %d", len(got.Checks), len(ref.Checks))
 	}
-	for i := range rc {
-		if gc[i] != rc[i] {
-			return fmt.Errorf("selfcheck: check %d differs:\n got %s\n ref %s", i, gc[i], rc[i])
+	for i := range ref.Checks {
+		g, r := got.Checks[i], ref.Checks[i]
+		if g != r {
+			return fmt.Errorf("selfcheck: check %d differs:\n got %s (arc %d)\n ref %s (arc %d)", i, g, g.Edge(), r, r.Edge())
 		}
 	}
 	return nil
-}
-
-// canonCheck is a Check's exported content, usable as a comparable value.
-type canonCheck struct {
-	kind              core.CheckKind
-	node              int
-	pol               core.Polarity
-	phase             int
-	arrival, deadline float64
-	slack             float64
-	ok                bool
-}
-
-func (c canonCheck) String() string {
-	return fmt.Sprintf("{kind:%v node:%d pol:%v phase:%d arr:%v dl:%v slack:%v ok:%v}",
-		c.kind, c.node, c.pol, c.phase, c.arrival, c.deadline, c.slack, c.ok)
-}
-
-func canonChecks(checks []core.Check) []canonCheck {
-	out := make([]canonCheck, len(checks))
-	for i, c := range checks {
-		out[i] = canonCheck{
-			kind: c.Kind, node: c.Node.Index, pol: c.Pol, phase: c.Phase,
-			arrival: c.Arrival, deadline: c.Deadline, slack: c.Slack, ok: c.OK,
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.kind != b.kind {
-			return a.kind < b.kind
-		}
-		if a.node != b.node {
-			return a.node < b.node
-		}
-		if a.pol != b.pol {
-			return a.pol < b.pol
-		}
-		if a.phase != b.phase {
-			return a.phase < b.phase
-		}
-		if a.slack != b.slack {
-			return a.slack < b.slack
-		}
-		return !a.ok && b.ok
-	})
-	return out
 }
 
 // Result returns the current analysis. The Result is immutable, but its

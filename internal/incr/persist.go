@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"nmostv/internal/core"
-	"nmostv/internal/delay"
 	"nmostv/internal/netlist"
 	"nmostv/internal/snapshot"
 	"nmostv/internal/tverr"
@@ -70,7 +69,9 @@ func (s *Session) Export() *snapshot.State {
 			ForceFlow: uint8(t.ForceFlow),
 		}
 	}
-	st.StageFPs = delay.Fingerprints(s.nl, s.stages, s.opt.Params, s.delayOpt(nil))
+	// The build that produced the published model fingerprinted (or kept
+	// the fingerprint of) every stage; the snapshot owns its copy.
+	st.StageFPs = slices.Clone(s.pipe.Cache.Fingerprints())
 	st.Base = resultRec(s.res)
 	for _, c := range s.corners {
 		st.Corners = append(st.Corners, snapshot.CornerRec{
@@ -119,8 +120,10 @@ func Restore(ctx context.Context, st *snapshot.State, opt Options) (*Session, er
 	}
 
 	// Determinism cross-check: the fresh analysis must reproduce the
-	// exporting session's published state bit for bit.
-	fps := delay.Fingerprints(s.nl, s.stages, s.opt.Params, s.delayOpt(nil))
+	// exporting session's published state bit for bit. New's build
+	// probed every stage of the rebuilt netlist, so the fingerprints its
+	// cache retains were derived from scratch.
+	fps := s.pipe.Cache.Fingerprints()
 	if len(fps) != len(st.StageFPs) {
 		return nil, inv("restore of %q re-derived %d stages, snapshot has %d", st.Name, len(fps), len(st.StageFPs))
 	}

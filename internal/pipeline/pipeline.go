@@ -9,9 +9,9 @@
 //	finalize         finalize               edit kind Devices              device lists, roles
 //	stage partition  stage-partition        edit kind Unstaged or above    partition
 //	flow             flow                   edit kind Annotations or above pass-device orientation
-//	delay build      delay-build[-cached]   partition                      model, rebuilt stages
+//	delay build      delay-build[-cached]   partition, loads (Sizes)       model, rebuilt stages, patch
 //	base analysis    analyze[-incremental]  rebuilt stages + edited nodes  relaxed mask, result
-//	corner analyses  corner-analyses        the base's node seed           per-corner results
+//	corner analyses  corner-analyses        the base's node seed, patch    per-corner models, results
 //
 // A full run is the same path with no previous state: without a shard
 // cache every stage is rebuilt, and core.AnalyzeIncremental with no
@@ -21,7 +21,6 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"nmostv/internal/clocks"
@@ -105,12 +104,26 @@ type Stats struct {
 // error a caller undoes its edit (see Derive) and keeps prev. A run from a
 // previous result passes the fault points incr.apply.analyze and
 // incr.apply.corner before the base and corner analyses.
-func (p *Pipeline) Run(ctx context.Context, o *obs.Obs, prev State, edit Edit, nodes []int) (State, Stats, error) {
+//
+// loads is read only by a Sizes run with a shard cache, and only when
+// non-nil: it then names every node whose loading the edit can have
+// moved — the gate and both channel terminals of each resized device,
+// and each node whose capacitance was set. The terminals also name the
+// device's own stage, which an L-only resize changes without moving any
+// terminal's loading. The delay build then probes only the stages owning
+// those nodes, and each corner rescales only the arcs and capacitances
+// the build rewrote (delay.Patch). A nil loads probes every stage. loads
+// is not an arrival seed: the rebuilt stages' nodes and nodes seed the
+// base analysis whatever loads names.
+func (p *Pipeline) Run(ctx context.Context, o *obs.Obs, prev State, edit Edit, nodes, loads []int) (State, Stats, error) {
 	next := prev
 	p.Derive(o, &next, edit)
+	if edit != Sizes {
+		loads = nil
+	}
 	var stats Stats
 	var err error
-	if stats.Build, err = p.build(ctx, o, &next); err != nil {
+	if stats.Build, err = p.build(ctx, o, &next, loads); err != nil {
 		return State{}, Stats{}, err
 	}
 	var seed []bool
@@ -137,7 +150,7 @@ func (p *Pipeline) Run(ctx context.Context, o *obs.Obs, prev State, edit Edit, n
 			return State{}, Stats{}, fmt.Errorf("incr: apply: %w", err)
 		}
 	}
-	if err := p.corners(ctx, o, &next, prev, seed, arenas[1:]); err != nil {
+	if err := p.corners(ctx, o, &next, prev, stats.Build.Patch, seed, arenas[1:]); err != nil {
 		return State{}, Stats{}, err
 	}
 	return next, stats, nil
@@ -147,7 +160,7 @@ func (p *Pipeline) Run(ctx context.Context, o *obs.Obs, prev State, edit Edit, n
 func (p *Pipeline) Prepare(ctx context.Context, o *obs.Obs, nl *netlist.Netlist) (State, error) {
 	st := State{NL: nl}
 	p.Derive(o, &st, Unstaged)
-	_, err := p.build(ctx, o, &st)
+	_, err := p.build(ctx, o, &st, nil)
 	return st, err
 }
 
@@ -160,7 +173,7 @@ func (p *Pipeline) Analyze(ctx context.Context, o *obs.Obs, st *State) error {
 			return err
 		}
 	}
-	return p.corners(ctx, o, st, State{}, nil, arenas[1:])
+	return p.corners(ctx, o, st, State{}, nil, nil, arenas[1:])
 }
 
 // Derive runs finalize, stage partition and flow as far as the edit
@@ -198,9 +211,10 @@ func (p *Pipeline) arenas() []core.Arena {
 }
 
 // build rebuilds every stage's arcs, or with a cache only the changed
-// stages'; when none changed and no capacitance moved, st keeps its
-// model, so the corners keep theirs too.
-func (p *Pipeline) build(ctx context.Context, o *obs.Obs, st *State) (delay.BuildStats, error) {
+// stages' (probing only the stages owning loads, when named); when none
+// changed and no capacitance moved, the cache returns its last model, so
+// the corners keep theirs too.
+func (p *Pipeline) build(ctx context.Context, o *obs.Obs, st *State, loads []int) (delay.BuildStats, error) {
 	opt := p.Delay
 	opt.Obs = o
 	if p.Cache == nil {
@@ -208,8 +222,8 @@ func (p *Pipeline) build(ctx context.Context, o *obs.Obs, st *State) (delay.Buil
 		st.Model = m
 		return delay.BuildStats{Stages: len(st.Stages.Stages), Rebuilt: st.Stages.Stages}, err
 	}
-	m, bs, err := delay.BuildWithCache(ctx, st.NL, st.Stages, p.Params, opt, p.Cache)
-	if err == nil && (st.Model == nil || len(bs.Rebuilt) > 0 || !slices.Equal(m.Caps, st.Model.Caps)) {
+	m, bs, err := delay.BuildWithCache(ctx, st.NL, st.Stages, p.Params, opt, p.Cache, loads)
+	if err == nil {
 		st.Model = m
 	}
 	return bs, err
@@ -226,13 +240,15 @@ func (p *Pipeline) base(ctx context.Context, o *obs.Obs, st *State, prev *core.R
 }
 
 // corners analyzes one corner after another. The typical corner is the
-// base analysis itself. Any other corner's model is the base model
-// rescaled, or its previous one when the base model did not change, and
-// its analysis extends its previous result (if any) from the base's seed
-// over the base's plan: uniform scaling keeps every arc, and changes one
-// exactly when it changes the base arc. The plan handle carries the arc
-// moves the base analysis found, so no corner walks the arcs again.
-func (p *Pipeline) corners(ctx context.Context, o *obs.Obs, st *State, prev State, seed []bool, arenas []core.Arena) error {
+// base analysis itself. Any other corner's model is its previous one when
+// the base model did not change; its previous one with the patched arcs
+// and capacitances rescaled when the build patched the previous base
+// model; and the base model rescaled otherwise. Its analysis extends its
+// previous result (if any) from the base's seed over the base's plan:
+// uniform scaling keeps every arc, and changes one exactly when it
+// changes the base arc. The plan handle carries the arc moves the base
+// analysis found, so no corner walks the arcs again.
+func (p *Pipeline) corners(ctx context.Context, o *obs.Obs, st *State, prev State, patch *delay.Patch, seed []bool, arenas []core.Arena) error {
 	st.Corners = nil
 	if len(p.Corners) == 0 {
 		return nil
@@ -248,9 +264,12 @@ func (p *Pipeline) corners(ctx context.Context, o *obs.Obs, st *State, prev Stat
 		}
 		cr := Corner{Corner: c, Model: st.Model, Res: st.Base, Reused: st.Model == prev.Model && was.Model != nil}
 		if !c.IsTypical() {
-			if cr.Reused {
+			switch {
+			case cr.Reused:
 				cr.Model = was.Model
-			} else {
+			case patch != nil && patch.Base == prev.Model && was.Model != nil:
+				cr.Model = patch.Scale(was.Model, st.Model, c.RScale, c.CScale)
+			default:
 				cr.Model = delay.ScaleModel(st.Model, c.RScale, c.CScale)
 			}
 			opt.Arena = &arenas[i]

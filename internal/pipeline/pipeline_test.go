@@ -68,7 +68,7 @@ func sameState(t *testing.T, got, want State) {
 func TestFullRunIsPrepareThenAnalyze(t *testing.T) {
 	ctx := context.Background()
 	p := testPipeline(false)
-	full, _, err := p.Run(ctx, nil, State{NL: testNetlist()}, Devices, nil)
+	full, _, err := p.Run(ctx, nil, State{NL: testNetlist()}, Devices, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,13 +94,13 @@ func TestIncrementalRunMatchesFull(t *testing.T) {
 	ctx := context.Background()
 	p := testPipeline(true)
 	nl := testNetlist()
-	prev, _, err := p.Run(ctx, nil, State{NL: nl}, Devices, nil)
+	prev, _, err := p.Run(ctx, nil, State{NL: nl}, Devices, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// An unchanged netlist rebuilds nothing and keeps every model.
-	same, ps, err := p.Run(ctx, nil, prev, Sizes, nil)
+	same, ps, err := p.Run(ctx, nil, prev, Sizes, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestIncrementalRunMatchesFull(t *testing.T) {
 
 	tr := nl.Trans[len(nl.Trans)/2]
 	tr.W *= 2
-	next, ps, err := p.Run(ctx, nil, same, Sizes, nil)
+	next, ps, err := p.Run(ctx, nil, same, Sizes, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestIncrementalRunMatchesFull(t *testing.T) {
 		}
 	}
 	ref := testPipeline(false)
-	want, _, err := ref.Run(ctx, nil, State{NL: nl}, Devices, nil)
+	want, _, err := ref.Run(ctx, nil, State{NL: nl}, Devices, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,12 +150,12 @@ func TestFaultPointsOnlyWithPreviousResult(t *testing.T) {
 	for _, point := range []string{"incr.apply.analyze", "incr.apply.corner"} {
 		faultpoint.Reset()
 		faultpoint.Arm(point, faultpoint.Action{Err: faultpoint.ErrInjected})
-		prev, _, err := p.Run(ctx, nil, State{NL: nl}, Devices, nil)
+		prev, _, err := p.Run(ctx, nil, State{NL: nl}, Devices, nil, nil)
 		if err != nil {
 			t.Fatalf("%s armed: full run failed: %v", point, err)
 		}
 		base := prev.Base
-		if _, _, err := p.Run(ctx, nil, prev, Sizes, nil); !errors.Is(err, faultpoint.ErrInjected) {
+		if _, _, err := p.Run(ctx, nil, prev, Sizes, nil, nil); !errors.Is(err, faultpoint.ErrInjected) {
 			t.Fatalf("%s armed: incremental run returned %v", point, err)
 		}
 		if prev.Base != base {

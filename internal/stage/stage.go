@@ -298,15 +298,6 @@ func (s *Stage) Fingerprint(caps []float64, forced map[*netlist.Node]bool) uint6
 	return h.sum
 }
 
-// DeviceIDs returns the stable IDs of the stage's devices in stage order.
-func (s *Stage) DeviceIDs() []int64 {
-	ids := make([]int64, len(s.Trans))
-	for i, t := range s.Trans {
-		ids[i] = t.ID
-	}
-	return ids
-}
-
 // fnv64 is an allocation-free FNV-1a accumulator over 64-bit words.
 type fnv64 struct{ sum uint64 }
 
