@@ -25,9 +25,10 @@
 //	-request-timeout d  per-request deadline on analysis routes; over
 //	                 deadline the analysis aborts and the request gets
 //	                 504 (default 30s, negative disables)
-//	-max-designs n   design registry cap; loading past it evicts the
-//	                 least-recently-used design (default 16, negative
-//	                 disables eviction)
+//	-max-designs n   cap on designs resident in memory; a load, a
+//	                 rehydration or a touch that cancels an eviction
+//	                 evicts the least-recently-used designs past it
+//	                 (default 16, negative disables eviction)
 //	-history n       retained analysis versions per design, the window
 //	                 GET /diff and /versions can reach back over
 //	                 (default 4; 1 keeps only the latest)
@@ -147,7 +148,7 @@ func main() {
 	jobs := flag.Int("j", 0, "worker goroutines (0 = one per CPU, 1 = serial)")
 	maxInflight := flag.Int("max-inflight", 0, "concurrent analysis requests before shedding with 503 (0 = default, negative disables)")
 	requestTimeout := flag.Duration("request-timeout", 0, "per-request deadline on analysis routes (0 = default, negative disables)")
-	maxDesigns := flag.Int("max-designs", 0, "design registry cap with LRU eviction (0 = default, negative disables)")
+	maxDesigns := flag.Int("max-designs", 0, "cap on resident designs; loads and page-ins evict the least-recently-used past it (0 = default, negative disables)")
 	history := flag.Int("history", 0, "retained analysis versions per design for /diff and /versions (0 = default)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget for in-flight requests")
 	metricsAddr := flag.String("metrics-addr", "", "also serve /metrics (and -pprof) on this dedicated address; pprof then stays off the main address")

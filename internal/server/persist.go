@@ -1,8 +1,10 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
+	"slices"
 	"time"
 
 	"nmostv/internal/faultpoint"
@@ -88,6 +90,7 @@ func (s *Server) snapshotLocked(e *regEntry) error {
 	if err := s.store.Save(st); err != nil {
 		return err
 	}
+	var lag int64
 	if e.journal != nil {
 		if err := e.journal.Reset(uint64(st.Seq)); err != nil {
 			// The snapshot IS durable; a failed truncation only means the
@@ -95,12 +98,11 @@ func (s *Server) snapshotLocked(e *regEntry) error {
 			s.cfg.Log.Warn("journal truncate after snapshot failed",
 				obs.F("design", e.name), obs.F("err", err.Error()))
 		}
-		e.jlag.Store(e.journal.LagBytes())
-	} else {
-		e.jlag.Store(0)
+		lag = e.journal.LagBytes()
 	}
-	e.snapSeq.Store(st.Seq)
-	e.lastSnap.Store(st.CreatedUnix)
+	s.mu.Lock()
+	e.snapSeq, e.lastSnap, e.jlag = st.Seq, st.CreatedUnix, lag
+	s.mu.Unlock()
 	s.cfg.Obs.Counter("tvd_snapshots_written_total",
 		"session snapshots written to the state dir").Inc()
 	return nil
@@ -130,7 +132,9 @@ func (s *Server) appendJournal(e *regEntry, kind string, deltas []incr.Delta, ve
 			err = e.journal.Append(uint64(version), payload)
 		}
 		if err == nil {
-			e.jlag.Store(e.journal.LagBytes())
+			s.mu.Lock()
+			e.jlag = e.journal.LagBytes()
+			s.mu.Unlock()
 			return
 		}
 	}
@@ -152,8 +156,8 @@ func (s *Server) degraded(e *regEntry, what string, err error) {
 }
 
 // hydrate rebuilds a cold entry's session from its snapshot plus journal
-// tail. Caller holds e.mu. The live pointer is published last, so the
-// lock-free read path never sees a session mid-replay.
+// tail. Caller holds e.mu. The session is published last, under s.mu, so
+// no request sees it mid-replay.
 func (s *Server) hydrate(ctx context.Context, e *regEntry) error {
 	if e.sess != nil {
 		// Already live: a concurrent POST /load or a lazy rehydrate won the
@@ -192,12 +196,10 @@ func (s *Server) hydrate(ctx context.Context, e *regEntry) error {
 			return err
 		}
 	}
-	e.sess = sess
 	e.journal = j
-	e.snapSeq.Store(st.Seq)
-	e.lastSnap.Store(st.CreatedUnix)
-	e.jlag.Store(j.LagBytes())
-	e.live.Store(sess)
+	s.mu.Lock()
+	e.sess, e.snapSeq, e.lastSnap, e.jlag = sess, st.Seq, st.CreatedUnix, j.LagBytes()
+	s.mu.Unlock()
 	s.cfg.Obs.Counter("tvd_sessions_rehydrated_total",
 		"cold sessions rebuilt from snapshot + journal replay").Inc()
 	s.cfg.Obs.Histogram("tvd_restore_seconds",
@@ -244,12 +246,6 @@ func replayRecord(ctx context.Context, sess *incr.Session, rec snapshot.Record) 
 	return nil
 }
 
-// WarmRestart scans the state dir and registers every persisted design as
-// a cold entry, then rehydrates up to MaxDesigns of them (most recently
-// snapshotted first; the rest stay cold until touched). While it runs the
-// server reports `restoring` on /readyz. Designs that fail to rehydrate
-// stay registered cold — the failure surfaces, with full detail, on the
-// first request that touches them.
 // BeginRestore flips /readyz to 503 "restoring" ahead of WarmRestart.
 // The daemon calls it synchronously before spawning WarmRestart in the
 // background, closing the window where an orchestrator could probe 200
@@ -262,6 +258,13 @@ func (s *Server) BeginRestore() {
 	}
 }
 
+// WarmRestart scans the state dir and registers every persisted design as
+// a cold entry, then rehydrates them, most recently snapshotted first,
+// while fewer than MaxDesigns designs are resident (preloads count); the
+// rest stay cold until touched. While it runs the server reports
+// `restoring` on /readyz. Designs that fail to rehydrate stay registered
+// cold — the failure surfaces, with full detail, on the first request
+// that touches them.
 func (s *Server) WarmRestart(ctx context.Context) error {
 	if s.store == nil {
 		return nil
@@ -269,58 +272,57 @@ func (s *Server) WarmRestart(ctx context.Context) error {
 	s.restoring.Store(true) // idempotent after BeginRestore
 	defer s.restoring.Store(false)
 	metas, err := s.store.List()
-	if err != nil {
+	if err != nil || len(metas) == 0 {
 		return err
-	}
-	if len(metas) == 0 {
-		return nil
 	}
 
 	// Newest snapshots first, so the cap keeps the designs most likely to
 	// be queried next.
-	for i := 1; i < len(metas); i++ {
-		for j := i; j > 0 && metas[j].CreatedUnix > metas[j-1].CreatedUnix; j-- {
-			metas[j], metas[j-1] = metas[j-1], metas[j]
-		}
-	}
+	slices.SortStableFunc(metas, func(a, b snapshot.Meta) int {
+		return cmp.Compare(b.CreatedUnix, a.CreatedUnix)
+	})
 	s.mu.Lock()
-	var entries []*regEntry
+	var names []string
 	for _, m := range metas {
-		if _, ok := s.sessions[m.Name]; ok {
-			continue
+		if _, ok := s.sessions[m.Name]; !ok {
+			s.sessions[m.Name] = &regEntry{name: m.Name, snapSeq: m.Seq, lastSnap: m.CreatedUnix}
+			names = append(names, m.Name)
 		}
-		e := &regEntry{name: m.Name}
-		e.lastSnap.Store(m.CreatedUnix)
-		e.snapSeq.Store(m.Seq)
-		s.sessions[m.Name] = e
-		entries = append(entries, e)
 	}
 	s.mu.Unlock()
 
 	hydrated := 0
 	var firstErr error
-	for _, e := range entries {
-		if s.cfg.MaxDesigns > 0 && hydrated >= s.cfg.MaxDesigns {
-			break
-		}
+	for _, name := range names {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		e.mu.Lock()
-		err := s.hydrate(ctx, e)
-		e.mu.Unlock()
+		s.mu.Lock()
+		resident := 0
+		for _, e := range s.sessions {
+			if e.sess != nil {
+				resident++
+			}
+		}
+		s.mu.Unlock()
+		if s.cfg.MaxDesigns > 0 && resident >= s.cfg.MaxDesigns {
+			break
+		}
+		// The request path: pin, rehydrate, run the LRU pass, release.
+		_, _, release, err := s.acquireName(ctx, name)
 		if err != nil {
 			s.cfg.Log.Error("warm restart: design left cold",
-				obs.F("design", e.name), obs.F("err", err.Error()))
+				obs.F("design", name), obs.F("err", err.Error()))
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
+		release()
 		hydrated++
 	}
 	s.cfg.Log.Info("warm restart complete",
-		obs.F("designs", int64(len(entries))), obs.F("hydrated", int64(hydrated)))
+		obs.F("designs", int64(len(names))), obs.F("hydrated", int64(hydrated)))
 	return firstErr
 }
 
@@ -331,19 +333,19 @@ func (s *Server) SnapshotAll(ctx context.Context) error {
 	if s.store == nil {
 		return nil
 	}
-	s.mu.RLock()
+	s.mu.Lock()
 	entries := make([]*regEntry, 0, len(s.sessions))
 	for _, e := range s.sessions {
 		entries = append(entries, e)
 	}
-	s.mu.RUnlock()
+	s.mu.Unlock()
 	var firstErr error
 	for _, e := range entries {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
 		e.mu.Lock()
-		if e.sess != nil && e.sess.LastStats().Version != e.snapSeq.Load() {
+		if e.sess != nil && e.sess.LastStats().Version != e.snapSeq {
 			if err := s.snapshotLocked(e); err != nil {
 				s.degraded(e, "drain snapshot failed", err)
 				if firstErr == nil {

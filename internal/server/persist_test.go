@@ -8,8 +8,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -296,118 +296,207 @@ func TestReplayFaultSurfacesTyped(t *testing.T) {
 	}
 }
 
-// TestCommitRefusesDetachedSession: commit must reject a session that is
-// no longer the entry's registered one — the shape left behind when an
-// eviction or a concurrent /load wins the race between acquire and the
-// entry lock. Applying the batch anyway would return 200 for a write
-// that the next rehydrate silently drops.
-func TestCommitRefusesDetachedSession(t *testing.T) {
-	s := New(durableConfig(t.TempDir(), 4))
-	sess := loadChain(t, s, "a", 6)
-	e, err := s.entryFor("a")
-	if err != nil {
-		t.Fatal(err)
+// entryState reads an entry's registry fields the way the protocol lets
+// a reader: under Server.mu alone.
+func entryState(s *Server, name string) (e *regEntry, sess *incr.Session, evict bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e = s.sessions[name]; e != nil {
+		sess, evict = e.sess, e.evict
 	}
-
-	// Unpinned and marked: the eviction completes, detaching sess.
-	e.wantEvict.Store(true)
-	s.finishEvict(e)
-	if e.live.Load() != nil {
-		t.Fatal("eviction did not unload the session")
-	}
-
-	_, err = s.commit(e, sess, batchFull, nil, func() (incr.Stats, error) {
-		t.Fatal("commit ran its batch against a detached session")
-		return incr.Stats{}, nil
-	})
-	if tverr.KindOf(err) != tverr.Unavailable {
-		t.Fatalf("commit on detached session: err %v, want Unavailable", err)
-	}
+	return e, sess, evict
 }
 
-// TestEvictRollsBackOnRacingPin reproduces the review-found race
-// deterministically: finishEvict passes its pin check, then a request
-// pins and reads e.live while the eviction is still inside its snapshot
-// write (an armed delay on the section fault point holds it in exactly
-// that window). The post-clear pin re-check must roll the eviction back,
-// so the racer's session stays the registered one and its commits
-// journal rather than vanish.
-func TestEvictRollsBackOnRacingPin(t *testing.T) {
-	defer faultpoint.Reset()
-	s := New(durableConfig(t.TempDir(), 4))
-	sess := loadChain(t, s, "a", 6)
-	e, err := s.entryFor("a")
+// TestCommitRefusesDetachedSession: commit must reject a session that is
+// no longer the entry's registered one. A pinned session can still be
+// replaced by a concurrent /load, and a released one can be evicted
+// before a stale commit reaches the entry lock. Applying the batch anyway
+// would return 200 for a write that the next rehydrate silently drops.
+func TestCommitRefusesDetachedSession(t *testing.T) {
+	ctx := context.Background()
+	s := New(durableConfig(t.TempDir(), 1))
+	loadChain(t, s, "a", 6)
+	refused := func(e *regEntry, sess *incr.Session, shape string) {
+		t.Helper()
+		_, err := s.commit(e, sess, batchFull, nil, func() (incr.Stats, error) {
+			t.Fatalf("%s: commit ran its batch against a detached session", shape)
+			return incr.Stats{}, nil
+		})
+		if tverr.KindOf(err) != tverr.Unavailable {
+			t.Fatalf("%s: commit on detached session: err %v, want Unavailable", shape, err)
+		}
+	}
+
+	// A /load replaces the session the request still pins.
+	e, sess, release, err := s.acquireName(ctx, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
+	loadChain(t, s, "a", 6)
+	refused(e, sess, "reload")
+	release()
+
+	// Loading b over the cap marks a while a request pins it; the last
+	// release finishes the eviction, detaching the session.
+	e, sess, release, err = s.acquireName(ctx, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadChain(t, s, "b", 6)
+	release()
+	if _, live, _ := entryState(s, "a"); live != nil {
+		t.Fatal("eviction did not unload the session")
+	}
+	refused(e, sess, "eviction")
+}
+
+// TestEvictRollsBackOnRacingPin reproduces the lost-write race
+// deterministically: a page-in of a evicts b, and while the eviction is
+// inside b's snapshot write (an armed delay on the section fault point
+// holds it in exactly that window) a request acquires b. The
+// post-snapshot check must see the racer's pin and keep b resident, so
+// the racer's session stays the registered one and its commits journal
+// rather than vanish.
+func TestEvictRollsBackOnRacingPin(t *testing.T) {
+	defer faultpoint.Reset()
+	ctx := context.Background()
+	s := New(durableConfig(t.TempDir(), 1))
+	loadChain(t, s, "a", 6)
+	sess := loadChain(t, s, "b", 6) // a goes cold
 
 	faultpoint.Arm(snapshot.FaultSection,
 		faultpoint.Action{Delay: 300 * time.Millisecond, Count: 1})
-	e.wantEvict.Store(true)
-	done := make(chan struct{})
+	pageIn := make(chan func(), 1)
 	go func() {
-		defer close(done)
-		s.finishEvict(e)
+		_, _, release, err := s.acquireName(ctx, "a") // rehydrates a, evicts b
+		if err != nil {
+			t.Error(err)
+			release = func() {}
+		}
+		pageIn <- release
 	}()
-	time.Sleep(50 * time.Millisecond) // finishEvict is mid-snapshot now
-	// The racing acquire hot path, verbatim: pin, cancel the mark, read
-	// live without the entry lock.
-	e.pins.Add(1)
-	e.wantEvict.Store(false)
-	e.live.Load()
-	<-done
+	deadline := time.Now().Add(5 * time.Second)
+	for faultpoint.Hits(snapshot.FaultSection) == 0 { // until b's eviction is mid-snapshot
+		if time.Now().After(deadline) {
+			t.Fatal("the page-in of a never started evicting b")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	e, racer, release, err := s.acquireName(ctx, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	(<-pageIn)()
 
-	if e.live.Load() != sess {
+	_, live, evict := entryState(s, "b")
+	if racer != sess || live != sess {
 		t.Fatal("eviction unloaded a pinned session")
 	}
-	if e.wantEvict.Load() {
+	if evict {
 		t.Fatal("rollback left the evict mark set")
 	}
-	// The rolled-back session still commits — and journals — normally.
+	// The kept session still commits — and journals — normally.
 	if _, err := s.commit(e, sess, batchFull, nil, func() (incr.Stats, error) {
-		return sess.Full(context.Background())
+		return sess.Full(ctx)
 	}); err != nil {
 		t.Fatalf("commit after rollback: %v", err)
 	}
-	e.pins.Add(-1)
+	release()
+}
+
+// TestEvictKeepsMarkOfPinnedVictim: a victim re-marked while a request
+// pins it keeps its mark through the post-snapshot check, so the last
+// release finishes the eviction. While a page-in of a is mid-snapshot
+// evicting b, a racer pins b (canceling the mark, which marks a), and a
+// second touch of a re-marks b. Clearing b's mark there would leave both
+// designs resident over the cap of one.
+func TestEvictKeepsMarkOfPinnedVictim(t *testing.T) {
+	defer faultpoint.Reset()
+	ctx := context.Background()
+	s := New(durableConfig(t.TempDir(), 1))
+	loadChain(t, s, "a", 6)
+	loadChain(t, s, "b", 6) // a goes cold
+
+	faultpoint.Arm(snapshot.FaultSection,
+		faultpoint.Action{Delay: 300 * time.Millisecond, Count: 1})
+	pageIn := make(chan func(), 1)
+	go func() {
+		_, _, release, err := s.acquireName(ctx, "a") // rehydrates a, evicts b
+		if err != nil {
+			t.Error(err)
+			release = func() {}
+		}
+		pageIn <- release
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for faultpoint.Hits(snapshot.FaultSection) == 0 { // until b's eviction is mid-snapshot
+		if time.Now().After(deadline) {
+			t.Fatal("the page-in of a never started evicting b")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	_, _, releaseB, err := s.acquireName(ctx, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, releaseA, err := s.acquireName(ctx, "a") // re-marks b, still pinned
+	if err != nil {
+		t.Fatal(err)
+	}
+	releaseA()
+	(<-pageIn)()
+
+	if _, live, evict := entryState(s, "b"); live == nil || !evict {
+		t.Fatalf("pinned victim b: resident %v, marked %v; want resident and marked", live != nil, evict)
+	}
+	releaseB() // last pin out finishes b's eviction
+	if _, live, _ := entryState(s, "b"); live != nil {
+		t.Fatal("the last release of b did not finish its kept eviction")
+	}
+	if _, live, _ := entryState(s, "a"); live == nil {
+		t.Fatal("a is not resident")
+	}
 }
 
 // TestEvictDeferredWhilePinned: an entry that is pinned when finishEvict
 // runs is left marked, never unloaded; the last release completes the
 // eviction — to cold with durability on, out of the registry without.
 func TestEvictDeferredWhilePinned(t *testing.T) {
+	ctx := context.Background()
 	for _, durable := range []bool{true, false} {
-		cfg := durableConfig(t.TempDir(), 4)
+		cfg := durableConfig(t.TempDir(), 1)
 		if !durable {
 			cfg.StateDir = ""
 		}
 		s := New(cfg)
 		sess := loadChain(t, s, "a", 6)
-		e, err := s.entryFor("a")
+		e, _, release, err := s.acquireName(ctx, "a")
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		e.pins.Add(1)
-		e.wantEvict.Store(true)
+		loadChain(t, s, "b", 6) // over the cap: marks a, which is pinned
 		s.finishEvict(e)
-		if e.live.Load() != sess {
+		_, live, evict := entryState(s, "a")
+		if live != sess {
 			t.Fatalf("durable=%v: eviction unloaded a pinned session", durable)
 		}
-		if !e.wantEvict.Load() {
+		if !evict {
 			t.Fatalf("durable=%v: deferred eviction lost its mark", durable)
 		}
 
-		s.releaseEntry(e) // last pin out finishes the eviction
-		if e.live.Load() != nil {
+		release() // last pin out finishes the eviction
+		if e.sess != nil {
 			t.Fatalf("durable=%v: eviction did not run on last release", durable)
 		}
-		_, err = s.entryFor("a")
-		if durable && err != nil {
-			t.Fatalf("durable: evicted entry left the registry: %v", err)
+		registered, _, _ := entryState(s, "a")
+		if durable && registered != e {
+			t.Fatal("durable: evicted entry left the registry")
 		}
-		if !durable && tverr.KindOf(err) != tverr.NotFound {
-			t.Fatalf("no store: evicted entry still registered (err %v)", err)
+		if !durable {
+			if _, _, _, err := s.acquireName(ctx, "a"); registered != nil || tverr.KindOf(err) != tverr.NotFound {
+				t.Fatalf("no store: evicted entry still registered (err %v)", err)
+			}
 		}
 	}
 }
@@ -419,13 +508,10 @@ func TestEvictDeferredWhilePinned(t *testing.T) {
 func TestHydrateKeepsLiveSession(t *testing.T) {
 	s := New(durableConfig(t.TempDir(), 4))
 	sess := loadChain(t, s, "a", 6)
-	e, err := s.entryFor("a")
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, _, _ := entryState(s, "a")
 	e.mu.Lock()
 	j := e.journal
-	err = s.hydrate(context.Background(), e)
+	err := s.hydrate(context.Background(), e)
 	same := e.sess == sess && e.journal == j
 	e.mu.Unlock()
 	if err != nil || !same {
@@ -464,112 +550,99 @@ func TestAppendJournalFallsBackWithoutJournal(t *testing.T) {
 	s := New(durableConfig(t.TempDir(), 4))
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	loadChain(t, s, "a", 6)
-	e, err := s.entryFor("a")
-	if err != nil {
+	// A directory where the journal file belongs fails the load's journal
+	// open: the degraded shape, store on and journal gone.
+	jpath := s.store.JournalPath("a")
+	if err := os.MkdirAll(jpath, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	e.mu.Lock()
-	if e.journal != nil {
-		e.journal.Close()
-		e.journal = nil // the degraded shape: store on, journal gone
-	}
-	e.mu.Unlock()
+	loadChain(t, s, "a", 6)
 
 	var st incr.Stats
 	postJSON(t, ts.URL+"/delta?design=a", resizeBody(t, ts, "a", 9), http.StatusOK, &st)
-	if got := e.snapSeq.Load(); got != st.Version {
+	var sb statsBody
+	getJSON(t, ts.URL+"/stats", http.StatusOK, &sb)
+	if got := sb.Persist["a"].SnapshotSeq; got != st.Version {
 		t.Fatalf("snapshot fallback did not persist the batch: snapSeq %d, want %d", got, st.Version)
 	}
 
 	// The snapshot is the real thing: a fresh server recovers the batch.
 	ts.Close()
+	if err := os.Remove(jpath); err != nil {
+		t.Fatal(err)
+	}
 	s2 := New(durableConfig(s.cfg.StateDir, 4))
 	if err := s2.WarmRestart(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	ts2 := httptest.NewServer(s2.Handler())
 	t.Cleanup(ts2.Close)
-	var sb statsBody
 	getJSON(t, ts2.URL+"/stats", http.StatusOK, &sb)
 	if got := sb.PerDesign["a"].Last.Version; got != st.Version {
 		t.Fatalf("recovered version %d, want %d", got, st.Version)
 	}
 }
 
-// TestEvictDeltaStress hammers the acquire/evict race the review-found
-// bug lived in: one goroutine streams deltas at design a while another
-// repeatedly loads design b over a cap of one, so every load marks a for
-// eviction and every delta re-pins or rehydrates it. The invariant is
-// the durability contract itself: every 200-acknowledged batch survives
-// into the state a final restart recovers — the recovered version equals
-// acked batches + 1 (the load), since versions advance by one per batch.
-func TestEvictDeltaStress(t *testing.T) {
-	dir := t.TempDir()
-	s := New(durableConfig(dir, 1))
-	ts := httptest.NewServer(s.Handler())
-	loadChain(t, s, "a", 6)
-	body := resizeBody(t, ts, "a", 9)
-
-	const rounds = 25
-	var acked int64
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for r := 0; r < rounds; {
-			resp, err := http.Post(ts.URL+"/delta?design=a", "application/json",
-				strings.NewReader(body))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			resp.Body.Close()
-			switch resp.StatusCode {
-			case http.StatusOK:
-				acked++
-				r++
-			case http.StatusServiceUnavailable:
-				// The commit-time staleness check shed us mid-evict; the
-				// contract is "retry lands on the current session".
-			default:
-				t.Errorf("delta a: status %d", resp.StatusCode)
-				return
+// TestRehydrateRespectsCap: every transition that makes a design resident
+// runs the LRU pass, so -max-designs bounds resident sessions after
+// page-ins and warm restarts too, not only after loads.
+func TestRehydrateRespectsCap(t *testing.T) {
+	ctx := context.Background()
+	want := func(t *testing.T, s *Server, names ...string) {
+		t.Helper()
+		var got []string
+		for _, name := range []string{"a", "b", "c"} {
+			if _, live, _ := entryState(s, name); live != nil {
+				got = append(got, name)
 			}
 		}
-	}()
-	go func() {
-		defer wg.Done()
-		for r := 0; r < rounds; r++ {
-			// Over the cap: every load marks a for eviction.
-			if _, err := s.Load(context.Background(), "b",
-				strings.NewReader(chainSim(t, 5))); err != nil {
-				t.Errorf("load b: %v", err)
-				return
-			}
+		if !slices.Equal(got, names) {
+			t.Fatalf("resident %v, want %v", got, names)
 		}
-	}()
-	wg.Wait()
-	ts.Close()
+	}
 
-	// The crash shape: no SnapshotAll. Whatever the journal + snapshots
-	// hold is what the acknowledged writes bought.
-	s2 := New(durableConfig(dir, 4))
-	if err := s2.WarmRestart(context.Background()); err != nil {
-		t.Fatalf("warm restart: %v", err)
-	}
-	ts2 := httptest.NewServer(s2.Handler())
-	t.Cleanup(ts2.Close)
-	var sb statsBody
-	getJSON(t, ts2.URL+"/stats", http.StatusOK, &sb)
-	if got := sb.PerDesign["a"].Last.Version; got != acked+1 {
-		t.Fatalf("recovered version %d, want %d acked batches + load", got, acked+1)
-	}
-	var vb verifyBody
-	getJSON(t, ts2.URL+"/verify?design=a", http.StatusOK, &vb)
-	if !vb.OK {
-		t.Fatalf("verify after stress recovery: %+v", vb)
-	}
+	t.Run("page-in", func(t *testing.T) {
+		// Touching the cold a pages it in and c out.
+		s := New(durableConfig(t.TempDir(), 1))
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		for _, name := range []string{"a", "b", "c"} {
+			loadChain(t, s, name, 6)
+		}
+		getJSON(t, ts.URL+"/devices?design=a", http.StatusOK, nil)
+		want(t, s, "a")
+	})
+
+	t.Run("canceled mark", func(t *testing.T) {
+		// b's load marks a while a request pins it; touching a again
+		// cancels the mark and evicts b instead.
+		s := New(durableConfig(t.TempDir(), 1))
+		loadChain(t, s, "a", 6)
+		_, _, release, err := s.acquireName(ctx, "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		loadChain(t, s, "b", 6)
+		_, _, release2, err := s.acquireName(ctx, "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+		release2()
+		want(t, s, "a")
+	})
+
+	t.Run("warm restart", func(t *testing.T) {
+		// With a preloaded a filling the cap, the persisted b stays cold.
+		dir := t.TempDir()
+		loadChain(t, New(durableConfig(dir, 4)), "b", 6)
+		s := New(durableConfig(dir, 1))
+		loadChain(t, s, "a", 6)
+		if err := s.WarmRestart(ctx); err != nil {
+			t.Fatal(err)
+		}
+		want(t, s, "a")
+	})
 }
 
 // TestEvictionWithoutStoreStillDrops: durability off keeps the seed

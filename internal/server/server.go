@@ -63,6 +63,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -72,6 +73,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -127,9 +129,11 @@ type Config struct {
 	// request over deadline aborts its analysis and returns 504. 0 means
 	// DefaultRequestTimeout; negative disables the deadline.
 	RequestTimeout time.Duration
-	// MaxDesigns caps the session registry; loading beyond the cap
-	// evicts the least-recently-used design. 0 means DefaultMaxDesigns;
-	// negative disables eviction.
+	// MaxDesigns caps the designs resident in memory. Every transition
+	// that makes a design resident (a load, a rehydration, a touch that
+	// cancels a pending eviction) evicts the least-recently-used designs
+	// beyond the cap; a design a request still holds goes when released.
+	// 0 means DefaultMaxDesigns; negative disables eviction.
 	MaxDesigns int
 	// MaxLoadBytes and MaxDeltaBytes cap the request bodies of POST
 	// /load and POST /delta (413 on overrun). 0 means the defaults.
@@ -215,45 +219,45 @@ func (c *Config) withDefaults() {
 	}
 }
 
-// regEntry is one registered design. With durability on, an entry can be
-// hot (live session in memory) or cold (state on disk only, rehydrated
-// on next touch); without it, entries are always hot and eviction
-// removes them from the registry.
+// regEntry is one registered design. With durability on, an entry is hot
+// (session in memory) or cold (state on disk only, rehydrated on the next
+// touch); without it, entries are always hot and eviction removes them
+// from the registry.
 //
-// Lock order: s.mu may be held while taking e.mu, never the reverse.
-// The live pointer mirrors sess for the lock-free read path: queries
-// resolve a hot session without touching e.mu, so a long hydration or
-// journaled apply on one design never stalls reads of another — or even
-// concurrent reads of the same design's published result.
+// The registry's locking rule, one job per lock:
+//   - Server.mu guards the map and each entry's pins, lastUse and evict.
+//     It is held only for O(1) work or one pass over the map, and reads
+//     take only it, so a query never waits on a commit or a hydration.
+//   - e.mu serializes the entry's load, commit plus journal append,
+//     hydrate, snapshot and unload, and owns the journal, so the journal's
+//     record order is the session's publish order.
+//   - e.mu is always taken before Server.mu.
+//   - sess and the /stats mirrors are written holding both locks, so
+//     either lock alone is enough to read them.
+//
+// Eviction is a mark, then an unload. The LRU pass marks a victim under
+// Server.mu and a touch cancels the mark. finishEvict snapshots under
+// e.mu, then unloads only if, under Server.mu, the mark still stands and
+// no request holds a pin; a pinned victim stays resident with its mark,
+// and its last release finishes the eviction.
 type regEntry struct {
 	name string
-	// lastUse is the registry-wide use sequence at the entry's last
-	// resolution; the smallest stamp is the eviction victim.
-	lastUse atomic.Uint64
-	// pins counts requests currently holding the session (resolved but
-	// not yet released). Eviction never unloads a pinned entry: a long
-	// /paths stream keeps its design resident, and the eviction it
-	// deferred runs on the last release.
-	pins atomic.Int64
-	// wantEvict marks the entry as chosen for eviction while it was
-	// pinned; a fresh resolution cancels the mark (the LRU was wrong —
-	// the design is in use).
-	wantEvict atomic.Bool
-	// live mirrors sess for lock-free resolution; nil means cold.
-	live atomic.Pointer[incr.Session]
 
-	// snapSeq, lastSnap, and jlag mirror the durable state for /stats
-	// without taking mu: the publish seq covered by the on-disk snapshot,
-	// its write time, and the journal bytes a recovery would replay.
-	snapSeq  atomic.Int64
-	lastSnap atomic.Int64
-	jlag     atomic.Int64
+	// Guarded by Server.mu. lastUse is the registry use sequence at the
+	// entry's last touch, the smallest being the LRU victim; pins counts
+	// the requests holding the session; evict marks an LRU victim.
+	lastUse uint64
+	pins    int
+	evict   bool
 
-	// mu serializes the entry's state transitions (hydrate, snapshot,
-	// unload, reload) and the {commit, journal-append} pair, keeping the
-	// journal's record order identical to the session's publish order.
+	// Written under both locks. sess is nil while the entry is cold.
+	// snapSeq, lastSnap and jlag mirror the durable state for /stats: the
+	// publish seq the on-disk snapshot covers, its write time, and the
+	// journal bytes a recovery would replay.
+	sess                    *incr.Session
+	snapSeq, lastSnap, jlag int64
+
 	mu      sync.Mutex
-	sess    *incr.Session
 	journal *snapshot.Journal
 }
 
@@ -261,9 +265,11 @@ type regEntry struct {
 type Server struct {
 	cfg Config
 
-	mu       sync.RWMutex
+	// mu guards sessions, useSeq and each entry's registry fields (see
+	// regEntry).
+	mu       sync.Mutex
 	sessions map[string]*regEntry
-	useSeq   atomic.Uint64
+	useSeq   uint64
 
 	// store is the durable session store; nil when Config.StateDir is
 	// empty (durability off). restoring is true while WarmRestart is
@@ -350,11 +356,10 @@ func (s *Server) sessionOpts() incr.Options {
 }
 
 // Load parses .sim text and registers (or replaces) the named design,
-// evicting the least-recently-used design when the registry is over
-// Config.MaxDesigns. With durability on, the design's journal is emptied
-// and an initial snapshot written before Load returns, so a crash at any
-// later point recovers the design. The context cancels the initial
-// analysis.
+// evicting the least-recently-used designs beyond Config.MaxDesigns.
+// With durability on, the design's journal is emptied and an initial
+// snapshot written before Load returns, so a crash at any later point
+// recovers the design. The context cancels the initial analysis.
 func (s *Server) Load(ctx context.Context, name string, sim io.Reader) (*incr.Session, error) {
 	nl, err := simfile.Read(sim, name)
 	if err != nil {
@@ -376,10 +381,9 @@ func (s *Server) Load(ctx context.Context, name string, sim io.Reader) (*incr.Se
 		e = &regEntry{name: name}
 		s.sessions[name] = e
 	}
-	e.lastUse.Store(s.useSeq.Add(1))
-	// Pin through setup so a concurrent Load's eviction pass cannot
-	// unload the half-installed entry.
-	e.pins.Add(1)
+	// Pin through setup so an eviction cannot unload the half-installed
+	// entry.
+	s.touchLocked(e)
 	s.mu.Unlock()
 
 	e.mu.Lock()
@@ -387,10 +391,9 @@ func (s *Server) Load(ctx context.Context, name string, sim io.Reader) (*incr.Se
 		e.journal.Close()
 		e.journal = nil
 	}
-	e.sess = sess
-	e.live.Store(sess)
-	e.snapSeq.Store(0)
-	e.jlag.Store(0)
+	s.mu.Lock()
+	e.sess, e.snapSeq, e.jlag = sess, 0, 0
+	s.mu.Unlock()
 	if s.store != nil {
 		// Empty the journal BEFORE writing the snapshot: a crash between
 		// the two leaves the old snapshot with an empty journal (stale
@@ -409,63 +412,59 @@ func (s *Server) Load(ctx context.Context, name string, sim io.Reader) (*incr.Se
 		}
 	}
 	e.mu.Unlock()
-
-	s.mu.Lock()
-	victims := s.evictLocked(name)
-	s.mu.Unlock()
-	for _, v := range victims {
-		if v.pins.Load() == 0 {
-			s.finishEvict(v)
-		}
-	}
+	s.admit(e)
 	s.releaseEntry(e)
 	return sess, nil
 }
 
-// evictLocked marks least-recently-used hot entries for eviction until
-// the hot count is within MaxDesigns, never choosing keep (the design
-// just loaded) or a cold entry (already unloaded). Pinned victims are
-// only marked — their last release finishes the eviction — so the
-// registry can transiently exceed the cap while streams hold sessions.
-// Returns the chosen entries. Caller holds the write lock.
-func (s *Server) evictLocked(keep string) []*regEntry {
-	if s.cfg.MaxDesigns <= 0 {
-		return nil
-	}
-	hot := 0
-	for _, e := range s.sessions {
-		if e.live.Load() != nil && !e.wantEvict.Load() {
-			hot++
-		}
-	}
-	var victims []*regEntry
-	for hot > s.cfg.MaxDesigns {
-		var victim *regEntry
-		var oldest uint64
-		for name, e := range s.sessions {
-			if name == keep || e.live.Load() == nil || e.wantEvict.Load() {
-				continue
-			}
-			if u := e.lastUse.Load(); victim == nil || u < oldest {
-				victim, oldest = e, u
-			}
-		}
-		if victim == nil {
-			return victims
-		}
-		victim.wantEvict.Store(true)
-		victims = append(victims, victim)
-		hot--
-	}
-	return victims
+// touchLocked stamps a use of e and pins it. A touch cancels a pending
+// eviction: the LRU chose the entry while it was idle, and it no longer
+// is. It reports whether it canceled a mark. Caller holds s.mu.
+func (s *Server) touchLocked(e *regEntry) (canceled bool) {
+	s.useSeq++
+	e.lastUse = s.useSeq
+	e.pins++
+	canceled, e.evict = e.evict, false
+	return canceled
 }
 
-// entryFor resolves a design name (empty = the single loaded design) to
-// its registry entry. An unknown design is NotFound (404); an ambiguous
-// or empty selection is Invalid (400).
-func (s *Server) entryFor(name string) (*regEntry, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+// admit is the LRU pass that every transition adding a resident design
+// runs: a load, a rehydration, and a touch that cancels a mark. It marks
+// the least-recently-used resident entries other than keep until at most
+// MaxDesigns stay unmarked, then finishes the evictions no pin defers.
+func (s *Server) admit(keep *regEntry) {
+	if s.cfg.MaxDesigns <= 0 {
+		return
+	}
+	s.mu.Lock()
+	excess := -s.cfg.MaxDesigns
+	var lru []*regEntry
+	for _, e := range s.sessions {
+		if e.sess != nil && !e.evict {
+			excess++
+			if e != keep {
+				lru = append(lru, e)
+			}
+		}
+	}
+	slices.SortFunc(lru, func(a, b *regEntry) int { return cmp.Compare(a.lastUse, b.lastUse) })
+	var victims []*regEntry
+	for _, e := range lru[:max(0, min(excess, len(lru)))] {
+		e.evict = true
+		if e.pins == 0 {
+			victims = append(victims, e)
+		}
+	}
+	s.mu.Unlock()
+	for _, e := range victims {
+		s.finishEvict(e)
+	}
+}
+
+// entryLocked resolves a design name (empty = the single loaded design)
+// to its registry entry. An unknown design is NotFound (404); an
+// ambiguous or empty selection is Invalid (400). Caller holds s.mu.
+func (s *Server) entryLocked(name string) (*regEntry, error) {
 	if name == "" {
 		if len(s.sessions) == 1 {
 			for _, e := range s.sessions {
@@ -482,135 +481,100 @@ func (s *Server) entryFor(name string) (*regEntry, error) {
 	return e, nil
 }
 
-// acquire resolves the `design` query parameter to a pinned live
-// session. The caller MUST call release when done with the session —
-// including after a long streaming response — at which point a deferred
-// eviction, if one was marked while the pin was held, finally runs. A
-// cold entry is rehydrated from its snapshot + journal on the spot.
+// acquire resolves the `design` query parameter to a pinned session. The
+// caller MUST call release when done with the session — including after
+// a long streaming response — at which point a deferred eviction, if one
+// was marked while the pin was held, finally runs. A cold entry is
+// rehydrated from its snapshot + journal on the spot.
 func (s *Server) acquire(r *http.Request) (*regEntry, *incr.Session, func(), error) {
 	return s.acquireName(r.Context(), r.URL.Query().Get("design"))
 }
 
 func (s *Server) acquireName(ctx context.Context, name string) (*regEntry, *incr.Session, func(), error) {
-	e, err := s.entryFor(name)
+	s.mu.Lock()
+	e, err := s.entryLocked(name)
 	if err != nil {
+		s.mu.Unlock()
 		return nil, nil, nil, err
 	}
-	e.lastUse.Store(s.useSeq.Add(1))
-	e.pins.Add(1)
-	// A touch cancels a pending eviction: the LRU chose this entry while
-	// it was idle, and it no longer is.
-	e.wantEvict.Store(false)
-	release := func() { s.releaseEntry(e) }
-	if sess := e.live.Load(); sess != nil {
-		return e, sess, release, nil
-	}
-	// Cold: rehydrate under the entry lock. Concurrent requests for the
-	// same design queue here and find the session on their turn.
-	e.mu.Lock()
-	if e.sess == nil {
-		if err := s.hydrate(ctx, e); err != nil {
-			e.mu.Unlock()
+	canceled := s.touchLocked(e)
+	sess := e.sess
+	s.mu.Unlock()
+	cold := sess == nil
+	if cold {
+		// Rehydrate under the entry lock. Concurrent requests for the same
+		// design queue here and find the session on their turn.
+		e.mu.Lock()
+		err := s.hydrate(ctx, e)
+		sess = e.sess
+		e.mu.Unlock()
+		if err != nil {
 			s.releaseEntry(e)
 			return nil, nil, nil, err
 		}
 	}
-	sess := e.sess
-	e.mu.Unlock()
-	return e, sess, release, nil
+	if cold || canceled {
+		s.admit(e)
+	}
+	return e, sess, func() { s.releaseEntry(e) }, nil
 }
 
-// releaseEntry drops one pin; the last pin out runs a deferred eviction.
+// releaseEntry drops one pin; the last pin out finishes a marked eviction.
 func (s *Server) releaseEntry(e *regEntry) {
-	if e.pins.Add(-1) == 0 && e.wantEvict.Load() {
+	s.mu.Lock()
+	e.pins--
+	finish := e.pins == 0 && e.evict
+	s.mu.Unlock()
+	if finish {
 		s.finishEvict(e)
 	}
 }
 
-// finishEvict completes a marked eviction once no pins remain. With
-// durability on, the session is snapshotted and unloaded in place (the
-// entry stays registered, cold); without it, the entry is removed from
-// the registry.
-//
-// acquire pins and reads e.live without taking e.mu, so a request can
-// slip in between the pin check here and the live-pointer clear. Both
-// paths therefore re-check pins AFTER publishing the unload (atomics are
-// sequentially consistent): a racer either loaded the session before the
-// clear — the re-check sees its pin and the eviction rolls back, so its
-// commits land on the still-registered session — or it reads nil and
-// queues on e.mu to rehydrate once the eviction finishes. Either way no
-// acknowledged write lands on a detached session.
+// finishEvict completes a marked eviction. With durability on it first
+// snapshots the session under e.mu. It then unloads the entry only if,
+// under s.mu, the mark still stands and no request holds a pin;
+// otherwise the entry stays resident, and a kept mark waits for the last
+// release. Unloading leaves a durable entry registered, cold; without
+// durability it removes the entry from the registry.
 func (s *Server) finishEvict(e *regEntry) {
-	if s.store == nil {
-		s.mu.Lock()
-		e.mu.Lock()
-		if !e.wantEvict.Load() || e.sess == nil || e.pins.Load() != 0 {
-			e.mu.Unlock()
-			s.mu.Unlock()
-			return
-		}
-		deleted := s.sessions[e.name] == e
-		if deleted {
-			delete(s.sessions, e.name)
-		}
-		e.live.Store(nil)
-		if e.pins.Load() != 0 {
-			// A request pinned during the window above. Roll back: with
-			// durability off there is no disk copy, so unloading now would
-			// drop whatever that request commits.
-			e.live.Store(e.sess)
-			if deleted {
-				s.sessions[e.name] = e
-			}
-			e.wantEvict.Store(false)
-			e.mu.Unlock()
-			s.mu.Unlock()
-			return
-		}
-		e.sess = nil
-		e.wantEvict.Store(false)
-		e.mu.Unlock()
-		s.mu.Unlock()
-		s.noteEvicted(e, false)
-		return
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.wantEvict.Load() || e.sess == nil || e.pins.Load() != 0 {
+	s.mu.Lock()
+	due := e.evict && e.pins == 0 && e.sess != nil
+	s.mu.Unlock()
+	if !due {
 		return
 	}
-	if err := s.snapshotLocked(e); err != nil {
-		// Never drop state that failed to persist: keep the session hot
-		// (over cap) and let the next eviction pass retry.
-		e.wantEvict.Store(false)
-		s.cfg.Log.Error("evict-to-snapshot failed; keeping design resident",
-			obs.F("design", e.name), obs.F("err", err.Error()))
+	if s.store != nil {
+		if err := s.snapshotLocked(e); err != nil {
+			// Never drop state that failed to persist: keep the session
+			// resident (over cap) and let the next pass retry.
+			s.mu.Lock()
+			e.evict = false
+			s.mu.Unlock()
+			s.cfg.Log.Error("evict-to-snapshot failed; keeping design resident",
+				obs.F("design", e.name), obs.F("err", err.Error()))
+			return
+		}
+	}
+	s.mu.Lock()
+	if !e.evict || e.pins != 0 {
+		s.mu.Unlock()
 		return
 	}
-	e.live.Store(nil)
-	if e.pins.Load() != 0 {
-		// A request acquired the session during the snapshot window. Keep
-		// the entry hot so its commit journals against the live session;
-		// the snapshot just written stays valid (the journal was reset to
-		// its sequence, later batches append after it).
-		e.live.Store(e.sess)
-		e.wantEvict.Store(false)
-		return
+	e.evict, e.sess = false, nil
+	if s.store == nil {
+		delete(s.sessions, e.name)
 	}
-	e.sess = nil
+	s.mu.Unlock()
 	if e.journal != nil {
 		e.journal.Close()
 		e.journal = nil
 	}
-	e.wantEvict.Store(false)
-	s.noteEvicted(e, true)
-}
-
-func (s *Server) noteEvicted(e *regEntry, persisted bool) {
 	s.cfg.Obs.Counter("tvd_sessions_evicted_total",
 		"designs evicted from the registry by the LRU cap").Inc()
 	s.cfg.Log.Warn("design evicted",
-		obs.F("design", e.name), obs.F("persisted", persisted),
+		obs.F("design", e.name), obs.F("persisted", s.store != nil),
 		obs.F("max_designs", s.cfg.MaxDesigns))
 }
 
@@ -1213,17 +1177,17 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		sess *incr.Session
 		pi   persistInfo
 	}
-	s.mu.RLock()
+	s.mu.Lock()
 	rows := make(map[string]row, len(s.sessions))
 	for name, e := range s.sessions {
-		rows[name] = row{sess: e.live.Load(), pi: persistInfo{
-			Cold:             e.live.Load() == nil,
-			SnapshotSeq:      e.snapSeq.Load(),
-			JournalLagBytes:  e.jlag.Load(),
-			LastSnapshotUnix: e.lastSnap.Load(),
+		rows[name] = row{sess: e.sess, pi: persistInfo{
+			Cold:             e.sess == nil,
+			SnapshotSeq:      e.snapSeq,
+			JournalLagBytes:  e.jlag,
+			LastSnapshotUnix: e.lastSnap,
 		}}
 	}
-	s.mu.RUnlock()
+	s.mu.Unlock()
 	body := statsBody{
 		Designs:   len(rows),
 		Requests:  s.requests.Load(),
