@@ -25,7 +25,9 @@
 //	                worst-slack-per-node report
 //	-input name=t   input arrival override, repeatable
 //	-sethigh a,b    nodes held high for case analysis
-//	-setlow a,b     nodes held low for case analysis
+//	-setlow a,b     nodes held low for case analysis; a name that is no
+//	                node of the design, here or in -input, is a usage
+//	                error (exit 2)
 //	-erc            run electrical rule checks (ratio rule)
 //	-charge         run charge-sharing analysis on dynamic nodes
 //	-j n            worker goroutines for model build and propagation
@@ -41,10 +43,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -171,6 +175,10 @@ func main() {
 		SetLow:      splitList(*setLow),
 		Workers:     *jobs,
 		Obs:         tvObs,
+	}
+	if unknown := unknownNodes(nl, prepOpt.SetHigh, prepOpt.SetLow, inputs); len(unknown) > 0 {
+		fmt.Fprintf(os.Stderr, "tv: no such node: %s\n", strings.Join(unknown, ", "))
+		os.Exit(2)
 	}
 	d := nmostv.Prepare(nl, p, prepOpt)
 	if len(prepOpt.SetHigh) > 0 || len(prepOpt.SetLow) > 0 {
@@ -434,6 +442,27 @@ func fmtArr(v float64) string {
 		return "static"
 	}
 	return fmt.Sprintf("%.4g", v)
+}
+
+// unknownNodes lists the names given to -sethigh, -setlow and -input
+// that are no node's name in nl, each with its flag ("-sethigh x"), in
+// flag order and then by name. Analysis matches these flags by node name,
+// so it would ignore such a name, an alias such as "VDD" included, and
+// time a different case than the one asked for.
+func unknownNodes(nl *nmostv.Netlist, high, low []string, inputs inputTimes) []string {
+	var out []string
+	check := func(flag string, names []string) {
+		sort.Strings(names)
+		for i, name := range names {
+			if n := nl.Lookup(name); (n == nil || n.Name != name) && (i == 0 || names[i-1] != name) {
+				out = append(out, flag+" "+name)
+			}
+		}
+	}
+	check("-sethigh", slices.Clone(high))
+	check("-setlow", slices.Clone(low))
+	check("-input", slices.Collect(maps.Keys(inputs)))
+	return out
 }
 
 func splitList(s string) []string {

@@ -2,8 +2,11 @@ package main
 
 import (
 	"math"
+	"os"
 	"reflect"
 	"testing"
+
+	"nmostv/internal/simfile"
 )
 
 func TestSplitList(t *testing.T) {
@@ -49,5 +52,28 @@ func TestFmtArr(t *testing.T) {
 	}
 	if got := fmtArr(1.25); got != "1.25" {
 		t.Errorf("fmtArr(1.25) = %q", got)
+	}
+}
+
+func TestUnknownNodes(t *testing.T) {
+	f, err := os.Open("../../testdata/tutorial.sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	nl, err := simfile.Read(f, "tutorial")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := unknownNodes(nl, []string{"en", "vdd"}, []string{"din"}, inputTimes{"din": 2}); got != nil {
+		t.Errorf("known names reported unknown: %v", got)
+	}
+	nl.Node("VDD") // binds an alias of vdd, which analysis does not match
+	got := unknownNodes(nl,
+		[]string{"zz", "bogus_node", "en", "zz"}, []string{"din", "nope", "VDD"},
+		inputTimes{"nosuch": 5, "din": 2, "alsonot": 1})
+	want := []string{"-sethigh bogus_node", "-sethigh zz", "-setlow VDD", "-setlow nope", "-input alsonot", "-input nosuch"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("unknownNodes = %q, want %q", got, want)
 	}
 }

@@ -410,7 +410,9 @@ func (s *Session) Apply(ctx context.Context, deltas []Delta) (Stats, error) {
 			edit = pipeline.Devices
 			acts = append(acts, func() func() {
 				at := t.Index
-				s.nl.RemoveTransistor(t)
+				if !s.nl.RemoveTransistor(t) {
+					return func() {} // an earlier delta of the batch removed it
+				}
 				return func() { s.nl.RestoreTransistor(t, at) }
 			})
 		default:

@@ -173,6 +173,7 @@ func rebuildNetlist(st *snapshot.State) (*netlist.Netlist, error) {
 		return tverr.Errorf(tverr.Invalid, "incr.restore", format, args...)
 	}
 	nl := netlist.New(st.Name)
+	nl.Grow(len(st.Nodes), len(st.Trans))
 	for i := range st.Nodes {
 		rec := &st.Nodes[i]
 		var n *netlist.Node

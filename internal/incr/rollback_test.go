@@ -174,3 +174,27 @@ func TestInvalidDeltaIsTyped(t *testing.T) {
 		t.Fatalf("KindOf = %v, want Invalid", k)
 	}
 }
+
+// TestAbortedDoubleRemoveRollsBack: a batch naming one device in two
+// removes must roll back to the pre-batch device list, holding the device
+// once and at its place, so IDs still increase along the list.
+func TestAbortedDoubleRemoveRollsBack(t *testing.T) {
+	defer faultpoint.Reset()
+	ctx := context.Background()
+	b := gen.New("chain", tech.Default())
+	b.Output(b.InvChain(b.Input("in"), 8))
+	s := newTestSession(t, "chain", b.Finish(), 1)
+	snap := captureNetlist(s)
+	id := s.nl.Trans[3].ID
+	batch := []Delta{{Op: "remove", ID: id}, {Op: "remove", ID: id}}
+
+	faultpoint.Arm("incr.apply.analyze", faultpoint.Action{Err: faultpoint.ErrInjected})
+	if _, err := s.Apply(ctx, batch); !errors.Is(err, faultpoint.ErrInjected) {
+		t.Fatalf("Apply = %v, want injected fault", err)
+	}
+	faultpoint.Reset()
+	checkRestored(t, s, snap)
+	if err := s.SelfCheck(ctx); err != nil {
+		t.Fatalf("SelfCheck after rollback: %v", err)
+	}
+}

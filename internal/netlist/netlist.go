@@ -6,7 +6,9 @@
 package netlist
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -262,9 +264,13 @@ type Netlist struct {
 	// demand by the builder and the parser).
 	VDD, GND *Node
 
-	byName map[string]*Node
-	byID   map[int64]*Transistor
-	nextID int64
+	// names indexes Nodes by each node's own Name; aliases holds every
+	// other name bound to a node (the case variants of the supply names
+	// that Node folds, and restored alias entries). A name is in at most
+	// one of the two.
+	names   nameIndex
+	aliases map[string]*Node
+	nextID  int64
 
 	// Node and Transistor structs are placed in fixed-capacity slab
 	// chunks instead of being allocated one object at a time: a
@@ -276,6 +282,10 @@ type Netlist struct {
 	// alive by the pointers into it.
 	nodeSlab  []Node
 	transSlab []Transistor
+
+	// adj is the backing array Finalize carves every node's Gates and
+	// Terms from.
+	adj []*Transistor
 }
 
 // slabChunk is the number of structs per allocation chunk.
@@ -284,11 +294,8 @@ const slabChunk = 4096
 // New returns an empty netlist containing only the two supply nodes, named
 // "vdd" and "gnd".
 func New(name string) *Netlist {
-	nl := &Netlist{
-		Name:   name,
-		byName: make(map[string]*Node),
-		byID:   make(map[int64]*Transistor),
-	}
+	nl := &Netlist{Name: name}
+	nl.names.init()
 	nl.VDD = nl.Node("vdd")
 	nl.VDD.Flags |= FlagSupply
 	nl.GND = nl.Node("gnd")
@@ -296,38 +303,89 @@ func New(name string) *Netlist {
 	return nl
 }
 
+// Grow reserves room for at least nodes more nodes and trans more
+// devices, so a builder that knows its size up front (a parser told the
+// length of its input, a restore) fills the netlist without regrowing
+// its name index or its Nodes and Trans slices.
+func (nl *Netlist) Grow(nodes, trans int) {
+	nl.Nodes = slices.Grow(nl.Nodes, nodes)
+	nl.Trans = slices.Grow(nl.Trans, trans)
+	nl.names.reserve(len(nl.Nodes) + nodes)
+}
+
 // Node returns the node with the given name, creating it if necessary.
 // Names are case-sensitive except that "vdd", "vss" and "gnd" in any case
 // alias the supply nodes.
 func (nl *Netlist) Node(name string) *Node {
-	if n, ok := nl.byName[name]; ok {
+	return node(nl, name, nl.names.hashString(name))
+}
+
+// NodeBytes is Node for a name held in a byte slice, such as a field of
+// a parser's line buffer. Finding an existing node allocates nothing;
+// creating one copies the name once.
+func (nl *Netlist) NodeBytes(name []byte) *Node {
+	return node(nl, name, nl.names.hashBytes(name))
+}
+
+func node[K string | []byte](nl *Netlist, name K, h uint32) *Node {
+	n, slot := find(&nl.names, nl.Nodes, name, h)
+	if n != nil {
 		return n
 	}
-	switch strings.ToLower(name) {
-	case "vdd":
-		if nl.VDD != nil {
-			nl.byName[name] = nl.VDD
-			return nl.VDD
-		}
-	case "gnd", "vss":
-		if nl.GND != nil {
-			nl.byName[name] = nl.GND
-			return nl.GND
-		}
+	if n := nl.aliases[string(name)]; n != nil {
+		return n
+	}
+	if s := supply(nl, name); s != nil {
+		nl.bindAlias(string(name), s)
+		return s
 	}
 	if len(nl.nodeSlab) == cap(nl.nodeSlab) {
 		nl.nodeSlab = make([]Node, 0, slabChunk)
 	}
-	nl.nodeSlab = append(nl.nodeSlab, Node{Name: name, Index: len(nl.Nodes)})
-	n := &nl.nodeSlab[len(nl.nodeSlab)-1]
+	nl.nodeSlab = append(nl.nodeSlab, Node{Name: string(name), Index: len(nl.Nodes)})
+	n = &nl.nodeSlab[len(nl.nodeSlab)-1]
 	nl.Nodes = append(nl.Nodes, n)
-	nl.byName[name] = n
+	nl.names.insert(slot, h, n.Index)
 	return n
+}
+
+// supply returns the supply node a name folds onto — "vdd", "gnd" and
+// "vss" in any ASCII case — or nil. It is nil for the supplies' own
+// names while New creates them.
+func supply[K string | []byte](nl *Netlist, name K) *Node {
+	if len(name) != 3 {
+		return nil
+	}
+	var low [3]byte
+	for i := range low {
+		c := name[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		low[i] = c
+	}
+	switch string(low[:]) {
+	case "vdd":
+		return nl.VDD
+	case "gnd", "vss":
+		return nl.GND
+	}
+	return nil
 }
 
 // Lookup returns the node with the given name, or nil.
 func (nl *Netlist) Lookup(name string) *Node {
-	return nl.byName[name]
+	if n, _ := find(&nl.names, nl.Nodes, name, nl.names.hashString(name)); n != nil {
+		return n
+	}
+	return nl.aliases[name]
+}
+
+func (nl *Netlist) bindAlias(name string, n *Node) {
+	if nl.aliases == nil {
+		nl.aliases = make(map[string]*Node)
+	}
+	nl.aliases[name] = n
 }
 
 // AddTransistor appends a device with the given terminals and size and
@@ -349,7 +407,6 @@ func (nl *Netlist) AddTransistor(k Kind, gate, a, b *Node, w, l float64) *Transi
 	})
 	t := &nl.transSlab[len(nl.transSlab)-1]
 	nl.Trans = append(nl.Trans, t)
-	nl.byID[t.ID] = t
 	return t
 }
 
@@ -368,7 +425,6 @@ func (nl *Netlist) RemoveTransistor(t *Transistor) bool {
 		nl.Trans[j].Index = j
 	}
 	t.Index = -1
-	delete(nl.byID, t.ID)
 	return true
 }
 
@@ -391,7 +447,6 @@ func (nl *Netlist) RestoreTransistor(t *Transistor, at int) {
 	for j := at; j < len(nl.Trans); j++ {
 		nl.Trans[j].Index = j
 	}
-	nl.byID[t.ID] = t
 }
 
 // TruncateNodes discards every node with Index >= n, unwinding node
@@ -403,29 +458,71 @@ func (nl *Netlist) TruncateNodes(n int) {
 	if n < 0 || n >= len(nl.Nodes) {
 		return
 	}
-	for name, nd := range nl.byName {
+	nl.names.rehome(len(nl.names.slots), n)
+	for name, nd := range nl.aliases {
 		if nd.Index >= n {
-			delete(nl.byName, name)
+			delete(nl.aliases, name)
 		}
 	}
 	nl.Nodes = nl.Nodes[:n]
 }
 
-// TransByID returns the device with the given stable ID, or nil. Backed
-// by a map maintained across adds, removes, and restores: timing-arc
-// reporting resolves representative devices by stable ID on every path
-// query, so this must be O(1).
+// TransByID returns the device with the given stable ID, or nil. IDs
+// strictly increase along Trans: AddTransistor appends a new highest ID,
+// and RemoveTransistor and RestoreTransistor keep the order. So ID id
+// sits at index id-1 until a device before it is removed, and never
+// after it. The lookup probes that slot, or the last one when id is past
+// the device count (a device added after removals), then binary-searches
+// the slots below. Path reports resolve a device per hop, so the probe
+// is the common case.
 func (nl *Netlist) TransByID(id int64) *Transistor {
-	return nl.byID[id]
+	n := int64(len(nl.Trans))
+	if id <= 0 || n == 0 {
+		return nil
+	}
+	i := min(id, n) - 1
+	if t := nl.Trans[i]; t.ID == id {
+		return t
+	}
+	j, ok := slices.BinarySearchFunc(nl.Trans[:i], id, func(t *Transistor, id int64) int {
+		return cmp.Compare(t.ID, id)
+	})
+	if !ok {
+		return nil
+	}
+	return nl.Trans[j]
 }
 
 // Finalize computes derived structure: per-node device lists and per-device
 // roles. It must be called after construction and before stage extraction,
-// flow analysis, or timing. It is idempotent.
+// flow analysis, or timing. It is idempotent. A counting pass sizes each
+// node's Gates and Terms, which are then carved from one backing array
+// (reused by the next Finalize when it is large enough) and filled in
+// device order.
 func (nl *Netlist) Finalize() {
-	for _, n := range nl.Nodes {
-		n.Gates = n.Gates[:0]
-		n.Terms = n.Terms[:0]
+	// count[2i] and count[2i+1] are node i's gate and terminal counts.
+	count := make([]int32, 2*len(nl.Nodes))
+	total := 0
+	for _, t := range nl.Trans {
+		count[2*t.Gate.Index]++
+		count[2*t.A.Index+1]++
+		total += 2
+		if t.B != t.A {
+			count[2*t.B.Index+1]++
+			total++
+		}
+	}
+	if cap(nl.adj) < total {
+		nl.adj = make([]*Transistor, total)
+	}
+	adj := nl.adj[:total]
+	off := 0
+	for i, n := range nl.Nodes {
+		g, tm := int(count[2*i]), int(count[2*i+1])
+		n.Gates = adj[off : off : off+g]
+		off += g
+		n.Terms = adj[off : off : off+tm]
+		off += tm
 	}
 	for _, t := range nl.Trans {
 		t.Gate.Gates = append(t.Gate.Gates, t)

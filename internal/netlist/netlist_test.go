@@ -1,6 +1,9 @@
 package netlist
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -313,5 +316,258 @@ func TestTruncateNodes(t *testing.T) {
 	nl.TruncateNodes(-1)
 	if nl.Lookup("fresh") != n {
 		t.Fatal("no-op truncation damaged the netlist")
+	}
+}
+
+// TestTransByIDAfterEdits drives seeded adds, removals and restores and
+// checks TransByID against a map of the live devices: the ordered-ID
+// lookup must find every live device wherever removals shifted it, and
+// nothing else.
+func TestTransByIDAfterEdits(t *testing.T) {
+	nl := New("t")
+	g := nl.Node("g")
+	live := map[int64]*Transistor{}
+	add := func() {
+		tr := nl.AddTransistor(Enh, g, nl.Node("a"), nl.GND, 4, 2)
+		live[tr.ID] = tr
+	}
+	for i := 0; i < 200; i++ {
+		add()
+	}
+	rng := rand.New(rand.NewSource(5))
+	check := func(step int) {
+		t.Helper()
+		for id := int64(-1); id <= nl.NextID()+2; id++ {
+			if got, want := nl.TransByID(id), live[id]; got != want {
+				t.Fatalf("step %d: TransByID(%d) = %v, want %v", step, id, got, want)
+			}
+		}
+		for i := 1; i < len(nl.Trans); i++ {
+			if nl.Trans[i-1].ID >= nl.Trans[i].ID {
+				t.Fatalf("step %d: IDs out of order at index %d", step, i)
+			}
+		}
+	}
+	check(-1)
+	for step := 0; step < 300; step++ {
+		switch op := rng.Intn(4); {
+		case op == 0 || len(nl.Trans) == 0:
+			add()
+		case op == 1:
+			// Remove and restore, as a rolled-back delta does.
+			tr := nl.Trans[rng.Intn(len(nl.Trans))]
+			at := tr.Index
+			nl.RemoveTransistor(tr)
+			nl.RestoreTransistor(tr, at)
+		default:
+			tr := nl.Trans[rng.Intn(len(nl.Trans))]
+			nl.RemoveTransistor(tr)
+			delete(live, tr.ID)
+		}
+		check(step)
+	}
+	if nl.TransByID(1<<62) != nil {
+		t.Error("TransByID of a huge ID must be nil")
+	}
+}
+
+// TestAddTransistorWithIDOrder: restore's explicit IDs must keep IDs
+// strictly increasing along Trans, and later adds continue above them.
+func TestAddTransistorWithIDOrder(t *testing.T) {
+	nl := New("t")
+	g := nl.Node("g")
+	for _, id := range []int64{0, -3} {
+		if nl.AddTransistorWithID(id, Enh, g, g, nl.GND, 4, 2) != nil {
+			t.Errorf("ID %d accepted", id)
+		}
+	}
+	if nl.AddTransistorWithID(4, Enh, g, g, nl.GND, 4, 2) == nil {
+		t.Fatal("ID 4 refused")
+	}
+	for _, id := range []int64{4, 2} {
+		if nl.AddTransistorWithID(id, Enh, g, g, nl.GND, 4, 2) != nil {
+			t.Errorf("ID %d accepted after ID 4", id)
+		}
+	}
+	if nl.AddTransistorWithID(9, Enh, g, g, nl.GND, 4, 2) == nil {
+		t.Fatal("ID 9 refused")
+	}
+	nl.SetNextID(12)
+	if tr := nl.AddTransistor(Enh, g, g, nl.GND, 4, 2); tr.ID != 13 {
+		t.Errorf("next added ID %d, want 13", tr.ID)
+	}
+	for _, id := range []int64{4, 9, 13} {
+		if tr := nl.TransByID(id); tr == nil || tr.ID != id {
+			t.Errorf("TransByID(%d) = %v", id, tr)
+		}
+	}
+}
+
+// TestNameIndex grows the name index through many nodes and checks that
+// both entry points agree, supply case variants fold, a lookup by bytes
+// allocates nothing, and a truncation forgets exactly the dropped nodes.
+func TestNameIndex(t *testing.T) {
+	nl := New("t")
+	nl.Grow(10, 0)
+	var nodes []*Node
+	for i := 0; i < 5000; i++ {
+		name := fmt.Sprintf("n%d_%x", i, i*7919)
+		var n *Node
+		if i%2 == 0 {
+			n = nl.Node(name)
+		} else {
+			n = nl.NodeBytes([]byte(name))
+		}
+		if n.Name != name || n.Index != len(nl.Nodes)-1 {
+			t.Fatalf("node %q created as %q at %d", name, n.Name, n.Index)
+		}
+		nodes = append(nodes, n)
+	}
+	for _, n := range nodes {
+		if nl.Lookup(n.Name) != n || nl.Node(n.Name) != n || nl.NodeBytes([]byte(n.Name)) != n {
+			t.Fatalf("node %q not found again", n.Name)
+		}
+	}
+	if nl.NodeBytes([]byte("VsS")) != nl.GND || nl.Lookup("VsS") != nl.GND || nl.NodeBytes([]byte("vDd")) != nl.VDD {
+		t.Fatal("supply case variants must fold onto the supplies")
+	}
+	if nl.NodeBytes([]byte("vd")) == nl.VDD || nl.Lookup("missing") != nil {
+		t.Fatal("unbound names must not resolve")
+	}
+	key := []byte(nodes[123].Name)
+	if a := testing.AllocsPerRun(100, func() { nl.NodeBytes(key) }); a != 0 {
+		t.Errorf("NodeBytes of an existing name allocates %v times", a)
+	}
+
+	keep := 2 + 1000
+	nl.TruncateNodes(keep)
+	for i, n := range nodes {
+		if want := i < 1000; (nl.Lookup(n.Name) == n) != want {
+			t.Fatalf("after truncation, Lookup(%q) found = %v, want %v", n.Name, !want, want)
+		}
+	}
+	if nl.Lookup("VsS") != nl.GND {
+		t.Fatal("truncation dropped a supply alias")
+	}
+	if n := nl.Node(nodes[1500].Name); n.Index != keep {
+		t.Fatalf("recreated node at %d, want %d", n.Index, keep)
+	}
+}
+
+// TestFinalizeAfterEdits: a re-finalize after adds and removals lists
+// each node's devices in device order, exactly as a netlist built with
+// the surviving devices from scratch.
+func TestFinalizeAfterEdits(t *testing.T) {
+	nl := New("t")
+	a, b, c := nl.Node("a"), nl.Node("b"), nl.Node("c")
+	nl.AddTransistor(Enh, a, b, nl.GND, 4, 2)
+	x := nl.AddTransistor(Enh, b, c, c, 4, 2)
+	nl.AddTransistor(Dep, c, nl.VDD, c, 4, 2)
+	nl.Finalize()
+	nl.AddTransistor(Enh, a, c, b, 4, 2)
+	nl.AddTransistor(Enh, c, a, nl.GND, 4, 2)
+	nl.Finalize()
+	nl.RemoveTransistor(x)
+	nl.Finalize()
+
+	want := New("t")
+	wa, wb, wc := want.Node("a"), want.Node("b"), want.Node("c")
+	want.AddTransistor(Enh, wa, wb, want.GND, 4, 2)
+	want.AddTransistor(Dep, wc, want.VDD, wc, 4, 2)
+	want.AddTransistor(Enh, wa, wc, wb, 4, 2)
+	want.AddTransistor(Enh, wc, wa, want.GND, 4, 2)
+	want.Finalize()
+	indices := func(ts []*Transistor) (out []int) {
+		for _, t := range ts {
+			out = append(out, t.Index)
+		}
+		return out
+	}
+	for i, n := range nl.Nodes {
+		w := want.Nodes[i]
+		if !reflect.DeepEqual(indices(n.Gates), indices(w.Gates)) || !reflect.DeepEqual(indices(n.Terms), indices(w.Terms)) {
+			t.Errorf("node %s: gates %v terms %v, want %v %v", n.Name,
+				indices(n.Gates), indices(n.Terms), indices(w.Gates), indices(w.Terms))
+		}
+		if cap(n.Gates) != len(n.Gates) || cap(n.Terms) != len(n.Terms) {
+			t.Errorf("node %s: lists carry spare capacity into a neighbour's", n.Name)
+		}
+	}
+}
+
+// TestNameIndexAgainstMap drives seeded node creations, lookups, alias
+// bindings and truncations through the name index and through a plain
+// map with the supply folding written as strings.ToLower, and requires
+// every name to resolve to the same node in both after every step.
+func TestNameIndexAgainstMap(t *testing.T) {
+	names := []string{"vdd", "VDD", "Vdd", "vDd", "gnd", "GND", "Gnd", "vss", "VSS", "vSs",
+		"vd", "vddd", "gnd2", "ĸvdd", "a", "b", "A", "B", "n1", "N1", "x y", ""}
+	for i := 0; i < 300; i++ {
+		names = append(names, fmt.Sprintf("n%d", i))
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nl := New("t")
+		model := map[string]int{"vdd": 0, "gnd": 1} // name -> node index
+		modelNode := func(name string) int {
+			if i, ok := model[name]; ok {
+				return i
+			}
+			switch strings.ToLower(name) {
+			case "vdd":
+				model[name] = 0
+				return 0
+			case "gnd", "vss":
+				model[name] = 1
+				return 1
+			}
+			model[name] = len(nl.Nodes) // the node the netlist is about to create
+			return model[name]
+		}
+		for step := 0; step < 2000; step++ {
+			name := names[rng.Intn(len(names))]
+			switch op := rng.Intn(10); {
+			case op < 5:
+				want := modelNode(name)
+				var got *Node
+				if op%2 == 0 {
+					got = nl.Node(name)
+				} else {
+					got = nl.NodeBytes([]byte(name))
+				}
+				if got.Index != want {
+					t.Fatalf("seed %d step %d: Node(%q) at %d, want %d", seed, step, name, got.Index, want)
+				}
+			case op < 7:
+				target := nl.Nodes[rng.Intn(len(nl.Nodes))]
+				_, bound := model[name]
+				if got := nl.AddAlias(name, target); got != (!bound && name != "") {
+					t.Fatalf("seed %d step %d: AddAlias(%q) = %v with bound = %v", seed, step, name, got, bound)
+				}
+				if !bound && name != "" {
+					model[name] = target.Index
+				}
+			case op < 8 && len(nl.Nodes) > 2:
+				keep := 2 + rng.Intn(len(nl.Nodes)-2)
+				nl.TruncateNodes(keep)
+				for k, i := range model {
+					if i >= keep {
+						delete(model, k)
+					}
+				}
+			}
+			for _, n := range names {
+				want, ok := model[n]
+				got := nl.Lookup(n)
+				if ok != (got != nil) || (ok && got.Index != want) {
+					t.Fatalf("seed %d step %d: Lookup(%q) = %v, want index %d (bound %v)", seed, step, n, got, want, ok)
+				}
+			}
+		}
+		for i, n := range nl.Nodes {
+			if n.Index != i || nl.Lookup(n.Name) != n {
+				t.Fatalf("seed %d: node %d (%q) is not indexed under its name", seed, i, n.Name)
+			}
+		}
 	}
 }

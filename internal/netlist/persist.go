@@ -21,10 +21,8 @@ type Alias struct {
 // export order).
 func (nl *Netlist) Aliases() []Alias {
 	var out []Alias
-	for name, n := range nl.byName {
-		if name != n.Name {
-			out = append(out, Alias{Name: name, Node: n})
-		}
+	for name, n := range nl.aliases {
+		out = append(out, Alias{Name: name, Node: n})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -37,25 +35,28 @@ func (nl *Netlist) AddAlias(name string, n *Node) bool {
 	if n == nil || name == "" {
 		return false
 	}
-	if _, exists := nl.byName[name]; exists {
+	if nl.Lookup(name) != nil {
 		return false
 	}
 	if n.Index < 0 || n.Index >= len(nl.Nodes) || nl.Nodes[n.Index] != n {
 		return false
 	}
-	nl.byName[name] = n
+	nl.bindAlias(name, n)
 	return true
 }
 
 // AddTransistorWithID is AddTransistor with a caller-chosen stable ID:
 // restore replays the original allocation so journaled deltas that
-// address devices by ID keep resolving. The allocator position is not
-// advanced — the caller finishes with SetNextID. Returns nil if the ID
-// is non-positive or already taken.
+// address devices by ID keep resolving. The allocator advances to the
+// ID; the caller finishes with SetNextID for IDs handed out past the
+// last device. Returns nil unless the ID is above every ID handed out
+// so far, which keeps IDs strictly increasing along Trans (see
+// TransByID).
 func (nl *Netlist) AddTransistorWithID(id int64, k Kind, gate, a, b *Node, w, l float64) *Transistor {
-	if id <= 0 || nl.byID[id] != nil {
+	if id <= nl.nextID {
 		return nil
 	}
+	nl.nextID = id
 	if len(nl.transSlab) == cap(nl.transSlab) {
 		nl.transSlab = make([]Transistor, 0, slabChunk)
 	}
@@ -71,7 +72,6 @@ func (nl *Netlist) AddTransistorWithID(id int64, k Kind, gate, a, b *Node, w, l 
 	})
 	t := &nl.transSlab[len(nl.transSlab)-1]
 	nl.Trans = append(nl.Trans, t)
-	nl.byID[t.ID] = t
 	return t
 }
 

@@ -91,6 +91,9 @@ func TestOversizedBodies413(t *testing.T) {
 	})
 	big := strings.Repeat("| padding line\n", 200) // ~2.8 KB of comments
 	postJSON(t, ts.URL+"/load?name=big", big, http.StatusRequestEntityTooLarge, nil)
+	// The cap cuts a device record in two; the fragment is not a record.
+	devices := strings.Repeat("e g a gnd 4 8\n", 100)
+	postJSON(t, ts.URL+"/load?name=big", devices, http.StatusRequestEntityTooLarge, nil)
 
 	deltas := `[` + strings.Repeat(`{"op":"resize","id":1,"w":8},`, 20) + `{"op":"resize","id":1,"w":8}]`
 	postJSON(t, ts.URL+"/delta", deltas, http.StatusRequestEntityTooLarge, nil)

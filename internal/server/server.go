@@ -805,12 +805,26 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 	writeErr(w, tverr.HTTPStatus(err), "%v", err)
 }
 
+// declaredLen is a request body that reports its declared length as Len,
+// as an in-memory reader does, which simfile.Read sizes a netlist from.
+type declaredLen struct {
+	io.Reader
+	n int
+}
+
+func (b declaredLen) Len() int { return b.n }
+
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
 	if name == "" {
 		name = "design"
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxLoadBytes)
+	var body io.Reader = http.MaxBytesReader(w, r.Body, s.cfg.MaxLoadBytes)
+	if n := r.ContentLength; n > 0 {
+		// The parser sizes the netlist from the declared length, capped
+		// like the body itself.
+		body = declaredLen{body, int(min(n, s.cfg.MaxLoadBytes))}
+	}
 	sess, err := s.Load(r.Context(), name, body)
 	if err != nil {
 		writeErr(w, tverr.HTTPStatus(err), "load %q: %v", name, err)

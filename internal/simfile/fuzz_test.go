@@ -11,7 +11,9 @@ import (
 // FuzzParse asserts the parser's error contract: Read either succeeds or
 // returns a *ParseError — it never panics and never returns a bare error,
 // whatever bytes arrive. The daemon feeds POST /load bodies straight into
-// Read, so this property is load-bearing for tvd's robustness.
+// Read, so this property is load-bearing for tvd's robustness. Read must
+// also agree with referenceRead, the string-based parser it replaced: the
+// same accept/reject decision and error, and the same netlist.
 func FuzzParse(f *testing.F) {
 	sims, err := filepath.Glob("../../testdata/*.sim")
 	if err != nil {
@@ -40,11 +42,15 @@ func FuzzParse(f *testing.F) {
 		"e g a\nZ what\nA\n",
 		"A n clock\nA n clock=7\nA n exclusive\nA n bogus\n",
 		"e g a b 2 4 >\ne g a b 2 4 <\ne g a b 2 4 ?\n",
+		"| units: 100\r\ne g a gnd 400 800\r\nN a 12.5\r\nA a output\r\n",
+		"e\tg\ta\tgnd\t4\t8\t>\n\t| units:\t2\n  N\ta  3 \nC a\tVDD 1\r\n\t\n",
+		"e GND Vss VDD 4 8\nN Gnd 1\ne x\u00a0y gnd 4 8\n",
 	} {
 		f.Add(seed)
 	}
 
 	f.Fuzz(func(t *testing.T, data string) {
+		checkAgainstReference(t, data)
 		nl, err := Read(strings.NewReader(data), "fuzz")
 		if err != nil {
 			var pe *ParseError

@@ -1,9 +1,13 @@
 package simfile
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -315,5 +319,184 @@ e g a gnd 400 800
 	// Zero or negative units rejected.
 	if _, err := Read(strings.NewReader("| units: 0\n"), "t"); err == nil {
 		t.Error("units: 0 must fail")
+	}
+}
+
+// TestParseLayout pins what the parser ignores: CRLF line endings, tabs,
+// leading and trailing blanks, blank and comment-only lines, a missing
+// final newline, and whether the reader knows its length. Every variant
+// parses to the same netlist as the plain text.
+func TestParseLayout(t *testing.T) {
+	plain := "e in out gnd 4 8\nd out vdd out 8 4 >\nC out a 12.5\nN a 3\n= out o2\nA o2 output\nA in input\ne a VDD o2 2 4 <\n"
+	want := parse(t, plain)
+	cases := []struct {
+		name string
+		r    io.Reader
+	}{
+		{"crlf", strings.NewReader(strings.ReplaceAll(plain, "\n", "\r\n"))},
+		{"tabs", strings.NewReader(strings.ReplaceAll(plain, " ", "\t"))},
+		{"runs of blanks", strings.NewReader(strings.ReplaceAll(plain, " ", " \t  "))},
+		{"leading and trailing blanks", strings.NewReader("  " + strings.ReplaceAll(plain, "\n", " \t\n\t "))},
+		{"blank and comment lines", strings.NewReader("\n| header\n\n \t \n" + strings.ReplaceAll(plain, "\n", "\n\n  | note: x\n|\n"))},
+		{"no final newline", strings.NewReader(strings.TrimSuffix(plain, "\n"))},
+		{"crlf, no final newline", strings.NewReader(strings.TrimSuffix(strings.ReplaceAll(plain, "\n", "\r\n"), "\r\n"))},
+		{"unsized reader", struct{ io.Reader }{strings.NewReader(plain)}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := Read(c.r, "test")
+			if err != nil {
+				t.Fatalf("Read: %v", err)
+			}
+			if d := sameNetlist(got, want); d != nil {
+				t.Fatal(d)
+			}
+		})
+	}
+}
+
+// TestUnitsDeclarations pins both spellings of the units comment, where
+// it may sit on its line, and that a later declaration takes effect from
+// its own line on.
+func TestUnitsDeclarations(t *testing.T) {
+	cases := []struct {
+		name, text string
+		l          []float64 // each device's length, in order
+	}{
+		{"spaced", "| units: 100\ne g a gnd 400 800\n", []float64{4}},
+		{"colon-adjacent", "| units:100\ne g a gnd 400 800\n", []float64{4}},
+		{"no blank after the bar", "|units: 100\ne g a gnd 400 800\n", []float64{4}},
+		{"bar-adjacent token", "|units:100\ne g a gnd 400 800\n", []float64{4}},
+		{"after other words", "| tech: nmos\tunits: 50 scale\ne g a gnd 400 800\n", []float64{8}},
+		{"tab-separated", "|\tunits:\t100\r\ne g a gnd 400 800\n", []float64{4}},
+		{"mid-file", "e g a gnd 4 8\n| units: 100\ne g2 b gnd 400 800\n", []float64{4, 4}},
+		{"redeclared", "| units: 2\ne g a gnd 4 8\n|units:4\ne g b gnd 4 8\n", []float64{2, 1}},
+		{"no value", "| units:\ne g a gnd 4 8\n", []float64{4}},
+		{"unparsable value", "| units: many\ne g a gnd 4 8\n", []float64{4}},
+		{"first declaration on the line wins", "| units: 2 units: 4\ne g a gnd 4 8\n", []float64{2}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			nl := parse(t, c.text)
+			if len(nl.Trans) != len(c.l) {
+				t.Fatalf("%d devices, want %d", len(nl.Trans), len(c.l))
+			}
+			for i, l := range c.l {
+				if nl.Trans[i].L != l {
+					t.Errorf("device %d: l = %g, want %g", i, nl.Trans[i].L, l)
+				}
+			}
+		})
+	}
+	for _, text := range []string{"| units: 0\n", "e g a gnd 4 8\n|  units: -1\n", "\n\n| units:+Inf\n"} {
+		_, err := Read(strings.NewReader(text), "t")
+		var pe *ParseError
+		if !errors.As(err, &pe) || !strings.Contains(pe.Msg, "units must be positive") {
+			t.Errorf("Read(%q) = %v, want a units ParseError", text, err)
+			continue
+		}
+		if want := strings.Count(text, "\n"); pe.Line != want {
+			t.Errorf("Read(%q): error on line %d, want %d", text, pe.Line, want)
+		}
+	}
+}
+
+// TestFieldCountErrors pins each record kind's field-count error: its
+// message and the line it names, counting blank and comment lines.
+func TestFieldCountErrors(t *testing.T) {
+	cases := []struct {
+		text string
+		line int
+		msg  string
+	}{
+		{"| header\n\ne a b\n", 3, "transistor record needs 5 fields, got 2"},
+		{"e g a b 4 4 > x\n", 1, "transistor record needs 5 fields, got 7"},
+		{"e g a gnd 4 8\r\nd g a b 4\r\n", 2, "transistor record needs 5 fields, got 4"},
+		{"N a 1\n\tC a b\n", 2, "C record needs 3 fields, got 2"},
+		{"C a b 1 2\n", 1, "C record needs 3 fields, got 4"},
+		{"| x\n| y\n| z\nN a\n", 4, "N record needs 2 fields, got 1"},
+		{"N a 1 2\n", 1, "N record needs 2 fields, got 3"},
+		{"= a\n", 1, "= record needs 2 fields, got 1"},
+		{"\n\n= a b c\n", 3, "= record needs 2 fields, got 3"},
+		{"A n input\nA n\n", 2, "A record needs a node and at least one attribute"},
+		{"e g a gnd 4 8\nZ 1 2\n", 2, `unknown record type "Z"`},
+		{"ee g a gnd 4 8\n", 1, `unknown record type "ee"`},
+	}
+	for _, c := range cases {
+		_, err := Read(strings.NewReader(c.text), "t")
+		var pe *ParseError
+		if !errors.As(err, &pe) {
+			t.Errorf("Read(%q) = %v, want a ParseError", c.text, err)
+			continue
+		}
+		if pe.Line != c.line || pe.Msg != c.msg {
+			t.Errorf("Read(%q): line %d %q, want line %d %q", c.text, pe.Line, pe.Msg, c.line, c.msg)
+		}
+	}
+}
+
+// TestOverlongLine: a line past the scanner's 16 MiB cap is a ParseError
+// naming that line and wrapping the scanner's error; a long line under
+// the cap is read.
+func TestOverlongLine(t *testing.T) {
+	long := "| " + strings.Repeat("x", 8<<20) + "\n"
+	nl := parse(t, "e g a gnd 4 8\n"+long+"e g b gnd 4 8\n")
+	if len(nl.Trans) != 2 {
+		t.Fatalf("%d devices around an 8 MiB comment, want 2", len(nl.Trans))
+	}
+
+	text := "e g a gnd 4 8\n\n" + "| " + strings.Repeat("x", 16<<20) + "\ne g b gnd 4 8\n"
+	_, err := Read(strings.NewReader(text), "t")
+	var pe *ParseError
+	if !errors.As(err, &pe) {
+		t.Fatalf("Read = %v, want a ParseError", err)
+	}
+	if pe.Line != 3 {
+		t.Errorf("error on line %d, want 3", pe.Line)
+	}
+	if !errors.Is(err, bufio.ErrTooLong) {
+		t.Errorf("error %v does not wrap bufio.ErrTooLong", err)
+	}
+}
+
+// TestReadCappedBody: a request body cut off by http.MaxBytesReader is a
+// ParseError through which errors.As finds the *http.MaxBytesError, so
+// tvd answers 413, wherever the cap falls. A cut mid-line leaves a
+// fragment that must not be parsed as a (malformed) record.
+func TestReadCappedBody(t *testing.T) {
+	text := strings.Repeat("e g a gnd 4 8\n", 100) // 14-byte lines
+	for _, limit := range []int64{56, 64, 69} {
+		body := http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(strings.NewReader(text)), limit)
+		_, err := Read(body, "t")
+		var pe *ParseError
+		if !errors.As(err, &pe) {
+			t.Fatalf("limit %d: Read = %v, want a ParseError", limit, err)
+		}
+		var mbe *http.MaxBytesError
+		if !errors.As(err, &mbe) || mbe.Limit != limit {
+			t.Errorf("limit %d: Read = %v, want it to wrap an *http.MaxBytesError", limit, err)
+		}
+	}
+}
+
+// TestReadAllocs bounds the parse's allocations by the design: a parse
+// allocates per node and per device, never per token or per line.
+func TestReadAllocs(t *testing.T) {
+	orig := gen.TiledChip(tech.Default(), gen.DefaultTiledChip(100_000))
+	var buf bytes.Buffer
+	if err := Write(&buf, orig); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := Read(bytes.NewReader(data), orig.Name); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perDevice := allocs / float64(len(orig.Trans))
+	t.Logf("%.0f allocations for %d devices, %d nodes: %.2f per device",
+		allocs, len(orig.Trans), len(orig.Nodes), perDevice)
+	if perDevice > 1.5 {
+		t.Errorf("%.2f allocations per device, want at most 1.5", perDevice)
 	}
 }

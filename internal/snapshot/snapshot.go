@@ -433,9 +433,10 @@ func decodeResult(d *dec, r *ResultRec) {
 }
 
 // validate enforces the structural invariants cross-section decoding
-// cannot: in-range node indices, positive unique device IDs, alias
-// targets, and arrival arrays sized to the node table. Semantic checks
-// (does re-analysis reproduce these arrays?) belong to incr.Restore.
+// cannot: in-range node indices, positive device IDs strictly increasing
+// in device order, alias targets, and arrival arrays sized to the node
+// table. Semantic checks (does re-analysis reproduce these arrays?)
+// belong to incr.Restore.
 func validate(st *State) error {
 	nn := len(st.Nodes)
 	if nn < 2 {
@@ -462,16 +463,15 @@ func validate(st *State) error {
 		}
 		names[a.Name] = true
 	}
-	ids := make(map[int64]bool, len(st.Trans))
+	// Device IDs strictly increase in device order, as the netlist keeps
+	// them (its ID lookup relies on it), which also makes them unique.
+	prevID := int64(0)
 	for i := range st.Trans {
 		t := &st.Trans[i]
-		if t.ID <= 0 || t.ID > st.NextID {
-			return errf("device %d: id %d out of range (next id %d)", i, t.ID, st.NextID)
+		if t.ID <= prevID || t.ID > st.NextID {
+			return errf("device %d: id %d out of order or range (previous id %d, next id %d)", i, t.ID, prevID, st.NextID)
 		}
-		if ids[t.ID] {
-			return errf("device %d: duplicate id %d", i, t.ID)
-		}
-		ids[t.ID] = true
+		prevID = t.ID
 		for _, idx := range [3]int32{t.Gate, t.A, t.B} {
 			if idx < 0 || int(idx) >= nn {
 				return errf("device %d: terminal index %d out of range", i, idx)

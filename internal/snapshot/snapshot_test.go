@@ -124,6 +124,7 @@ func TestValidateRejects(t *testing.T) {
 		{"alias out of range", func(st *State) { st.Aliases[0].Node = 99 }},
 		{"alias shadows node", func(st *State) { st.Aliases[0].Name = "out" }},
 		{"dup device id", func(st *State) { st.Trans[1].ID = 1 }},
+		{"ids out of order", func(st *State) { st.Trans[0].ID, st.Trans[1].ID = 3, 1 }},
 		{"id beyond next", func(st *State) { st.Trans[1].ID = 50 }},
 		{"terminal out of range", func(st *State) { st.Trans[0].Gate = -1 }},
 		{"bad kind", func(st *State) { st.Trans[0].Kind = 9 }},
