@@ -445,16 +445,15 @@ func fmtArr(v float64) string {
 }
 
 // unknownNodes lists the names given to -sethigh, -setlow and -input
-// that are no node's name in nl, each with its flag ("-sethigh x"), in
-// flag order and then by name. Analysis matches these flags by node name,
-// so it would ignore such a name, an alias such as "VDD" included, and
-// time a different case than the one asked for.
+// that are no node's own name in nl (netlist.Named, the rule the analysis
+// resolves them by, so an alias such as "VDD" is unknown too), each with
+// its flag ("-sethigh x"), in flag order and then by name.
 func unknownNodes(nl *nmostv.Netlist, high, low []string, inputs inputTimes) []string {
 	var out []string
 	check := func(flag string, names []string) {
 		sort.Strings(names)
 		for i, name := range names {
-			if n := nl.Lookup(name); (n == nil || n.Name != name) && (i == 0 || names[i-1] != name) {
+			if nl.Named(name) == nil && (i == 0 || names[i-1] != name) {
 				out = append(out, flag+" "+name)
 			}
 		}

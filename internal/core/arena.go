@@ -1,14 +1,10 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"nmostv/internal/netlist"
-)
+import "sync/atomic"
 
 // Arena is reusable scratch memory for Analyze and AnalyzeIncremental:
-// the per-analysis working set (source-fix masks, fixpoint snapshots,
-// dirty seeds, wave-plan construction scratch, per-component flags) is
+// the per-analysis working set (source-fix masks, dirty seeds, wave-plan
+// construction scratch, per-component dirty flags, check masks) is
 // carved out of a handful of type-homogeneous blocks instead of being
 // allocated slice-by-slice on every call. A session that passes the same
 // Arena through Options.Arena pays the allocation cost once: after the
@@ -27,23 +23,19 @@ import (
 // allocate a private one, which degenerates to the old per-call
 // allocation behavior.
 type Arena struct {
-	f64buf   []float64
-	fOff     int
 	boolBuf  []bool
 	bOff     int
 	i32buf   []int32
 	iOff     int
 	dirtyBuf []atomic.Bool
 	dOff     int
-	loopBuf  [][]*netlist.Node
-	lOff     int
 }
 
 // begin resets the carve cursors for a new analysis call. Memory handed
 // out during the previous call is either dead or — for DeltaStats.Relaxed
 // — documented as valid only until the next call on the same arena.
 func (ar *Arena) begin() {
-	ar.fOff, ar.bOff, ar.iOff, ar.dOff, ar.lOff = 0, 0, 0, 0, 0
+	ar.bOff, ar.iOff, ar.dOff = 0, 0, 0
 }
 
 // carve slices n elements off a type-homogeneous block, growing the block
@@ -57,26 +49,6 @@ func carve[T any](buf *[]T, off *int, n int) []T {
 	}
 	s := (*buf)[*off : *off+n : *off+n]
 	*off += n
-	return s
-}
-
-// float64s carves n float64s filled with v.
-func (ar *Arena) float64s(n int, v float64) []float64 {
-	s := carve(&ar.f64buf, &ar.fOff, n)
-	for i := range s {
-		s[i] = v
-	}
-	return s
-}
-
-// float64Copy carves n float64s holding a copy of src, the tail beyond
-// len(src) filled with tail.
-func (ar *Arena) float64Copy(src []float64, n int, tail float64) []float64 {
-	s := carve(&ar.f64buf, &ar.fOff, n)
-	m := copy(s, src)
-	for i := m; i < n; i++ {
-		s[i] = tail
-	}
 	return s
 }
 
@@ -99,16 +71,6 @@ func (ar *Arena) atomicBools(n int) []atomic.Bool {
 	s := carve(&ar.dirtyBuf, &ar.dOff, n)
 	for i := range s {
 		s[i].Store(false)
-	}
-	return s
-}
-
-// loopSlices carves n nil per-component loop-node slots. Clearing drops
-// any loop slices retained from the previous call.
-func (ar *Arena) loopSlices(n int) [][]*netlist.Node {
-	s := carve(&ar.loopBuf, &ar.lOff, n)
-	for i := range s {
-		s[i] = nil
 	}
 	return s
 }

@@ -10,8 +10,8 @@ import (
 
 // arenaLens snapshots the backing-block sizes of every arena pool; equal
 // snapshots across calls mean no block was regrown.
-func arenaLens(ar *Arena) [5]int {
-	return [5]int{len(ar.f64buf), len(ar.boolBuf), len(ar.i32buf), len(ar.dirtyBuf), len(ar.loopBuf)}
+func arenaLens(ar *Arena) [3]int {
+	return [3]int{len(ar.boolBuf), len(ar.i32buf), len(ar.dirtyBuf)}
 }
 
 // TestArenaReuseNoGrowth pins the Options.Arena contract the incremental

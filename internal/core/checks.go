@@ -112,18 +112,17 @@ func sortChecks(checks []Check) []Check {
 
 // affectedChecks marks the nodes whose checks an incremental pass must
 // derive again: every re-relaxed node, and the To node of every out-arc
-// of a node whose settle or early arrival changed bitwise against the
-// snapshots of the previous fixpoint. The re-relaxation wakes the
-// successors of a node whose arrival compares unequal; checks copy the
-// cause's bits, so this compares bits.
-func (a *analysis) affectedChecks(relaxed []bool, snapRise, snapFall, snapER, snapEF []float64) []bool {
+// of a node whose settle or early arrival moved from prev's, by the
+// walk's rule (movedAt).
+func (a *analysis) affectedChecks(relaxed []bool, prev *Result) []bool {
 	affected := a.arena.bools(len(relaxed))
+	settle, early := a.settleVals(), a.earlyVals()
+	wasSettle, wasEarly := prev.settleVals(), prev.earlyVals()
 	for v, rel := range relaxed {
 		if rel {
 			affected[v] = true
 		}
-		if sameBits(a.RiseAt[v], snapRise[v]) && sameBits(a.FallAt[v], snapFall[v]) &&
-			sameBits(a.EarlyRise[v], snapER[v]) && sameBits(a.EarlyFall[v], snapEF[v]) {
+		if !movedAt(settle, wasSettle, v) && !movedAt(early, wasEarly, v) {
 			continue
 		}
 		for _, ei := range a.wave.out(int32(v)) {

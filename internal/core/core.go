@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -30,6 +32,7 @@ import (
 	"nmostv/internal/faultpoint"
 	"nmostv/internal/netlist"
 	"nmostv/internal/obs"
+	"nmostv/internal/tverr"
 )
 
 // NegInf is the arrival time of a node that never transitions during the
@@ -38,8 +41,9 @@ var NegInf = math.Inf(-1)
 
 // Options tunes an analysis run.
 type Options struct {
-	// InputTime gives per-input arrival times in ns (by node name).
-	// Inputs not listed are stable at DefaultInputTime.
+	// InputTime gives per-input arrival times in ns, keyed by the node's
+	// own name (netlist.Named). Inputs not listed are stable at
+	// DefaultInputTime.
 	InputTime map[string]float64
 	// DefaultInputTime is the arrival applied to unlisted primary
 	// inputs. Zero means stable at the start of the cycle.
@@ -48,13 +52,17 @@ type Options struct {
 	// inside cyclic regions; default 4.
 	SCCIterBound int
 	// SetHigh and SetLow name nodes held constant for this case (TV
-	// case analysis). They never transition; pass the same lists to the
-	// delay model so conducting paths through them are pruned too.
+	// case analysis), each by the node's own name (netlist.Named): an
+	// alias such as "VDD" names no node. They never transition; pass the
+	// same lists to the delay model so conducting paths through them are
+	// pruned too. An analysis given a name, here or in InputTime, that
+	// names no node fails with a tverr.Invalid error listing every such
+	// name with its option.
 	SetHigh, SetLow []string
-	// Workers sets how many goroutines relax arrivals concurrently
-	// during the wavefront walk. 0 (the default) uses one per CPU; 1
-	// forces serial propagation. Results are bit-identical at every
-	// worker count (see propagate).
+	// Workers sets how many goroutines relax components concurrently
+	// within a level of the wavefront walk. 0 (the default) uses one per
+	// CPU; 1 walks serially. Results are bit-identical at every worker
+	// count (see walk.go).
 	Workers int
 	// Obs receives phase spans (wave-plan, propagate, checks, per-level
 	// breakdowns) and wavefront counters. Nil disables instrumentation;
@@ -279,46 +287,11 @@ func (r *Result) MaxSettle() (*netlist.Node, float64) {
 // flow-analyzed, and model must have been built from it. The context
 // cancels the wavefront walk between levels (and between components
 // inside a level): a dead client or an expired deadline aborts the
-// analysis with the context's error and no partial Result escapes.
+// analysis with the context's error and no partial Result escapes. It is
+// AnalyzeIncremental with no previous result.
 func Analyze(ctx context.Context, nl *netlist.Netlist, model *delay.Model, sched clocks.Schedule, opt Options) (*Result, error) {
-	if err := sched.Validate(); err != nil {
-		return nil, err
-	}
-	opt = opt.withDefaults()
-	n := len(nl.Nodes)
-	r := &Result{NL: nl, Model: model, Sched: sched}
-	r.allocArrays(n)
-	fillFloat(r.RiseAt, NegInf)
-	fillFloat(r.FallAt, NegInf)
-
-	a := &analysis{Result: r, opt: opt, ctx: orBackground(ctx)}
-	a.arena = arenaFor(opt)
-	a.initMetrics()
-	defer opt.Obs.Span("analyze").End()
-	sp := opt.Obs.Span("wave-plan")
-	if opt.Plan.fits(n, len(model.Edges)) {
-		a.wave = opt.Plan.ws
-	} else {
-		a.wave = newWaveSchedule(n, model, a.arena)
-	}
-	sp.End()
-	sp = opt.Obs.Span("sources+storage")
-	a.initSources()
-	a.classifyStorage()
-	sp.End()
-	sp = opt.Obs.Span("propagate")
-	a.propagate()
-	sp.End()
-	sp = opt.Obs.Span("propagate-early")
-	a.propagateEarly()
-	sp.End()
-	if err := a.abortErr(); err != nil {
-		return nil, err
-	}
-	sp = opt.Obs.Span("checks")
-	a.runChecks(nil, nil)
-	sp.End()
-	return r, nil
+	r, _, err := AnalyzeIncremental(ctx, nl, model, sched, opt, nil, nil)
+	return r, err
 }
 
 func orBackground(ctx context.Context) context.Context {
@@ -357,8 +330,10 @@ func (a *analysis) classifyStorage() {
 // block, so a Result is two allocations and the settle/early pair of each
 // node sits a fixed stride apart. These escape into the published Result
 // and are deliberately NOT arena-carved: a later analysis reusing the
-// arena must not scribble over a result a reader still holds.
-func (r *Result) allocArrays(n int) {
+// arena must not scribble over a result a reader still holds. They start
+// as prev's values; a node prev lacks (every node when prev is nil) never
+// transitions and has no producing arc.
+func (r *Result) allocArrays(n int, prev *Result) {
 	block := make([]float64, 4*n)
 	r.RiseAt = block[0*n : 1*n : 1*n]
 	r.FallAt = block[1*n : 2*n : 2*n]
@@ -367,10 +342,26 @@ func (r *Result) allocArrays(n int) {
 	pb := make([]pred, 2*n)
 	r.predRise = pb[0:n:n]
 	r.predFall = pb[n : 2*n : 2*n]
-	for i := range pb {
-		pb[i] = pred{edge: -1}
+	m := 0
+	if prev != nil {
+		m = copy(r.RiseAt, prev.RiseAt)
+		copy(r.FallAt, prev.FallAt)
+		copy(r.EarlyRise, prev.EarlyRise)
+		copy(r.EarlyFall, prev.EarlyFall)
+		copy(r.predRise, prev.predRise)
+		copy(r.predFall, prev.predFall)
+	}
+	for i := m; i < n; i++ {
+		r.RiseAt[i], r.FallAt[i] = NegInf, NegInf
+		r.EarlyRise[i], r.EarlyFall[i] = PosInf, PosInf
+		r.predRise[i], r.predFall[i] = pred{edge: -1}, pred{edge: -1}
 	}
 }
+
+// settleVals and earlyVals return the arrival pairs the forward passes
+// compute, indexed by Polarity.
+func (r *Result) settleVals() [2][]float64 { return [2][]float64{r.RiseAt, r.FallAt} }
+func (r *Result) earlyVals() [2][]float64  { return [2][]float64{r.EarlyRise, r.EarlyFall} }
 
 // arenaFor returns the caller-provided scratch arena, reset for a new
 // call, or a fresh private one.
@@ -381,12 +372,6 @@ func arenaFor(opt Options) *Arena {
 	}
 	ar.begin()
 	return ar
-}
-
-func fillFloat(s []float64, v float64) {
-	for i := range s {
-		s[i] = v
-	}
 }
 
 type analysis struct {
@@ -402,6 +387,9 @@ type analysis struct {
 	stopped  atomic.Bool
 	stopErr  error
 	stopOnce sync.Once
+	// constants holds the case constants' node indices (SetHigh and
+	// SetLow, resolved once per analysis).
+	constants []int32
 	// fixedRise/fixedFall mark per-polarity source arrivals that must
 	// not be relaxed. (Result.wave is the shared propagation plan;
 	// Result.clockedStorage marks storage nodes written through a
@@ -462,7 +450,8 @@ func (a *analysis) checkpoint() bool {
 //     precharge completes in its window is verified as a check);
 //   - storage nodes (latch outputs) launch from their clock edge only —
 //     handled in relaxNode by restricting their incoming arcs to
-//     clock-driven ones; data arcs into them become setup checks.
+//     clock-driven ones; data arcs into them become setup checks;
+//   - case constants never transition, whatever else they are.
 func (a *analysis) initSources() {
 	nl := a.NL
 	if a.arena == nil {
@@ -470,20 +459,7 @@ func (a *analysis) initSources() {
 	}
 	a.fixedRise = a.arena.bools(len(nl.Nodes))
 	a.fixedFall = a.arena.bools(len(nl.Nodes))
-	forced := make(map[string]bool, len(a.opt.SetHigh)+len(a.opt.SetLow))
-	for _, name := range a.opt.SetHigh {
-		forced[name] = true
-	}
-	for _, name := range a.opt.SetLow {
-		forced[name] = true
-	}
 	for _, n := range nl.Nodes {
-		if forced[n.Name] {
-			// Case constant: never transitions (arrivals stay -Inf).
-			a.fixedRise[n.Index] = true
-			a.fixedFall[n.Index] = true
-			continue
-		}
 		switch {
 		case n.IsSupply():
 			a.fixedRise[n.Index] = true
@@ -507,6 +483,41 @@ func (a *analysis) initSources() {
 			a.fixedRise[n.Index] = true
 		}
 	}
+	for _, v := range a.constants {
+		a.RiseAt[v], a.FallAt[v] = NegInf, NegInf
+		a.fixedRise[v], a.fixedFall[v] = true, true
+	}
+}
+
+// caseConstants resolves opt's case constants to node indices, each name
+// by the node's own name (netlist.Named). Any name there or among
+// InputTime's keys that names no node fails the analysis with a
+// tverr.Invalid error listing each such name with its option.
+func caseConstants(nl *netlist.Netlist, opt Options) ([]int32, error) {
+	var constants []int32
+	var unknown []string
+	for _, list := range []struct {
+		option string
+		names  []string
+	}{{"SetHigh", opt.SetHigh}, {"SetLow", opt.SetLow}} {
+		for _, name := range list.names {
+			if n := nl.Named(name); n != nil {
+				constants = append(constants, int32(n.Index))
+			} else {
+				unknown = append(unknown, list.option+" "+name)
+			}
+		}
+	}
+	for name := range opt.InputTime {
+		if nl.Named(name) == nil {
+			unknown = append(unknown, "InputTime "+name)
+		}
+	}
+	if len(unknown) > 0 {
+		slices.Sort(unknown)
+		return nil, tverr.Errorf(tverr.Invalid, "core", "no such node: %s", strings.Join(slices.Compact(unknown), ", "))
+	}
+	return constants, nil
 }
 
 func (a *analysis) isFixed(idx int, pol Polarity) bool {

@@ -13,6 +13,7 @@ import (
 	"nmostv/internal/netlist"
 	"nmostv/internal/stage"
 	"nmostv/internal/tech"
+	"nmostv/internal/tverr"
 )
 
 // pipeline prepares a generated circuit for analysis.
@@ -502,6 +503,42 @@ func TestCaseAnalysisForcedNodeStatic(t *testing.T) {
 	}
 	if !math.IsInf(res.Settle(out), -1) {
 		t.Errorf("a gate fed only by a constant must be static, settle = %g", res.Settle(out))
+	}
+}
+
+// TestAnalyzeRejectsUnknownCaseNames: a case constant or an input time
+// that names no node — a misspelling, or an alias such as "VDD" that the
+// netlist binds to the supply "vdd" — fails the analysis, from scratch
+// and incremental alike, with an Invalid error naming it and its option,
+// instead of analyzing a different case than the one asked for.
+func TestAnalyzeRejectsUnknownCaseNames(t *testing.T) {
+	b := gen.New("t", tech.Default())
+	b.Output(b.Inverter(b.Input("in")))
+	nl, m := pipeline(b)
+	if nl.Node("VDD") != nl.VDD || nl.Lookup("VDD") != nl.VDD {
+		t.Fatal("VDD must be bound as an alias of the supply")
+	}
+	prev := analyze(t, nl, m, sched())
+	for _, tc := range []struct {
+		opt  Options
+		want string
+	}{
+		{Options{SetHigh: []string{"bogus"}}, "core: no such node: SetHigh bogus"},
+		{Options{SetLow: []string{"VDD"}}, "core: no such node: SetLow VDD"},
+		{Options{InputTime: map[string]float64{"nosuch": 1, "in": 2}}, "core: no such node: InputTime nosuch"},
+		{Options{SetHigh: []string{"in", "VDD", "VDD"}, SetLow: []string{"bogus"}}, "core: no such node: SetHigh VDD, SetLow bogus"},
+	} {
+		_, err := Analyze(context.Background(), nl, m, sched(), tc.opt)
+		if tverr.KindOf(err) != tverr.Invalid || err.Error() != tc.want {
+			t.Errorf("Analyze(%+v): error %v, want Invalid %q", tc.opt, err, tc.want)
+		}
+		_, _, err = AnalyzeIncremental(context.Background(), nl, m, sched(), tc.opt, prev, nil)
+		if tverr.KindOf(err) != tverr.Invalid || err.Error() != tc.want {
+			t.Errorf("AnalyzeIncremental(%+v): error %v, want Invalid %q", tc.opt, err, tc.want)
+		}
+	}
+	if _, err := Analyze(context.Background(), nl, m, sched(), Options{SetHigh: []string{"vdd"}, InputTime: map[string]float64{"in": 2}}); err != nil {
+		t.Fatalf("own names must resolve: %v", err)
 	}
 }
 

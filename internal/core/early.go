@@ -7,57 +7,14 @@ import (
 // PosInf is the earliest arrival of a node that never transitions.
 var PosInf = math.Inf(1)
 
-// propagateEarly computes earliest (best-case) arrival times — the
-// shortest-path dual of the settle computation. Two-phase discipline needs
-// it for race margins: how much clock skew the design tolerates before a
-// newly launched value could reach a latch whose previous-phase clock has
-// not yet closed.
-func (a *analysis) propagateEarly() {
-	// The arrays were laid out by Result.allocArrays; fill in place
-	// rather than allocating a fresh pair per pass.
-	fillFloat(a.EarlyRise, PosInf)
-	fillFloat(a.EarlyFall, PosInf)
-
-	// Sources get the same anchor times as the settle pass: a clock
-	// edge happens exactly at its scheduled time; an input changes at
-	// its given time; a precharged node is high from the cycle start.
-	for _, nd := range a.NL.Nodes {
-		if a.fixedRise[nd.Index] && !isInfNeg(a.RiseAt[nd.Index]) {
-			a.EarlyRise[nd.Index] = a.RiseAt[nd.Index]
-		}
-		if a.fixedFall[nd.Index] && !isInfNeg(a.FallAt[nd.Index]) {
-			a.EarlyFall[nd.Index] = a.FallAt[nd.Index]
-		}
-	}
-
-	// Same wavefront as the settle pass (min-relaxation is as
-	// order-independent within a level as max-relaxation).
-	ws := a.wave
-	a.forEachComp(func(ci int32) {
-		comp := ws.comp(ci)
-		if !ws.cyclic[ci] {
-			a.relaxNodeEarly(int(comp[0]), ws.in(comp[0]))
-			return
-		}
-		bound := a.opt.SCCIterBound*len(comp) + 8
-		for iter := 0; iter < bound; iter++ {
-			changed := false
-			for _, idx := range comp {
-				if a.relaxNodeEarly(int(idx), ws.in(idx)) {
-					changed = true
-				}
-			}
-			if !changed {
-				break
-			}
-		}
-	})
-}
-
-// relaxNodeEarly recomputes both polarities' earliest arrivals from the
-// incoming arcs (min instead of max). Storage nodes launch from clock arcs
-// only, as in the settle pass.
-func (a *analysis) relaxNodeEarly(idx int, incoming []int32) bool {
+// relaxNodeEarly recomputes both polarities' earliest (best-case)
+// arrivals from the incoming arcs: the shortest-path dual of relaxNode,
+// min instead of max. Two-phase discipline needs them for race margins:
+// how much clock skew the design tolerates before a newly launched value
+// could reach a latch whose previous-phase clock has not yet closed.
+// Storage nodes launch from clock arcs only, as in the settle pass.
+func (a *analysis) relaxNodeEarly(v int32) bool {
+	idx := int(v)
 	storage := a.clockedStorage[idx]
 	changed := false
 	for _, pol := range bothPols {
@@ -65,7 +22,7 @@ func (a *analysis) relaxNodeEarly(idx int, incoming []int32) bool {
 			continue
 		}
 		best := a.earlyArrival(idx, pol)
-		for _, ei := range incoming {
+		for _, ei := range a.wave.in(v) {
 			if storage && !a.Model.IsClock(a.Model.Edges[ei].From) {
 				continue
 			}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -18,7 +17,8 @@ type DeltaStats struct {
 	// Comps is the total component count of the propagation plan.
 	Comps int
 	// CompsRelaxed and NodesRelaxed count the components and nodes whose
-	// arrivals were re-relaxed in either pass (settle or early).
+	// arrivals were re-relaxed, each the larger of the settle pass's and
+	// the early pass's count.
 	CompsRelaxed, NodesRelaxed int
 	// ReusedWave reports whether the previous propagation plan was kept
 	// (arc endpoints unchanged).
@@ -47,93 +47,146 @@ type DeltaStats struct {
 // re-relaxes only the changed fanin cone (see Required).
 //
 // prev must come from Analyze or AnalyzeIncremental on an earlier state of
-// the same netlist (nodes are append-only; model may be rebuilt). A nil
-// prev degenerates to a full analysis.
-// Like Analyze, the context aborts the cone re-relaxation mid-walk; the
-// caller's previous Result is never mutated, so an aborted incremental
-// pass leaves the published analysis intact.
+// the same netlist (nodes are append-only; model may be rebuilt). With a
+// nil prev this is the from-scratch analysis Analyze runs: every
+// component relaxes, with no seed and no wake. The context aborts the
+// walk mid-pass; the caller's previous Result is never mutated, so an
+// aborted incremental pass leaves the published analysis intact.
 func AnalyzeIncremental(ctx context.Context, nl *netlist.Netlist, model *delay.Model, sched clocks.Schedule, opt Options, prev *Result, dirtySeed []bool) (*Result, DeltaStats, error) {
-	if prev == nil || prev.wave == nil {
-		r, err := Analyze(ctx, nl, model, sched, opt)
-		if err != nil {
-			return nil, DeltaStats{}, err
-		}
-		n := len(nl.Nodes)
-		st := DeltaStats{
-			Comps:        r.wave.numComps(),
-			CompsRelaxed: r.wave.numComps(),
-			NodesRelaxed: n,
-			Relaxed:      fillBool(n, true),
-		}
-		return r, st, nil
-	}
 	if err := sched.Validate(); err != nil {
 		return nil, DeltaStats{}, err
+	}
+	constants, err := caseConstants(nl, opt)
+	if err != nil {
+		return nil, DeltaStats{}, err
+	}
+	if prev != nil && prev.wave == nil {
+		prev = nil
 	}
 	opt = opt.withDefaults()
 	n := len(nl.Nodes)
 	r := &Result{NL: nl, Model: model, Sched: sched}
-	r.allocArrays(n)
-	growCopy(r.RiseAt, prev.RiseAt, NegInf)
-	growCopy(r.FallAt, prev.FallAt, NegInf)
-	growCopy(r.EarlyRise, prev.EarlyRise, PosInf)
-	growCopy(r.EarlyFall, prev.EarlyFall, PosInf)
-	copy(r.predRise, prev.predRise)
-	copy(r.predFall, prev.predFall)
-	a := &analysis{Result: r, opt: opt, ctx: orBackground(ctx)}
+	r.allocArrays(n, prev)
+	a := &analysis{Result: r, opt: opt, ctx: orBackground(ctx), constants: constants}
 	a.arena = arenaFor(opt)
 	a.initMetrics()
-	defer opt.Obs.Span("analyze-incremental").End()
-	stats := DeltaStats{}
+	spans := [...]string{"analyze", "propagate", "propagate-early"}
+	if prev != nil {
+		spans = [...]string{"analyze-incremental", "cone-re-relax", "cone-re-relax-early"}
+	}
+	defer opt.Obs.Span(spans[0]).End()
 
 	// The plan reads only the node count and each arc's endpoints, so it
 	// is kept whenever no arc moved. A shared per-corner plan comes with
 	// the moves its base analysis found.
 	sp := opt.Obs.Span("wave-plan")
-	r.moves = opt.Plan.movesFrom(prev, model)
+	if prev != nil {
+		r.moves = opt.Plan.movesFrom(prev, model)
+	}
 	switch {
 	case opt.Plan.fits(n, len(model.Edges)):
 		r.wave = opt.Plan.ws
-	case r.moves.idx == nil && n == len(prev.wave.compOf):
+	case prev != nil && r.moves.idx == nil && n == len(prev.wave.compOf):
 		r.wave = prev.wave
 	default:
 		r.wave = newWaveSchedule(n, model, a.arena)
 	}
-	stats.ReusedWave = r.wave == prev.wave
 	r.moves.apply(r.predRise)
 	r.moves.apply(r.predFall)
 	sp.End()
-	stats.Comps = r.wave.numComps()
-
-	// Snapshot the previous fixpoint (grown with NaN so any comparison
-	// against a new node's slot reads "changed") before re-anchoring the
-	// sources overwrites the working arrays.
-	snapRise := a.arena.float64Copy(prev.RiseAt, n, math.NaN())
-	snapFall := a.arena.float64Copy(prev.FallAt, n, math.NaN())
-	snapER := a.arena.float64Copy(prev.EarlyRise, n, math.NaN())
-	snapEF := a.arena.float64Copy(prev.EarlyFall, n, math.NaN())
 
 	sp = opt.Obs.Span("sources+storage")
 	a.initSources()
 	a.classifyStorage()
 	sp.End()
-	// A source never has a producing arc; clear any pred left over from a
-	// node that only just became fixed (e.g. an added input annotation).
-	for i := 0; i < n; i++ {
-		if a.fixedRise[i] {
-			a.predRise[i] = pred{edge: -1}
+
+	settle := &pass{analysis: a, kind: settlePass, val: r.settleVals()}
+	early := &pass{analysis: a, kind: earlyPass, val: r.earlyVals()}
+	var base []bool
+	if prev != nil {
+		// A source never has a producing arc; clear any pred left over
+		// from a node that only just became fixed (e.g. an added input
+		// annotation).
+		for i := 0; i < n; i++ {
+			if a.fixedRise[i] {
+				r.predRise[i] = pred{edge: -1}
+			}
+			if a.fixedFall[i] {
+				r.predFall[i] = pred{edge: -1}
+			}
 		}
-		if a.fixedFall[i] {
-			a.predFall[i] = pred{edge: -1}
+		base = a.structuralSeed(prev, dirtySeed)
+		settle.prev, early.prev = prev.settleVals(), prev.earlyVals()
+	}
+	sp = opt.Obs.Span(spans[1])
+	if prev != nil {
+		settle.seed(base)
+	}
+	settle.walk()
+	sp.End()
+	// Loop findings: keep the previous ones in components that were not
+	// re-relaxed (their verdict cannot have changed), then put the report
+	// in node-index order whatever the discovery order was.
+	if prev != nil {
+		for _, nd := range prev.loopNodes {
+			if !settle.dirty[r.wave.compOf[nd.Index]].Load() {
+				r.loopNodes = append(r.loopNodes, nd)
+			}
 		}
 	}
+	sort.Slice(r.loopNodes, func(i, j int) bool {
+		return r.loopNodes[i].Index < r.loopNodes[j].Index
+	})
 
-	// Structural seed: caller's dirty nodes, nodes that did not exist in
-	// prev, nodes whose storage classification flipped (their
-	// incoming-arc filter changed), and components a rebuilt plan
-	// reordered or split.
-	base := a.arena.bools(n)
+	// The early pass's sources get the settle pass's anchor times: a
+	// clock edge happens exactly at its scheduled time, an input changes
+	// at its given time, a precharged node is high from the cycle start.
+	// Settle values feed the early pass only through these anchors.
+	sp = opt.Obs.Span(spans[2])
 	for i := 0; i < n; i++ {
+		if a.fixedRise[i] && !isInfNeg(r.RiseAt[i]) {
+			r.EarlyRise[i] = r.RiseAt[i]
+		}
+		if a.fixedFall[i] && !isInfNeg(r.FallAt[i]) {
+			r.EarlyFall[i] = r.FallAt[i]
+		}
+	}
+	if prev != nil {
+		early.seed(base)
+	}
+	early.walk()
+	sp.End()
+	if err := a.abortErr(); err != nil {
+		return nil, DeltaStats{}, err
+	}
+	stats := a.coneStats(settle.dirty, early.dirty)
+	stats.ReusedWave = prev != nil && r.wave == prev.wave
+
+	if prev != nil {
+		if q := prev.memo(); q != nil {
+			r.reqPrev = q
+			r.reqSeeds = a.requiredSeeds(prev, base)
+		}
+	}
+	// Checks name arcs by index and read the schedule, so they splice
+	// only over the previous plan under the same schedule.
+	sp = opt.Obs.Span("checks")
+	if stats.ReusedWave && sched == prev.Sched {
+		a.runChecks(prev.Checks, a.affectedChecks(stats.Relaxed, prev))
+	} else {
+		a.runChecks(nil, nil)
+	}
+	sp.End()
+	return r, stats, nil
+}
+
+// structuralSeed marks the nodes to re-relax whatever their inputs'
+// values: the caller's dirty nodes, nodes prev lacks, nodes whose storage
+// classification flipped (their incoming-arc filter changed), and
+// components a rebuilt plan reordered or split.
+func (a *analysis) structuralSeed(prev *Result, dirtySeed []bool) []bool {
+	base := a.arena.bools(len(a.NL.Nodes))
+	for i := range base {
 		if (i < len(dirtySeed) && dirtySeed[i]) || i >= len(prev.RiseAt) {
 			base[i] = true
 			continue
@@ -143,76 +196,57 @@ func AnalyzeIncremental(ctx context.Context, nl *netlist.Netlist, model *delay.M
 			base[i] = true
 		}
 	}
-	if r.wave != prev.wave {
-		seedChangedComps(r.wave, prev.wave, base)
+	if a.wave != prev.wave {
+		seedChangedComps(a.wave, prev.wave, base)
 	}
+	return base
+}
 
-	// Settle seed: structure plus changed source anchors (initSources
-	// only ever writes fixed values, so any difference from the snapshot
-	// is an anchor change).
-	seed := a.arena.bools(n)
-	copy(seed, base)
-	for i := 0; i < n; i++ {
-		if r.RiseAt[i] != snapRise[i] || r.FallAt[i] != snapFall[i] {
-			seed[i] = true
+// seed flags the components the pass must relax: those holding a node of
+// the structural seed or a node whose values moved from the previous
+// fixpoint's. Sources are anchored by then, and initSources only ever
+// writes fixed values, so a moved value there is an anchor change.
+func (p *pass) seed(base []bool) {
+	p.dirty = p.arena.atomicBools(p.wave.numComps())
+	for i, b := range base {
+		if b || movedAt(p.val, p.prev, i) {
+			p.dirty[p.wave.compOf[i]].Store(true)
 		}
 	}
-	relaxed := a.arena.bools(n)
-	sp = opt.Obs.Span("cone-re-relax")
-	sc, sn := a.propagateDirty(seed, snapRise, snapFall, prev.loopNodes, relaxed)
-	sp.End()
+}
 
-	// Early pass: re-apply the anchors (they mirror the settle sources),
-	// then seed from structure plus anchor changes. Settle values feed the
-	// early pass only through these anchors.
-	for i := 0; i < n; i++ {
-		if a.fixedRise[i] && !isInfNeg(r.RiseAt[i]) {
-			r.EarlyRise[i] = r.RiseAt[i]
+// coneStats counts what the two forward passes relaxed — the components
+// their dirty flags mark, or every component from scratch — and marks the
+// nodes relaxed in either.
+func (a *analysis) coneStats(settle, early []atomic.Bool) DeltaStats {
+	ws := a.wave
+	st := DeltaStats{Comps: ws.numComps(), Relaxed: a.arena.bools(len(ws.compOf))}
+	if settle == nil {
+		st.CompsRelaxed, st.NodesRelaxed = st.Comps, len(ws.compOf)
+		for i := range st.Relaxed {
+			st.Relaxed[i] = true
 		}
-		if a.fixedFall[i] && !isInfNeg(r.FallAt[i]) {
-			r.EarlyFall[i] = r.FallAt[i]
+		return st
+	}
+	var sc, ec, sn, en int
+	for ci := range settle {
+		s, e := settle[ci].Load(), early[ci].Load()
+		if !s && !e {
+			continue
+		}
+		comp := ws.comp(int32(ci))
+		for _, v := range comp {
+			st.Relaxed[v] = true
+		}
+		if s {
+			sc, sn = sc+1, sn+len(comp)
+		}
+		if e {
+			ec, en = ec+1, en+len(comp)
 		}
 	}
-	eseed := a.arena.bools(n)
-	copy(eseed, base)
-	for i := 0; i < n; i++ {
-		if r.EarlyRise[i] != snapER[i] || r.EarlyFall[i] != snapEF[i] {
-			eseed[i] = true
-		}
-	}
-	sp = opt.Obs.Span("cone-re-relax-early")
-	ec, en := a.propagateEarlyDirty(eseed, snapER, snapEF, relaxed)
-	sp.End()
-
-	if sc > ec {
-		stats.CompsRelaxed = sc
-	} else {
-		stats.CompsRelaxed = ec
-	}
-	if sn > en {
-		stats.NodesRelaxed = sn
-	} else {
-		stats.NodesRelaxed = en
-	}
-	stats.Relaxed = relaxed
-
-	if err := a.abortErr(); err != nil {
-		return nil, DeltaStats{}, err
-	}
-	if q := prev.memo(); q != nil {
-		r.reqPrev = q
-		r.reqSeeds = a.requiredSeeds(prev, base, snapRise, snapFall)
-	}
-	// Checks name arcs by index and read the schedule, so they splice
-	// only over the previous plan under the same schedule.
-	sp = opt.Obs.Span("checks")
-	var affected []bool
-	if r.wave == prev.wave && sched == prev.Sched {
-		affected = a.affectedChecks(relaxed, snapRise, snapFall, snapER, snapEF)
-	}
-	a.runChecks(prev.Checks, affected)
-	sp.End()
-	return r, stats, nil
+	st.CompsRelaxed, st.NodesRelaxed = max(sc, ec), max(sn, en)
+	return st
 }
 
 // seedChangedComps marks, for a plan rebuilt from old, the first node of
@@ -240,8 +274,9 @@ func seedChangedComps(ws, old *waveSchedule, seed []bool) {
 // flipped storage filter reclassified), and every node whose settle
 // arrival changed (arrivals decide which arcs transmit, and the slack).
 // The list is as long as the cone, not the design.
-func (a *analysis) requiredSeeds(prev *Result, base []bool, snapRise, snapFall []float64) []int32 {
+func (a *analysis) requiredSeeds(prev *Result, base []bool) []int32 {
 	listed := a.arena.bools(len(base))
+	settle, was := a.settleVals(), prev.settleVals()
 	var seeds []int32
 	add := func(v int32) {
 		if !listed[v] {
@@ -262,141 +297,11 @@ func (a *analysis) requiredSeeds(prev *Result, base []bool, snapRise, snapFall [
 				}
 			}
 		}
-		if !sameBits(a.RiseAt[i], snapRise[i]) || !sameBits(a.FallAt[i], snapFall[i]) {
+		if movedAt(settle, was, i) {
 			add(v)
 		}
 	}
 	return seeds
-}
-
-func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-
-// propagateDirty is propagate restricted to the dirty cone: components
-// holding a seeded node reset their non-fixed arrivals and re-relax exactly
-// as a full run would; a component whose post-relax values differ from the
-// previous fixpoint wakes its successors. Cross-component arcs always lead
-// to strictly later levels, so marking a successor dirty from inside the
-// wavefront is safe — its level has not started. Components never woken
-// keep the previous values, and the relaxation a woken component runs is
-// the same pure function of its (final) predecessor values as in a full
-// run, so the fixpoint is bit-identical.
-func (a *analysis) propagateDirty(seed []bool, snapRise, snapFall []float64, prevLoops []*netlist.Node, relaxed []bool) (comps, nodes int) {
-	ws := a.wave
-	dirty := a.seedComps(ws, seed)
-	touched := a.arena.bools(ws.numComps())
-	loops := a.arena.loopSlices(ws.numComps())
-	var nc, nn atomic.Int64
-	a.forEachComp(func(ci int32) {
-		if !dirty[ci].Load() {
-			return
-		}
-		touched[ci] = true
-		comp := ws.comp(ci)
-		nc.Add(1)
-		nn.Add(int64(len(comp)))
-		for _, idx := range comp {
-			relaxed[idx] = true
-			if !a.fixedRise[idx] {
-				a.RiseAt[idx] = NegInf
-				a.predRise[idx] = pred{edge: -1}
-			}
-			if !a.fixedFall[idx] {
-				a.FallAt[idx] = NegInf
-				a.predFall[idx] = pred{edge: -1}
-			}
-		}
-		if !ws.cyclic[ci] {
-			a.relaxNode(int(comp[0]), ws.in(comp[0]))
-		} else {
-			loops[ci] = a.iterateSCC(comp, ws)
-		}
-		for _, idx := range comp {
-			if a.RiseAt[idx] != snapRise[idx] || a.FallAt[idx] != snapFall[idx] {
-				for _, ei := range ws.out(idx) {
-					if wc := ws.compOf[a.Model.Edges[ei].To]; wc != ci {
-						dirty[wc].Store(true)
-					}
-				}
-			}
-		}
-	})
-	// Loop findings: keep the previous ones in components that were not
-	// re-relaxed (their verdict cannot have changed), replace the rest.
-	a.loopNodes = nil
-	for _, nd := range prevLoops {
-		if !touched[ws.compOf[nd.Index]] {
-			a.loopNodes = append(a.loopNodes, nd)
-		}
-	}
-	for _, l := range loops {
-		a.loopNodes = append(a.loopNodes, l...)
-	}
-	sort.Slice(a.loopNodes, func(i, j int) bool {
-		return a.loopNodes[i].Index < a.loopNodes[j].Index
-	})
-	return int(nc.Load()), int(nn.Load())
-}
-
-// propagateEarlyDirty is propagateEarly restricted to the dirty cone; see
-// propagateDirty for the wake protocol.
-func (a *analysis) propagateEarlyDirty(seed []bool, snapRise, snapFall []float64, relaxed []bool) (comps, nodes int) {
-	ws := a.wave
-	dirty := a.seedComps(ws, seed)
-	var nc, nn atomic.Int64
-	a.forEachComp(func(ci int32) {
-		if !dirty[ci].Load() {
-			return
-		}
-		comp := ws.comp(ci)
-		nc.Add(1)
-		nn.Add(int64(len(comp)))
-		for _, idx := range comp {
-			relaxed[idx] = true
-			if !a.fixedRise[idx] {
-				a.EarlyRise[idx] = PosInf
-			}
-			if !a.fixedFall[idx] {
-				a.EarlyFall[idx] = PosInf
-			}
-		}
-		if !ws.cyclic[ci] {
-			a.relaxNodeEarly(int(comp[0]), ws.in(comp[0]))
-		} else {
-			bound := a.opt.SCCIterBound*len(comp) + 8
-			for iter := 0; iter < bound; iter++ {
-				changed := false
-				for _, idx := range comp {
-					if a.relaxNodeEarly(int(idx), ws.in(idx)) {
-						changed = true
-					}
-				}
-				if !changed {
-					break
-				}
-			}
-		}
-		for _, idx := range comp {
-			if a.EarlyRise[idx] != snapRise[idx] || a.EarlyFall[idx] != snapFall[idx] {
-				for _, ei := range ws.out(idx) {
-					if wc := ws.compOf[a.Model.Edges[ei].To]; wc != ci {
-						dirty[wc].Store(true)
-					}
-				}
-			}
-		}
-	})
-	return int(nc.Load()), int(nn.Load())
-}
-
-// seedComps lifts a per-node dirty mask to per-component atomic flags.
-func (a *analysis) seedComps(ws *waveSchedule, seed []bool) []atomic.Bool {
-	dirty := a.arena.atomicBools(ws.numComps())
-	for i, d := range seed {
-		if d {
-			dirty[ws.compOf[i]].Store(true)
-		}
-	}
-	return dirty
 }
 
 // arcMoves maps the arc indices of the model a previous result was
@@ -517,12 +422,4 @@ func growCopy(dst, src []float64, fillv float64) {
 	for i := m; i < len(dst); i++ {
 		dst[i] = fillv
 	}
-}
-
-func fillBool(n int, v bool) []bool {
-	s := make([]bool, n)
-	for i := range s {
-		s[i] = v
-	}
-	return s
 }

@@ -1,13 +1,9 @@
 package core
 
 import (
-	"sort"
-	"sync"
 	"sync/atomic"
 
 	"nmostv/internal/delay"
-	"nmostv/internal/netlist"
-	"nmostv/internal/obs"
 )
 
 // waveSchedule is the propagation plan shared by the settle and
@@ -131,117 +127,6 @@ func newWaveSchedule(n int, m *delay.Model, ar *Arena) *waveSchedule {
 	return ws
 }
 
-// minParallelLevel is the narrowest level worth fanning out: below this,
-// goroutine handoff costs more than the relaxations themselves.
-const minParallelLevel = 8
-
-// forEachComp runs fn over every component, wavefront order: level by
-// level, and concurrently within a level when the analysis has more than
-// one worker. Each level is a barrier — by the time fn sees a component,
-// every arrival it can read through an incoming arc is final, except
-// those inside its own (cyclic) component.
-//
-// Instrumentation: the counters are pre-resolved atomic handles updated
-// once per level (never per component), and spans are built only when a
-// tracer is attached — with instrumentation disabled this walk allocates
-// nothing (asserted by TestWavefrontDisabledObsZeroAlloc).
-// abortStride is how many components a propagation loop relaxes between
-// context polls inside one level; abort-flag polls happen every component
-// (a single atomic load).
-const abortStride = 64
-
-func (a *analysis) forEachComp(fn func(ci int32)) {
-	for li, lvl := range a.wave.levels {
-		if !a.runLevel(li, lvl, fn) {
-			return
-		}
-	}
-}
-
-// forEachCompReverse runs fn over every component in reverse wavefront
-// order — highest level first — with the same per-level barrier and
-// parallelism as forEachComp. Every arc between two components crosses
-// levels forward, so by the time fn sees a component, everything
-// reachable through its outgoing arcs is final: the order the backward
-// (required-time) pass needs.
-func (a *analysis) forEachCompReverse(fn func(ci int32)) {
-	for li := len(a.wave.levels) - 1; li >= 0; li-- {
-		if !a.runLevel(li, a.wave.levels[li], fn) {
-			return
-		}
-	}
-}
-
-// runLevel relaxes one wavefront level, serially or fanned out, and
-// reports whether the walk should continue (false = aborted).
-func (a *analysis) runLevel(li int, lvl []int32, fn func(ci int32)) bool {
-	tr := a.opt.Obs.Tracer()
-	if !a.checkpoint() {
-		return false
-	}
-	a.mLevels.Inc()
-	a.mComps.Add(int64(len(lvl)))
-	var lsp *obs.Span
-	if tr != nil {
-		// StartTIDN defers the name formatting to export time, so an
-		// attached per-request tracer costs a pooled span per level, not
-		// a string build — the O(levels) bound of the flight recorder.
-		lsp = tr.StartTIDN("level", int64(li), int64(len(lvl)), 0)
-	}
-	workers := a.opt.Workers
-	if workers > len(lvl) {
-		workers = len(lvl)
-	}
-	if workers <= 1 || len(lvl) < minParallelLevel {
-		for k, ci := range lvl {
-			if a.stopped.Load() {
-				break
-			}
-			if k%abortStride == abortStride-1 {
-				if err := a.ctx.Err(); err != nil {
-					a.abort(err)
-					break
-				}
-			}
-			fn(ci)
-		}
-		lsp.End()
-		return !a.stopped.Load()
-	}
-	// The loop variables are passed as arguments, not captured: a
-	// captured per-iteration variable would be heap-allocated every
-	// level even when this parallel path is never taken, breaking the
-	// zero-alloc guarantee of the serial walk.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w, li int, lvl []int32) {
-			defer wg.Done()
-			var wsp *obs.Span
-			if tr != nil {
-				wsp = tr.StartTIDN("level worker", int64(li), -1, int64(w+1))
-			}
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(lvl) || a.stopped.Load() {
-					wsp.End()
-					return
-				}
-				if k%abortStride == abortStride-1 {
-					if err := a.ctx.Err(); err != nil {
-						a.abort(err)
-					}
-				}
-				fn(lvl[k])
-			}
-		}(w, li, lvl)
-	}
-	wg.Wait()
-	lsp.End()
-	return !a.stopped.Load()
-}
-
 // Plan is an opaque shareable handle to a propagation plan (adjacency,
 // SCC condensation, levelization). The plan depends only on a model's
 // arc endpoints and node count, so analyses of models derived by
@@ -273,37 +158,6 @@ func (r *Result) Plan() *Plan {
 	return &Plan{ws: r.wave, moves: r.moves}
 }
 
-// propagate computes the longest-path fixpoint of arrival times. The arc
-// graph is decomposed into strongly connected components; the condensation
-// is processed as a level-scheduled wavefront (see waveSchedule). Acyclic
-// regions (the vast majority of a clocked design) settle in a single
-// relaxation per node; cyclic regions (cross-coupled structures,
-// unresolved bidirectional pass networks) iterate to a fixpoint with a
-// bound, beyond which their nodes are flagged as non-converging loops.
-// A singleton component's relaxation is a pure function of already-settled
-// predecessor levels, and a cyclic component iterates entirely inside one
-// worker, so the result is bit-identical at any worker count.
-func (a *analysis) propagate() {
-	ws := a.wave
-	loops := a.arena.loopSlices(ws.numComps())
-	a.forEachComp(func(ci int32) {
-		comp := ws.comp(ci)
-		if !ws.cyclic[ci] {
-			a.relaxNode(int(comp[0]), ws.in(comp[0]))
-			return
-		}
-		loops[ci] = a.iterateSCC(comp, ws)
-	})
-	for _, l := range loops {
-		a.loopNodes = append(a.loopNodes, l...)
-	}
-	// One sort at the end of the walk — not per component — puts the
-	// report in node-index order whatever the discovery order was.
-	sort.Slice(a.loopNodes, func(i, j int) bool {
-		return a.loopNodes[i].Index < a.loopNodes[j].Index
-	})
-}
-
 // bothPols is the polarity pair the relaxation loops range over — an
 // array, not a slice literal, so the per-node hot path stays
 // allocation-free (see TestWavefrontDisabledObsZeroAlloc).
@@ -314,7 +168,8 @@ var bothPols = [2]Polarity{Rise, Fall}
 // value launches when the latch opens; late data arcs are setup checks,
 // not propagation — this is what cuts every legal sequential cycle.
 // Returns true if either arrival increased.
-func (a *analysis) relaxNode(idx int, incoming []int32) bool {
+func (a *analysis) relaxNode(v int32) bool {
+	idx := int(v)
 	storage := a.clockedStorage[idx]
 	changed := false
 	for _, pol := range bothPols {
@@ -324,7 +179,7 @@ func (a *analysis) relaxNode(idx int, incoming []int32) bool {
 		best := a.arrival(idx, pol)
 		bestPred := pred{edge: -1}
 		havePred := false
-		for _, ei := range incoming {
+		for _, ei := range a.wave.in(v) {
 			if storage && !a.Model.IsClock(a.Model.Edges[ei].From) {
 				continue
 			}
@@ -341,31 +196,6 @@ func (a *analysis) relaxNode(idx int, incoming []int32) bool {
 		}
 	}
 	return changed
-}
-
-// iterateSCC runs bounded fixpoint iteration over a cyclic component and
-// returns its non-converging nodes (nil when the component settles).
-func (a *analysis) iterateSCC(comp []int32, ws *waveSchedule) []*netlist.Node {
-	bound := a.opt.SCCIterBound*len(comp) + 8
-	for iter := 0; iter < bound; iter++ {
-		changed := false
-		for _, idx := range comp {
-			if a.relaxNode(int(idx), ws.in(idx)) {
-				changed = true
-			}
-		}
-		if !changed {
-			return nil
-		}
-	}
-	// Did not converge: flag every non-fixed node in the component.
-	var loops []*netlist.Node
-	for _, idx := range comp {
-		if !a.fixedRise[idx] || !a.fixedFall[idx] {
-			loops = append(loops, a.NL.Nodes[idx])
-		}
-	}
-	return loops
 }
 
 func hasSelfArc(m *delay.Model, ws *waveSchedule, idx int32) bool {

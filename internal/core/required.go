@@ -136,12 +136,12 @@ func (r *Result) memo() *Required {
 	return r.req
 }
 
-// backwardPass computes the required times Required memoizes. With a
-// previous pass it copies that pass's required times and re-relaxes the
-// components holding a seed node, waking upstream components only where
-// a required time changed bitwise — propagateDirty's protocol run
-// backward. Without one, every component is dirty: the from-scratch pass
-// is the same walk. Slacks are one subtraction per node after the walk.
+// backwardPass computes the required times Required memoizes: the walk
+// (walk.go) in reverse level order. With a previous pass it copies that
+// pass's required times and re-relaxes the components holding a seed
+// node, waking upstream components only where a required time changed
+// bitwise. Without one, every component relaxes. Slacks are one
+// subtraction per node after the walk.
 func (r *Result) backwardPass(ctx context.Context, opt Options, prev *Required, seeds []int32) (*Required, error) {
 	opt = opt.withDefaults()
 	n := len(r.RiseAt)
@@ -155,24 +155,25 @@ func (r *Result) backwardPass(ctx context.Context, opt Options, prev *Required, 
 	a := &analysis{Result: r, opt: opt, ctx: orBackground(ctx)}
 	a.initMetrics()
 	defer opt.Obs.Span("required").End()
-	b := &backward{analysis: a, q: q, prev: prev, outputs: make([]bool, n)}
+	p := &pass{analysis: a, kind: requiredPass, val: [2][]float64{q.RiseRAT, q.FallRAT}, outputs: make([]bool, n)}
 	sp := opt.Obs.Span("required-seeds")
 	for _, c := range r.Checks {
 		if c.Kind == CheckOutput {
-			b.outputs[c.Node.Index] = true
+			p.outputs[c.Node.Index] = true
 		}
 	}
 	if prev != nil {
 		growCopy(q.RiseRAT, prev.RiseRAT, PosInf)
 		growCopy(q.FallRAT, prev.FallRAT, PosInf)
-		b.dirty = make([]atomic.Bool, r.wave.numComps())
+		p.prev = [2][]float64{prev.RiseRAT, prev.FallRAT}
+		p.dirty = make([]atomic.Bool, r.wave.numComps())
 		for _, v := range seeds {
-			b.dirty[r.wave.compOf[v]].Store(true)
+			p.dirty[r.wave.compOf[v]].Store(true)
 		}
 	}
 	sp.End()
 	sp = opt.Obs.Span("required-propagate")
-	b.propagateRequired()
+	p.walk()
 	sp.End()
 	if err := a.abortErr(); err != nil {
 		return nil, err
@@ -184,52 +185,13 @@ func (r *Result) backwardPass(ctx context.Context, opt Options, prev *Required, 
 	return q, nil
 }
 
-type backward struct {
-	*analysis
-	q *Required
-	// outputs marks, per node index, the primary outputs that transition:
-	// the nodes runChecks gave an output check. Reading them off the
-	// checks, not the nodes' flags in walk order, spares the walk a cache
-	// miss per node.
-	outputs []bool
-	// prev is the previous version's pass an incremental walk starts
-	// from, and dirty flags its components to re-relax; both are nil for
-	// a from-scratch walk, where every component is dirty.
-	prev  *Required
-	dirty []atomic.Bool
-}
-
-func (b *backward) rat(idx int32, pol Polarity) float64 {
-	if pol == Rise {
-		return b.q.RiseRAT[idx]
-	}
-	return b.q.FallRAT[idx]
-}
-
 // lowerRAT tightens one transition's required time; reports change.
-func (b *backward) lowerRAT(idx int32, pol Polarity, t float64) bool {
-	if pol == Rise {
-		if t < b.q.RiseRAT[idx] {
-			b.q.RiseRAT[idx] = t
-			return true
-		}
-		return false
-	}
-	if t < b.q.FallRAT[idx] {
-		b.q.FallRAT[idx] = t
+func (p *pass) lowerRAT(idx int32, pol Polarity, t float64) bool {
+	if t < p.val[pol][idx] {
+		p.val[pol][idx] = t
 		return true
 	}
 	return false
-}
-
-// moved reports whether node idx's required times differ bitwise from
-// the previous pass's.
-func (b *backward) moved(idx int32) bool {
-	if int(idx) >= len(b.prev.RiseRAT) {
-		return true
-	}
-	return !sameBits(b.q.RiseRAT[idx], b.prev.RiseRAT[idx]) ||
-		!sameBits(b.q.FallRAT[idx], b.prev.FallRAT[idx])
 }
 
 // phaseOfMask maps a single-phase mask to its clock phase number.
@@ -246,9 +208,9 @@ func phaseOfMask(mask uint8) int {
 // primary output that transitions, the cycle boundary. Out-arcs are in
 // ascending arc order, so a node's seeds apply in the order a scan of
 // the whole arc array would apply them.
-func (b *backward) seedEndpoints(idx int32) {
-	for _, ei := range b.wave.out(idx) {
-		e := &b.Model.Edges[ei]
+func (p *pass) seedEndpoints(idx int32) {
+	for _, ei := range p.wave.out(idx) {
+		e := &p.Model.Edges[ei]
 		for _, pol := range bothPols {
 			var d float64
 			var mask uint8
@@ -260,17 +222,17 @@ func (b *backward) seedEndpoints(idx int32) {
 			if mask == 0 || isInfPos(d) {
 				continue
 			}
-			_, deadline, _, alive := b.maskWindow(mask)
+			_, deadline, _, alive := p.maskWindow(mask)
 			if !alive {
 				continue // dead path: never conducts, no requirement
 			}
 			fromPol := causePol(e, pol)
-			cause := b.arrival(int(e.From), fromPol)
+			cause := p.arrival(int(e.From), fromPol)
 			if isInfNeg(cause) {
 				continue // cause never transitions: nothing to require
 			}
-			if cause > deadline && phaseOfMask(mask) == 1 && b.clockedStorage[e.To] {
-				deadline += b.Sched.Period
+			if cause > deadline && phaseOfMask(mask) == 1 && p.clockedStorage[e.To] {
+				deadline += p.Sched.Period
 			}
 			req := deadline - d
 			if cause > deadline {
@@ -279,82 +241,29 @@ func (b *backward) seedEndpoints(idx int32) {
 				// the missed-window check.
 				req = deadline
 			}
-			b.lowerRAT(e.From, fromPol, req)
+			p.lowerRAT(e.From, fromPol, req)
 		}
 	}
-	if !b.outputs[idx] {
+	if !p.outputs[idx] {
 		return
 	}
-	if !isInfNeg(b.RiseAt[idx]) {
-		b.lowerRAT(idx, Rise, b.Sched.Period)
+	if !isInfNeg(p.RiseAt[idx]) {
+		p.lowerRAT(idx, Rise, p.Sched.Period)
 	}
-	if !isInfNeg(b.FallAt[idx]) {
-		b.lowerRAT(idx, Fall, b.Sched.Period)
+	if !isInfNeg(p.FallAt[idx]) {
+		p.lowerRAT(idx, Fall, p.Sched.Period)
 	}
-}
-
-// propagateRequired computes the min-fixpoint of required times in
-// reverse wavefront order. A dirty component resets its nodes to +Inf,
-// applies their endpoint seeds and relaxes from its out-arcs; cyclic
-// components iterate with the same bound as the forward pass, and a
-// non-converging loop keeps its (finite, bounded) partial values — its
-// nodes are already flagged CheckLoop by the forward pass. A component
-// writes only its own nodes and reads only its own and later levels', so
-// it computes exactly what a from-scratch walk computes once its
-// successors are final; in an incremental walk a node whose required time
-// moved wakes the components feeding it, which sit at earlier levels the
-// reverse walk has not reached.
-func (b *backward) propagateRequired() {
-	ws := b.wave
-	b.forEachCompReverse(func(ci int32) {
-		if b.dirty != nil && !b.dirty[ci].Load() {
-			return
-		}
-		comp := ws.comp(ci)
-		for _, idx := range comp {
-			b.q.RiseRAT[idx], b.q.FallRAT[idx] = PosInf, PosInf
-		}
-		for _, idx := range comp {
-			b.seedEndpoints(idx)
-		}
-		if !ws.cyclic[ci] {
-			b.relaxNodeRequired(comp[0], ws.out(comp[0]))
-		} else {
-			bound := b.opt.SCCIterBound*len(comp) + 8
-			for iter := 0; iter < bound; iter++ {
-				changed := false
-				for _, idx := range comp {
-					if b.relaxNodeRequired(idx, ws.out(idx)) {
-						changed = true
-					}
-				}
-				if !changed {
-					break
-				}
-			}
-		}
-		for _, idx := range comp {
-			if b.dirty == nil || !b.moved(idx) {
-				continue
-			}
-			for _, ei := range ws.in(idx) {
-				if fc := ws.compOf[b.Model.Edges[ei].From]; fc != ci {
-					b.dirty[fc].Store(true)
-				}
-			}
-		}
-	})
 }
 
 // relaxNodeRequired tightens both polarities of node idx from its
 // outgoing arcs — the exact reversal of relaxNode's arc transmission
 // rules; see the file comment for why clamping is absent. Returns true if
 // either RAT decreased.
-func (b *backward) relaxNodeRequired(idx int32, outgoing []int32) bool {
+func (p *pass) relaxNodeRequired(idx int32) bool {
 	changed := false
-	for _, ei := range outgoing {
-		e := &b.Model.Edges[ei]
-		if b.clockedStorage[e.To] && !b.Model.IsClock(e.From) {
+	for _, ei := range p.wave.out(idx) {
+		e := &p.Model.Edges[ei]
+		if p.clockedStorage[e.To] && !p.Model.IsClock(e.From) {
 			// Data arc into clocked storage: a setup check (seeded), not
 			// propagation — forward relaxNode skips it identically.
 			continue
@@ -370,22 +279,22 @@ func (b *backward) relaxNodeRequired(idx int32, outgoing []int32) bool {
 			if isInfPos(d) {
 				continue
 			}
-			rat := b.rat(e.To, pol)
+			rat := p.val[pol][e.To]
 			if isInfPos(rat) {
 				continue
 			}
-			_, deadline, constrained, alive := b.maskWindow(mask)
+			_, deadline, constrained, alive := p.maskWindow(mask)
 			if !alive {
 				continue
 			}
 			fromPol := causePol(e, pol)
-			cause := b.arrival(int(e.From), fromPol)
+			cause := p.arrival(int(e.From), fromPol)
 			if isInfNeg(cause) {
 				continue // edge never fires forward; transmits nothing back
 			}
 			if constrained {
-				if cause > deadline && phaseOfMask(mask) == 1 && b.clockedStorage[e.To] {
-					deadline += b.Sched.Period
+				if cause > deadline && phaseOfMask(mask) == 1 && p.clockedStorage[e.To] {
+					deadline += p.Sched.Period
 				}
 				if cause > deadline {
 					continue // missed window: excluded forward, excluded here
@@ -394,7 +303,7 @@ func (b *backward) relaxNodeRequired(idx int32, outgoing []int32) bool {
 					continue // the window deadline dominates; already seeded
 				}
 			}
-			if b.lowerRAT(e.From, fromPol, rat-d) {
+			if p.lowerRAT(e.From, fromPol, rat-d) {
 				changed = true
 			}
 		}

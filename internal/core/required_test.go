@@ -296,13 +296,16 @@ func oracleRAT(t *testing.T, r *Result) (rise, fall []float64) {
 	return rise, fall
 }
 
-// TestRequiredMatchesOracle checks the engine's levelized backward pass
-// against the brute-force reference on a spread of small circuits: latch
-// pipelines, restoring chains, dynamic (precharged) logic, and pass
+// oracleCircuits are small loop-free designs spanning the arc kinds the
+// oracles must agree with the engine on: latch pipelines, restoring
+// chains, dynamic (precharged) logic — one with a clocked evaluate
+// device, whose arcs the launch clamp holds to the φ2 window — and pass
 // networks.
-func TestRequiredMatchesOracle(t *testing.T) {
-	p := tech.Default()
-	circuits := []struct {
+func oracleCircuits(p tech.Params) []struct {
+	name  string
+	build func() *netlist.Netlist
+} {
+	return []struct {
 		name  string
 		build func() *netlist.Netlist
 	}{
@@ -328,6 +331,15 @@ func TestRequiredMatchesOracle(t *testing.T) {
 			b.Output(b.Inverter(dyn))
 			return b.Finish()
 		}},
+		{"dynamic-evaluate", func() *netlist.Netlist {
+			b := gen.New("dyneval", p)
+			phi1 := b.Clock("phi1", 1)
+			phi2 := b.Clock("phi2", 2)
+			dyn := b.PrechargedNode(phi1)
+			b.DischargeBranch(dyn, phi2, b.Input("a"))
+			b.Output(b.Inverter(dyn))
+			return b.Finish()
+		}},
 		{"pass-latch", func() *netlist.Netlist {
 			b := gen.New("pl", p)
 			phi1 := b.Clock("phi1", 1)
@@ -337,18 +349,32 @@ func TestRequiredMatchesOracle(t *testing.T) {
 			return b.Finish()
 		}},
 	}
-	for _, tc := range circuits {
+}
+
+// oracleModel builds one oracle circuit's model and fails the test if
+// the engine finds a loop in it at the given period.
+func oracleModel(t *testing.T, name string, build func() *netlist.Netlist, period float64) (*netlist.Netlist, *delay.Model) {
+	t.Helper()
+	p := tech.Default()
+	nl := build()
+	st := stage.Extract(nl)
+	flow.Analyze(nl)
+	m := delay.Build(nl, st, p, delay.Options{Workers: 1})
+	for _, c := range analyzeFor(t, nl, m, period, 1).Checks {
+		if c.Kind == CheckLoop {
+			t.Fatalf("%s: oracle circuits must be loop-free", name)
+		}
+	}
+	return nl, m
+}
+
+// TestRequiredMatchesOracle checks the engine's levelized backward pass
+// against the brute-force reference on the oracle circuits.
+func TestRequiredMatchesOracle(t *testing.T) {
+	for _, tc := range oracleCircuits(tech.Default()) {
 		for _, period := range []float64{400, 30} {
-			nl := tc.build()
-			st := stage.Extract(nl)
-			flow.Analyze(nl)
-			m := delay.Build(nl, st, p, delay.Options{Workers: 1})
+			nl, m := oracleModel(t, tc.name, tc.build, period)
 			r := analyzeFor(t, nl, m, period, 1)
-			for _, c := range r.Checks {
-				if c.Kind == CheckLoop {
-					t.Fatalf("%s: oracle circuits must be loop-free", tc.name)
-				}
-			}
 			q := requiredFor(t, r, 1)
 			wantRise, wantFall := oracleRAT(t, r)
 			for i := range wantRise {
@@ -357,6 +383,193 @@ func TestRequiredMatchesOracle(t *testing.T) {
 					t.Fatalf("%s period %g: node %d (%s): engine RAT (%v, %v), oracle (%v, %v)",
 						tc.name, period, i, nl.Nodes[i].Name,
 						q.RiseRAT[i], q.FallRAT[i], wantRise[i], wantFall[i])
+				}
+			}
+		}
+	}
+}
+
+// oracleArrivals is an independent reference for the forward passes:
+// sources, case constants and clocked storage recomputed from first
+// principles, then whole-arc-list sweeps to a fixpoint, no wave plan and
+// no level order — max for the settle arrivals, min for the earliest,
+// each arc clamped into and cut off by its clock window. Each sweep
+// recomputes every non-source node from the previous sweep's values
+// (a window cut-off makes an arc's contribution non-monotone in its
+// cause, so values are recomputed, not only raised), which on a
+// loop-free design reaches the unique fixpoint in depth+1 sweeps.
+func oracleArrivals(t *testing.T, r *Result, opt Options) (rise, fall, erise, efall []float64) {
+	t.Helper()
+	n := len(r.NL.Nodes)
+	var fixed [2][]bool
+	fixed[Rise], fixed[Fall] = make([]bool, n), make([]bool, n)
+	anchor := [2][]float64{make([]float64, n), make([]float64, n)}
+	constant := map[string]bool{}
+	for _, name := range append(append([]string(nil), opt.SetHigh...), opt.SetLow...) {
+		constant[name] = true
+	}
+	for _, nd := range r.NL.Nodes {
+		i := nd.Index
+		anchor[Rise][i], anchor[Fall][i] = math.Inf(-1), math.Inf(-1)
+		switch {
+		case constant[nd.Name] || nd.Flags.Has(netlist.FlagSupply):
+			fixed[Rise][i], fixed[Fall][i] = true, true
+		case nd.Flags.Has(netlist.FlagClock):
+			anchor[Rise][i], anchor[Fall][i] = r.Sched.Rise(nd.Phase), r.Sched.Fall(nd.Phase)
+			fixed[Rise][i], fixed[Fall][i] = true, true
+		case nd.Flags.Has(netlist.FlagInput):
+			at := opt.DefaultInputTime
+			if v, ok := opt.InputTime[nd.Name]; ok {
+				at = v
+			}
+			anchor[Rise][i], anchor[Fall][i] = at, at
+			fixed[Rise][i], fixed[Fall][i] = true, true
+		case nd.Flags.Has(netlist.FlagPrecharged):
+			anchor[Rise][i] = 0
+			fixed[Rise][i] = true
+		}
+	}
+	cs := make([]bool, n)
+	for i := range r.Model.Edges {
+		e := &r.Model.Edges[i]
+		if r.Model.NodeFlags[e.To]&netlist.FlagStorage != 0 &&
+			r.Model.NodeFlags[e.From]&netlist.FlagClock != 0 {
+			cs[e.To] = true
+		}
+	}
+	// sweep runs one fixpoint: start is the value of a node no arc
+	// reaches, better picks the kept candidate.
+	sweep := func(anchor [2][]float64, start float64, better func(x, y float64) bool) [2][]float64 {
+		cur := [2][]float64{make([]float64, n), make([]float64, n)}
+		for pol := range cur {
+			for i := range cur[pol] {
+				cur[pol][i] = start
+				if fixed[pol][i] {
+					cur[pol][i] = anchor[pol][i]
+				}
+			}
+		}
+		for iter := 0; ; iter++ {
+			if iter > n+2 {
+				t.Fatal("arrival oracle did not converge — test circuit unsuitable")
+			}
+			next := [2][]float64{make([]float64, n), make([]float64, n)}
+			for pol := range next {
+				for i := range next[pol] {
+					next[pol][i] = start
+					if fixed[pol][i] {
+						next[pol][i] = anchor[pol][i]
+					}
+				}
+			}
+			for i := range r.Model.Edges {
+				e := &r.Model.Edges[i]
+				if cs[e.To] && r.Model.NodeFlags[e.From]&netlist.FlagClock == 0 {
+					continue // data into clocked storage: a check, not an arc
+				}
+				for _, pol := range []Polarity{Rise, Fall} {
+					d, mask := e.DRise, e.MaskRise
+					if pol == Fall {
+						d, mask = e.DFall, e.MaskFall
+					}
+					if fixed[pol][e.To] || math.IsInf(d, 1) {
+						continue
+					}
+					fromPol := pol
+					switch {
+					case e.GateArc:
+						fromPol = Rise
+					case e.Invert:
+						fromPol = 1 - pol
+					}
+					cause := cur[fromPol][e.From]
+					if math.IsInf(cause, 0) {
+						continue // the cause never transitions
+					}
+					switch mask {
+					case 0:
+					case delay.MaskPhi1, delay.MaskPhi2:
+						phase := 1
+						if mask == delay.MaskPhi2 {
+							phase = 2
+						}
+						if cause > r.Sched.Fall(phase) {
+							continue // missed the window
+						}
+						cause = math.Max(cause, r.Sched.Rise(phase))
+					default:
+						continue // needs both phases high: never conducts
+					}
+					if at := cause + d; better(at, next[pol][e.To]) {
+						next[pol][e.To] = at
+					}
+				}
+			}
+			same := true
+			for pol := range next {
+				for i := range next[pol] {
+					if math.Float64bits(next[pol][i]) != math.Float64bits(cur[pol][i]) {
+						same = false
+					}
+				}
+			}
+			if same {
+				return cur
+			}
+			cur = next
+		}
+	}
+	settle := sweep(anchor, math.Inf(-1), func(x, y float64) bool { return x > y })
+	// The early pass's sources take the settle anchors that transition.
+	var early [2][]float64
+	for pol := range early {
+		early[pol] = make([]float64, n)
+		for i := range early[pol] {
+			early[pol][i] = math.Inf(1)
+			if fixed[pol][i] && !math.IsInf(settle[pol][i], -1) {
+				early[pol][i] = settle[pol][i]
+			}
+		}
+	}
+	best := sweep(early, math.Inf(1), func(x, y float64) bool { return x < y })
+	return settle[Rise], settle[Fall], best[Rise], best[Fall]
+}
+
+// TestArrivalsMatchOracle checks the engine's forward passes — the walk
+// from scratch, serial and fanned out — against the brute-force
+// reference on the oracle circuits, bit for bit. Inputs stable at the
+// cycle start exercise the launch clamp; inputs arriving inside the φ1
+// window make the data arcs into clocked storage, which only checks
+// read, later than the clock arcs the arrivals follow.
+func TestArrivalsMatchOracle(t *testing.T) {
+	for _, tc := range oracleCircuits(tech.Default()) {
+		for _, period := range []float64{400, 30} {
+			nl, m := oracleModel(t, tc.name, tc.build, period)
+			s := clocks.TwoPhase(period, 0.8)
+			for _, opt := range []Options{{}, {DefaultInputTime: (s.Rise(1) + s.Fall(1)) / 2}} {
+				for _, workers := range []int{1, runtime.GOMAXPROCS(0) + 1} {
+					opt.Workers = workers
+					r, err := Analyze(context.Background(), nl, m, s, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rise, fall, erise, efall := oracleArrivals(t, r, opt)
+					for _, arr := range []struct {
+						name       string
+						have, want []float64
+					}{
+						{"RiseAt", r.RiseAt, rise},
+						{"FallAt", r.FallAt, fall},
+						{"EarlyRise", r.EarlyRise, erise},
+						{"EarlyFall", r.EarlyFall, efall},
+					} {
+						for i := range arr.want {
+							if math.Float64bits(arr.have[i]) != math.Float64bits(arr.want[i]) {
+								t.Fatalf("%s period %g inputs at %g workers %d: %s[%d] (%s) = %v, oracle %v",
+									tc.name, period, opt.DefaultInputTime, workers, arr.name, i, nl.Nodes[i].Name, arr.have[i], arr.want[i])
+							}
+						}
+					}
 				}
 			}
 		}

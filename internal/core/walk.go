@@ -1,0 +1,294 @@
+package core
+
+import (
+	"math"
+	"sync"
+	"sync/atomic"
+
+	"nmostv/internal/obs"
+)
+
+// The walk. All three fixpoints — latest arrivals, earliest arrivals and
+// required times — are one traversal of the wave plan's components,
+// forward in level order for the arrivals and in reverse for the
+// required times. A component writes only its own nodes and reads,
+// besides them, only nodes of levels the walk has already finished, so
+// once those are final its relaxation is a pure function of them: a
+// singleton relaxes once, and a cyclic component iterates inside one
+// worker to a bounded fixpoint. That makes every pass bit-identical at
+// any worker count, and it makes the incremental pass exact: a walk with
+// a dirty set relaxes only the flagged components, each exactly as a
+// from-scratch walk would, and a node whose values moved bitwise wakes
+// the components across its arcs — the To side going forward, the From
+// side in reverse — which sit at levels the walk has not reached yet.
+// Components never woken keep the previous fixpoint, which is what a
+// from-scratch walk would compute for them. A walk only ever sets dirty
+// flags, so when it ends they mark the components it relaxed.
+
+// passKind names the fixpoint a pass computes.
+type passKind uint8
+
+const (
+	// settlePass computes the latest arrivals: max over in-arcs.
+	settlePass passKind = iota
+	// earlyPass computes the earliest arrivals: min over in-arcs.
+	earlyPass
+	// requiredPass computes required times: min over out-arcs, walked in
+	// reverse level order.
+	requiredPass
+)
+
+// pass is one run of the walk.
+type pass struct {
+	*analysis
+	kind passKind
+	// val holds the rise and fall values the pass computes, indexed by
+	// Polarity: the settle or early arrivals, or the required times.
+	val [2][]float64
+	// dirty flags the components to relax; nil relaxes every one. prev
+	// holds the previous fixpoint's values, shorter than val when nodes
+	// were added: a relaxed node whose values moved from them (movedAt)
+	// wakes what it feeds.
+	dirty []atomic.Bool
+	prev  [2][]float64
+	// outputs marks, per node index, the primary outputs that transition
+	// (required pass): the nodes runChecks gave an output check. Reading
+	// them off the checks, not the nodes' flags in walk order, spares the
+	// walk a cache miss per node.
+	outputs []bool
+	// loopMu guards Result.loopNodes while the settle pass reports the
+	// components that did not converge.
+	loopMu sync.Mutex
+}
+
+// minParallelLevel is the narrowest level worth fanning out: below this,
+// goroutine handoff costs more than the relaxations themselves.
+const minParallelLevel = 8
+
+// abortStride is how many components a level relaxes between context
+// polls; abort-flag polls happen every component (a single atomic load).
+const abortStride = 64
+
+// walk runs the pass level by level, with each level a barrier, and
+// concurrently within a level when the analysis has more than one
+// worker.
+//
+// Instrumentation: the counters are pre-resolved atomic handles updated
+// once per level (never per component), and spans are built only when a
+// tracer is attached — with instrumentation disabled the walk allocates
+// nothing (asserted by TestWavefrontDisabledObsZeroAlloc).
+func (p *pass) walk() {
+	levels := p.wave.levels
+	for k := range levels {
+		li := k
+		if p.kind == requiredPass {
+			li = len(levels) - 1 - k
+		}
+		if !p.runLevel(li, levels[li]) {
+			return
+		}
+	}
+}
+
+// runLevel relaxes one wavefront level, serially or fanned out, and
+// reports whether the walk should continue (false = aborted).
+func (p *pass) runLevel(li int, lvl []int32) bool {
+	tr := p.opt.Obs.Tracer()
+	if !p.checkpoint() {
+		return false
+	}
+	p.mLevels.Inc()
+	p.mComps.Add(int64(len(lvl)))
+	var lsp *obs.Span
+	if tr != nil {
+		// StartTIDN defers the name formatting to export time, so an
+		// attached per-request tracer costs a pooled span per level, not
+		// a string build — the O(levels) bound of the flight recorder.
+		lsp = tr.StartTIDN("level", int64(li), int64(len(lvl)), 0)
+	}
+	workers := p.opt.Workers
+	if workers > len(lvl) {
+		workers = len(lvl)
+	}
+	if workers <= 1 || len(lvl) < minParallelLevel {
+		for k, ci := range lvl {
+			if p.stopped.Load() {
+				break
+			}
+			if k%abortStride == abortStride-1 {
+				if err := p.ctx.Err(); err != nil {
+					p.abort(err)
+					break
+				}
+			}
+			p.visit(ci)
+		}
+		lsp.End()
+		return !p.stopped.Load()
+	}
+	// The loop variables are passed as arguments, not captured: a
+	// captured per-iteration variable would be heap-allocated every
+	// level even when this parallel path is never taken, breaking the
+	// zero-alloc guarantee of the serial walk.
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w, li int, lvl []int32) {
+			defer wg.Done()
+			var wsp *obs.Span
+			if tr != nil {
+				wsp = tr.StartTIDN("level worker", int64(li), -1, int64(w+1))
+			}
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= len(lvl) || p.stopped.Load() {
+					wsp.End()
+					return
+				}
+				if k%abortStride == abortStride-1 {
+					if err := p.ctx.Err(); err != nil {
+						p.abort(err)
+					}
+				}
+				p.visit(lvl[k])
+			}
+		}(w, li, lvl)
+	}
+	wg.Wait()
+	lsp.End()
+	return !p.stopped.Load()
+}
+
+// visit relaxes component ci, when it is dirty, and wakes what its moved
+// nodes feed. The settle pass reports a cyclic component that spends its
+// iteration bound as a loop.
+func (p *pass) visit(ci int32) {
+	if p.dirty != nil && !p.dirty[ci].Load() {
+		return
+	}
+	comp := p.wave.comp(ci)
+	p.reset(comp)
+	if !p.wave.cyclic[ci] {
+		p.relax(comp[0])
+	} else if !p.iterate(comp) && p.kind == settlePass {
+		p.reportLoop(comp)
+	}
+	if p.dirty != nil {
+		p.wake(ci, comp)
+	}
+}
+
+// reset prepares a component's nodes for relaxation. An incremental
+// forward pass clears their non-fixed values, which hold the previous
+// fixpoint (and the settle pass their predecessor records); a
+// from-scratch forward pass starts from ±Inf and has nothing to clear.
+// The required pass starts every node at +Inf and applies all of the
+// component's endpoint seeds before any relaxation.
+func (p *pass) reset(comp []int32) {
+	switch {
+	case p.kind == requiredPass:
+		for _, idx := range comp {
+			p.val[Rise][idx], p.val[Fall][idx] = PosInf, PosInf
+		}
+		for _, idx := range comp {
+			p.seedEndpoints(idx)
+		}
+	case p.dirty == nil:
+	case p.kind == settlePass:
+		for _, idx := range comp {
+			if !p.fixedRise[idx] {
+				p.RiseAt[idx], p.predRise[idx] = NegInf, pred{edge: -1}
+			}
+			if !p.fixedFall[idx] {
+				p.FallAt[idx], p.predFall[idx] = NegInf, pred{edge: -1}
+			}
+		}
+	default:
+		for _, idx := range comp {
+			if !p.fixedRise[idx] {
+				p.EarlyRise[idx] = PosInf
+			}
+			if !p.fixedFall[idx] {
+				p.EarlyFall[idx] = PosInf
+			}
+		}
+	}
+}
+
+// relax recomputes node idx's values from its arcs and reports whether
+// one of them changed.
+func (p *pass) relax(idx int32) bool {
+	switch p.kind {
+	case settlePass:
+		return p.relaxNode(idx)
+	case earlyPass:
+		return p.relaxNodeEarly(idx)
+	}
+	return p.relaxNodeRequired(idx)
+}
+
+// iterate relaxes a cyclic component in rounds until no value changes,
+// at most SCCIterBound·|comp|+8 of them, and reports whether it settled.
+// A component that does not keeps its bounded partial values.
+func (p *pass) iterate(comp []int32) bool {
+	for round := p.opt.SCCIterBound*len(comp) + 8; round > 0; round-- {
+		changed := false
+		for _, idx := range comp {
+			if p.relax(idx) {
+				changed = true
+			}
+		}
+		if !changed {
+			return true
+		}
+	}
+	return false
+}
+
+// reportLoop records a non-converging component's nodes, except those
+// fixed in both polarities. The walk's order is arbitrary across
+// workers; the caller sorts the list once at the end.
+func (p *pass) reportLoop(comp []int32) {
+	p.loopMu.Lock()
+	defer p.loopMu.Unlock()
+	for _, idx := range comp {
+		if !p.fixedRise[idx] || !p.fixedFall[idx] {
+			p.loopNodes = append(p.loopNodes, p.NL.Nodes[idx])
+		}
+	}
+}
+
+// wake flags the components across the arcs of every node of comp whose
+// values moved: the To side going forward, the From side in reverse.
+func (p *pass) wake(ci int32, comp []int32) {
+	ws := p.wave
+	for _, idx := range comp {
+		if !movedAt(p.val, p.prev, int(idx)) {
+			continue
+		}
+		if p.kind == requiredPass {
+			for _, ei := range ws.in(idx) {
+				if c := ws.compOf[p.Model.Edges[ei].From]; c != ci {
+					p.dirty[c].Store(true)
+				}
+			}
+			continue
+		}
+		for _, ei := range ws.out(idx) {
+			if c := ws.compOf[p.Model.Edges[ei].To]; c != ci {
+				p.dirty[c].Store(true)
+			}
+		}
+	}
+}
+
+// movedAt reports whether node i's values in val differ bitwise from
+// those in prev, the previous fixpoint's; a node prev lacks has moved.
+// Bits, not ==, because what reads a value copies its bits: -0 and +0
+// compare equal but can print differently.
+func movedAt(val, prev [2][]float64, i int) bool {
+	return i >= len(prev[Rise]) || !sameBits(val[Rise][i], prev[Rise][i]) || !sameBits(val[Fall][i], prev[Fall][i])
+}
+
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }

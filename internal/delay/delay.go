@@ -139,8 +139,9 @@ type Options struct {
 	// SetHigh and SetLow name nodes the analysis holds at constant
 	// values — TV-style case analysis. Devices gated by a SetLow node
 	// never conduct (their paths vanish); SetHigh gates conduct
-	// permanently but never launch transitions. Unknown names are
-	// ignored (the case may name nodes absent from a partial design).
+	// permanently but never launch transitions. A name resolves to the
+	// node whose own name it is (netlist.Named); the build skips a name
+	// that resolves to none, and the analysis rejects it.
 	SetHigh, SetLow []string
 	// Workers sets how many goroutines build stage edges concurrently.
 	// 0 (the default) uses one per CPU; 1 forces a serial build. The
@@ -234,12 +235,12 @@ func ComputeCaps(nl *netlist.Netlist, p tech.Params) []float64 {
 func forcedMap(nl *netlist.Netlist, opt Options) map[*netlist.Node]bool {
 	forced := make(map[*netlist.Node]bool)
 	for _, name := range opt.SetHigh {
-		if n := nl.Lookup(name); n != nil {
+		if n := nl.Named(name); n != nil {
 			forced[n] = true
 		}
 	}
 	for _, name := range opt.SetLow {
-		if n := nl.Lookup(name); n != nil {
+		if n := nl.Named(name); n != nil {
 			forced[n] = false
 		}
 	}

@@ -16,6 +16,7 @@ import (
 	"nmostv/internal/netlist"
 	"nmostv/internal/stage"
 	"nmostv/internal/tech"
+	"nmostv/internal/tverr"
 )
 
 func testSchedule() clocks.Schedule { return clocks.TwoPhase(5000, 0.8) }
@@ -82,6 +83,31 @@ func testWorkloads() []struct {
 			b.Output(b.ShiftRegister(b.Input("in"), phi1, phi2, 16))
 			return b.Finish()
 		}},
+	}
+}
+
+// TestNewRejectsUnknownCaseNames: a session whose case names no node — a
+// misspelling, or the supply alias "VDD" bound by the netlist — fails to
+// open with an Invalid error instead of timing a different case.
+func TestNewRejectsUnknownCaseNames(t *testing.T) {
+	for _, tc := range []struct {
+		opt  core.Options
+		want string
+	}{
+		{core.Options{SetHigh: []string{"bogus"}}, "SetHigh bogus"},
+		{core.Options{SetLow: []string{"VDD"}}, "SetLow VDD"},
+		{core.Options{InputTime: map[string]float64{"nosuch": 1}}, "InputTime nosuch"},
+	} {
+		b := gen.New("case", tech.Default())
+		b.Output(b.Inverter(b.Input("in")))
+		nl := b.Finish()
+		if nl.Node("VDD") != nl.VDD {
+			t.Fatal("VDD must be bound as an alias of the supply")
+		}
+		_, err := New(context.Background(), "case", nl, Options{Params: tech.Default(), Sched: testSchedule(), Core: tc.opt})
+		if tverr.KindOf(err) != tverr.Invalid || !strings.Contains(fmt.Sprint(err), tc.want) {
+			t.Errorf("New(%+v): error %v, want Invalid naming %q", tc.opt, err, tc.want)
+		}
 	}
 }
 

@@ -375,10 +375,20 @@ func supply[K string | []byte](nl *Netlist, name K) *Node {
 
 // Lookup returns the node with the given name, or nil.
 func (nl *Netlist) Lookup(name string) *Node {
-	if n, _ := find(&nl.names, nl.Nodes, name, nl.names.hashString(name)); n != nil {
+	if n := nl.Named(name); n != nil {
 		return n
 	}
 	return nl.aliases[name]
+}
+
+// Named returns the node whose own name is name, or nil. It resolves
+// the names an analysis is told about — case constants and input
+// arrival times — so, unlike Lookup, it follows no alias: "VDD" names
+// no node, since the supply's own name is "vdd", and every reader of a
+// case resolves each name to the same node or to none.
+func (nl *Netlist) Named(name string) *Node {
+	n, _ := find(&nl.names, nl.Nodes, name, nl.names.hashString(name))
+	return n
 }
 
 func (nl *Netlist) bindAlias(name string, n *Node) {

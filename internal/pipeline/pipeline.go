@@ -14,8 +14,8 @@
 //	corner analyses  corner-analyses        the base's node seed, patch    per-corner models, results
 //
 // A full run is the same path with no previous state: without a shard
-// cache every stage is rebuilt, and core.AnalyzeIncremental with no
-// previous result is core.Analyze.
+// cache every stage is rebuilt, and core.Analyze is a call of
+// core.AnalyzeIncremental with no previous result.
 package pipeline
 
 import (

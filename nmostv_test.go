@@ -2,12 +2,14 @@ package nmostv_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"nmostv"
 	"nmostv/internal/gen"
+	"nmostv/internal/tverr"
 )
 
 func TestInverterChainPipeline(t *testing.T) {
@@ -187,6 +189,36 @@ func TestFacadeAnalyzeCase(t *testing.T) {
 	if !(fastOnly.Settle(out) < both.Settle(out)) {
 		t.Errorf("case analysis must remove the slow leg: %g vs %g",
 			fastOnly.Settle(out), both.Settle(out))
+	}
+}
+
+// TestAnalyzeCaseRejectsUnknownNames: a case that names no node — a
+// misspelling, or the supply alias "VDD" bound by the netlist — is an
+// Invalid error through both facade entry points, not a silently
+// different case.
+func TestAnalyzeCaseRejectsUnknownNames(t *testing.T) {
+	p := nmostv.DefaultParams()
+	b := gen.New("case", p)
+	b.Output(b.Inverter(b.Input("in")))
+	nl := b.Finish()
+	if nl.Node("VDD") != nl.VDD {
+		t.Fatal("VDD must be bound as an alias of the supply")
+	}
+	sched := nmostv.TwoPhase(200, 0.8)
+	for _, tc := range []struct {
+		high, low []string
+		want      string
+	}{
+		{[]string{"bogus"}, nil, "SetHigh bogus"},
+		{nil, []string{"VDD"}, "SetLow VDD"},
+	} {
+		if _, err := nmostv.AnalyzeCase(nl, p, sched, tc.high, tc.low); tverr.KindOf(err) != tverr.Invalid || !strings.Contains(fmt.Sprint(err), tc.want) {
+			t.Errorf("AnalyzeCase(%v, %v): error %v, want Invalid naming %q", tc.high, tc.low, err, tc.want)
+		}
+		d := nmostv.Prepare(nl, p, nmostv.PrepareOptions{SetHigh: tc.high, SetLow: tc.low})
+		if _, err := d.Analyze(sched, nmostv.AnalyzeOptions{SetHigh: tc.high, SetLow: tc.low}); tverr.KindOf(err) != tverr.Invalid || !strings.Contains(fmt.Sprint(err), tc.want) {
+			t.Errorf("Design.Analyze(%v, %v): error %v, want Invalid naming %q", tc.high, tc.low, err, tc.want)
+		}
 	}
 }
 
