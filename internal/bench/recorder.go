@@ -3,8 +3,9 @@ package bench
 // T10: flight-recorder overhead. The daemon keeps a bounded per-request
 // tracer attached to every request (internal/obs.FlightRecorder), so the
 // recorder's cost rides the hot incremental-apply path. The design bound
-// is <3% — one pooled span per wavefront level with lazily-formatted
-// names, against a walk that touches every node in the cone — and this
+// is <3% — one pooled span per wavefront level a pass relaxes, with
+// lazily-formatted names, against a walk that touches every node in the
+// cone — and this
 // experiment measures it: interleaved recorder-on / recorder-off apply
 // batches on the tiled benchmark chip, same devices, same resize factors,
 // medians compared. cmd/perfgate re-runs the same measurement in CI when

@@ -1,15 +1,18 @@
 package core
 
-import "sync/atomic"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // Arena is reusable scratch memory for Analyze and AnalyzeIncremental:
-// the per-analysis working set (source-fix masks, dirty seeds, wave-plan
-// construction scratch, per-component dirty flags, check masks) is
-// carved out of a handful of type-homogeneous blocks instead of being
-// allocated slice-by-slice on every call. A session that passes the same
-// Arena through Options.Arena pays the allocation cost once: after the
-// first call at a given design size the blocks are capacity-stable and
-// every subsequent analysis reuses them without growing
+// the per-analysis working set (wave-plan construction scratch, the
+// forward passes' worklists, the relaxed-node list) is carved out of a
+// handful of type-homogeneous blocks instead of being allocated
+// slice-by-slice on every call. A session that passes the same Arena
+// through Options.Arena pays the allocation cost once: after the first
+// call at a given design size the blocks are capacity-stable and every
+// subsequent analysis reuses them without growing
 // (TestArenaReuseNoGrowth pins this).
 //
 // An Arena is NOT safe for concurrent use: it may back at most one
@@ -23,19 +26,31 @@ import "sync/atomic"
 // allocate a private one, which degenerates to the old per-call
 // allocation behavior.
 type Arena struct {
-	boolBuf  []bool
-	bOff     int
-	i32buf   []int32
-	iOff     int
-	dirtyBuf []atomic.Bool
-	dOff     int
+	boolBuf []bool
+	bOff    int
+	i32buf  []int32
+	iOff    int
+	// markBuf and bucketBuf back the worklists. Marks are never cleared:
+	// each worklist marks with a stamp no earlier one on this arena used.
+	markBuf   []atomic.Uint32
+	mOff      int
+	stamp     uint32
+	bucketBuf [][]int32
+	kOff      int
 }
 
 // begin resets the carve cursors for a new analysis call. Memory handed
 // out during the previous call is either dead or — for DeltaStats.Relaxed
-// — documented as valid only until the next call on the same arena.
+// — documented as valid only until the next call on the same arena. The
+// stamps wrap only after billions of calls; the marks are cleared then.
 func (ar *Arena) begin() {
-	ar.bOff, ar.iOff, ar.dOff = 0, 0, 0
+	ar.bOff, ar.iOff, ar.mOff, ar.kOff = 0, 0, 0, 0
+	if ar.stamp > math.MaxUint32-2 { // a call takes two stamps
+		for i := range ar.markBuf {
+			ar.markBuf[i].Store(0)
+		}
+		ar.stamp = 0
+	}
 }
 
 // carve slices n elements off a type-homogeneous block, growing the block
@@ -66,11 +81,19 @@ func (ar *Arena) int32s(n int) []int32 {
 	return carve(&ar.i32buf, &ar.iOff, n)
 }
 
-// atomicBools carves n cleared atomic flags.
-func (ar *Arena) atomicBools(n int) []atomic.Bool {
-	s := carve(&ar.dirtyBuf, &ar.dOff, n)
-	for i := range s {
-		s[i].Store(false)
+// worklist carves an empty worklist over plan ws: its marks under a new
+// stamp, and its buckets emptied but keeping their capacity, so a warm
+// arena queues a cone of the usual size without allocating.
+func (ar *Arena) worklist(ws *waveSchedule) *worklist {
+	ar.stamp++
+	w := &worklist{
+		level:  ws.level,
+		mark:   carve(&ar.markBuf, &ar.mOff, ws.numComps()),
+		stamp:  ar.stamp,
+		bucket: carve(&ar.bucketBuf, &ar.kOff, len(ws.levels)),
 	}
-	return s
+	for i := range w.bucket {
+		w.bucket[i] = w.bucket[i][:0]
+	}
+	return w
 }

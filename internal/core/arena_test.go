@@ -8,10 +8,15 @@ import (
 	"nmostv/internal/tech"
 )
 
-// arenaLens snapshots the backing-block sizes of every arena pool; equal
-// snapshots across calls mean no block was regrown.
-func arenaLens(ar *Arena) [3]int {
-	return [3]int{len(ar.boolBuf), len(ar.i32buf), len(ar.dirtyBuf)}
+// arenaLens snapshots the backing-block sizes of every arena pool, the
+// worklist buckets' capacities included; equal snapshots across calls
+// mean no block was regrown.
+func arenaLens(ar *Arena) [5]int {
+	buckets := 0
+	for _, b := range ar.bucketBuf {
+		buckets += cap(b)
+	}
+	return [5]int{len(ar.boolBuf), len(ar.i32buf), len(ar.markBuf), len(ar.bucketBuf), buckets}
 }
 
 // TestArenaReuseNoGrowth pins the Options.Arena contract the incremental
@@ -36,8 +41,7 @@ func TestArenaReuseNoGrowth(t *testing.T) {
 	// Dirty a source so every incremental pass re-relaxes the chain cone —
 	// the arena must absorb the full dirty-walk working set, not just the
 	// no-op path.
-	seed := make([]bool, len(nl.Nodes))
-	seed[in.Index] = true
+	seed := []int32{int32(in.Index)}
 
 	res, _, err = AnalyzeIncremental(ctx, nl, m, sched(), opt, res, seed)
 	if err != nil {
@@ -90,8 +94,7 @@ func TestAnalyzeIncrementalArenaAllocsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
-	seed := make([]bool, len(nl.Nodes))
-	seed[in.Index] = true
+	seed := []int32{int32(in.Index)}
 	res, _, err = AnalyzeIncremental(ctx, nl, m, sched(), opt, res, seed)
 	if err != nil {
 		t.Fatalf("warm AnalyzeIncremental: %v", err)

@@ -28,9 +28,7 @@ func settledPass(tb testing.TB, chain int, o *obs.Obs) *pass {
 	}
 	a := &analysis{Result: res, opt: Options{Workers: 1, Obs: o}.withDefaults(), ctx: context.Background()}
 	a.initMetrics()
-	a.initSources()
-	// initSources resets source arrivals to their fixed values; the rest
-	// of res's arrivals are the settled fixpoint, unchanged.
+	// res's arrivals are the settled fixpoint, its sources anchored.
 	return &pass{analysis: a, kind: settlePass, val: res.settleVals()}
 }
 

@@ -79,9 +79,9 @@ func TestAnalyzeIncrementalAbortKeepsPrev(t *testing.T) {
 	rise := make([]float64, len(prev.RiseAt))
 	copy(rise, prev.RiseAt)
 
-	seed := make([]bool, len(nl.Nodes))
+	seed := make([]int32, len(nl.Nodes))
 	for i := range seed {
-		seed[i] = true
+		seed[i] = int32(i)
 	}
 	faultpoint.Arm("core.propagate.level", faultpoint.Action{Err: faultpoint.ErrInjected})
 	_, _, err = AnalyzeIncremental(context.Background(), nl, m, sched(), Options{}, prev, seed)

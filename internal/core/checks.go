@@ -58,32 +58,36 @@ func compareChecks(x, y *Check) int {
 }
 
 // runChecks populates Result.Checks from the settled arrivals. With a nil
-// affected mask it derives every node's checks. Otherwise prev is the
-// previous result's list over the same arcs, and only the affected nodes'
-// checks are derived again: the previous list minus its checks on those
-// nodes is merged with the new ones, which the total order makes equal
-// to a full pass.
-func (a *analysis) runChecks(prev []Check, affected []bool) {
-	n := len(a.NL.Nodes)
-	loop := a.arena.bools(n)
-	for _, nd := range a.loopNodes {
-		loop[nd.Index] = true
-	}
+// prev it derives every node's checks. Otherwise prev is the previous
+// result's list over the same arcs, nodes lists in index order the nodes
+// whose checks can have changed and affected tests membership in it:
+// only their checks are derived again, and the previous list minus its
+// checks on those nodes is merged with the new ones, which the total
+// order makes equal to a full pass.
+func (a *analysis) runChecks(prev []Check, nodes []int32, affected func(v int32) bool) {
 	var fresh []Check
-	for v := 0; v < n; v++ {
-		if affected == nil || affected[v] {
-			fresh = a.nodeChecks(int32(v), loop[v], fresh)
+	loops := a.loopNodes // in index order, like the nodes
+	derive := func(v int32) {
+		for len(loops) > 0 && int32(loops[0].Index) < v {
+			loops = loops[1:]
 		}
+		fresh = a.nodeChecks(v, len(loops) > 0 && int32(loops[0].Index) == v, fresh)
 	}
-	fresh = sortChecks(fresh)
-	if affected == nil {
-		a.Checks = fresh
+	if prev == nil {
+		for v := range a.NL.Nodes {
+			derive(int32(v))
+		}
+		a.Checks = sortChecks(fresh)
 		return
 	}
+	for _, v := range nodes {
+		derive(v)
+	}
+	fresh = sortChecks(fresh)
 	out := make([]Check, 0, len(prev)+len(fresh))
 	j := 0
 	for i := range prev {
-		if affected[prev[i].Node.Index] {
+		if affected(int32(prev[i].Node.Index)) {
 			continue
 		}
 		for j < len(fresh) && compareChecks(&fresh[j], &prev[i]) < 0 {
@@ -110,28 +114,6 @@ func sortChecks(checks []Check) []Check {
 	return out
 }
 
-// affectedChecks marks the nodes whose checks an incremental pass must
-// derive again: every re-relaxed node, and the To node of every out-arc
-// of a node whose settle or early arrival moved from prev's, by the
-// walk's rule (movedAt).
-func (a *analysis) affectedChecks(relaxed []bool, prev *Result) []bool {
-	affected := a.arena.bools(len(relaxed))
-	settle, early := a.settleVals(), a.earlyVals()
-	wasSettle, wasEarly := prev.settleVals(), prev.earlyVals()
-	for v, rel := range relaxed {
-		if rel {
-			affected[v] = true
-		}
-		if !movedAt(settle, wasSettle, v) && !movedAt(early, wasEarly, v) {
-			continue
-		}
-		for _, ei := range a.wave.out(int32(v)) {
-			affected[a.Model.Edges[ei].To] = true
-		}
-	}
-	return affected
-}
-
 // nodeChecks appends node v's checks to out. Its in-arcs come in
 // ascending arc order, so where several arcs qualify for one check —
 // the worst latch check per polarity and phase, the first dead-path arc,
@@ -139,7 +121,7 @@ func (a *analysis) affectedChecks(relaxed []bool, prev *Result) []bool {
 // order wins.
 func (a *analysis) nodeChecks(v int32, loop bool, out []Check) []Check {
 	node := a.NL.Nodes[v]
-	storage := a.clockedStorage[v]
+	storage := a.src.storage[v]
 	latch := [4]int{-1, -1, -1, -1} // by 2·(phase−1) + polarity: index into out
 	race := [2]int{-1, -1}          // by phase−1
 	dead := false

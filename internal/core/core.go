@@ -215,14 +215,14 @@ type Result struct {
 
 	predRise, predFall []pred
 
-	// wave, clockedStorage, and loopNodes persist the propagation plan
-	// and derived classifications so AnalyzeIncremental can extend this
-	// result after a delta instead of starting over. moves records how
-	// the arcs moved from the previous result's model (for Plan).
-	wave           *waveSchedule
-	clockedStorage []bool
-	loopNodes      []*netlist.Node
-	moves          arcMoves
+	// wave, src, and loopNodes persist the propagation plan and derived
+	// classifications so AnalyzeIncremental can extend this result after
+	// a delta instead of starting over. moves records how the arcs moved
+	// from the previous result's model (for Plan).
+	wave      *waveSchedule
+	src       *sourceSet
+	loopNodes []*netlist.Node
+	moves     arcMoves
 
 	// reqMu guards req, the backward pass Required memoizes, and what an
 	// incremental result keeps for it until it runs: the previous
@@ -312,19 +312,6 @@ func (a *analysis) initMetrics() {
 		"components scheduled across all propagation passes")
 }
 
-// classifyStorage determines which storage nodes are clock-latched: at
-// least one incoming arc launched by a clock.
-func (a *analysis) classifyStorage() {
-	a.clockedStorage = make([]bool, len(a.NL.Nodes))
-	flags := a.Model.NodeFlags
-	for i := range a.Model.Edges {
-		e := &a.Model.Edges[i]
-		if flags[e.To]&netlist.FlagStorage != 0 && flags[e.From]&netlist.FlagClock != 0 {
-			a.clockedStorage[e.To] = true
-		}
-	}
-}
-
 // allocArrays lays out the Result-owned per-node arrays: the four arrival
 // arrays share one 4n float64 block and the two predecessor arrays one 2n
 // block, so a Result is two allocations and the settle/early pair of each
@@ -387,20 +374,7 @@ type analysis struct {
 	stopped  atomic.Bool
 	stopErr  error
 	stopOnce sync.Once
-	// constants holds the case constants' node indices (SetHigh and
-	// SetLow, resolved once per analysis).
-	constants []int32
-	// fixedRise/fixedFall mark per-polarity source arrivals that must
-	// not be relaxed. (Result.wave is the shared propagation plan;
-	// Result.clockedStorage marks storage nodes written through a
-	// clock-gated device — they launch from the clock arc and their data
-	// arcs become setup checks, while storage gated by ordinary signals
-	// propagates normally; Result.loopNodes collects nodes in
-	// non-converging cycles.)
-	fixedRise, fixedFall []bool
-	// arena supplies the call's scratch memory; see Options.Arena. Set by
-	// the entry points (lazily by initSources for test harnesses that
-	// drive the phases directly).
+	// arena supplies the call's scratch memory; see Options.Arena.
 	arena *Arena
 	// mLevels and mComps are pre-resolved wavefront counters (nil when
 	// instrumentation is disabled; see initMetrics).
@@ -440,7 +414,41 @@ func (a *analysis) checkpoint() bool {
 	return true
 }
 
-// initSources fixes the arrivals that anchor the analysis:
+// sourceSet is what the sources+storage step derives: which polarities
+// of which nodes are anchored, at what times, and which storage nodes a
+// clock latches. It reads only the model's node snapshot and arc
+// endpoints, the schedule and the resolved case inputs, so an analysis
+// whose inputs to it are an earlier one's shares the earlier set: a
+// Sizes edit (its build shares the node snapshot and keeps the arc
+// layout) and every corner of one run (through the plan). Immutable.
+type sourceSet struct {
+	// fixedRise and fixedFall mark the anchored polarities, which no
+	// pass relaxes.
+	fixedRise, fixedFall []bool
+	// storage marks the storage nodes written through a clock-gated
+	// device: they launch from the clock arc, and their data arcs are
+	// setup checks, not propagation. Storage gated by ordinary signals
+	// propagates normally.
+	storage []bool
+	// anchors lists the anchored nodes in index order with their
+	// anchor times; a polarity that is not fixed has none.
+	anchors []anchor
+	// flags, phase, layout, sched and cases are what the set was
+	// derived from.
+	flags  []netlist.Flag
+	phase  []int32
+	layout uint64
+	sched  clocks.Schedule
+	cases  caseInputs
+}
+
+// anchor is one anchored node and its fixed settle times.
+type anchor struct {
+	node       int32
+	rise, fall float64
+}
+
+// deriveSources anchors the analysis:
 //
 //   - supplies never transition;
 //   - clocks transition at their scheduled edges;
@@ -448,53 +456,152 @@ func (a *analysis) checkpoint() bool {
 //   - precharged nodes are high from the start of the cycle (their
 //     precharge happened in the previous cycle's window; that the
 //     precharge completes in its window is verified as a check);
-//   - storage nodes (latch outputs) launch from their clock edge only —
-//     handled in relaxNode by restricting their incoming arcs to
-//     clock-driven ones; data arcs into them become setup checks;
-//   - case constants never transition, whatever else they are.
-func (a *analysis) initSources() {
-	nl := a.NL
-	if a.arena == nil {
-		a.arena = &Arena{}
+//   - case constants never transition, whatever else they are;
+//
+// and marks as clock-latched the storage nodes with at least one
+// incoming arc launched by a clock: relaxNode restricts their incoming
+// arcs to clock-driven ones, and their data arcs become setup checks.
+func deriveSources(m *delay.Model, sched clocks.Schedule, cases caseInputs) *sourceSet {
+	n := len(m.NodeFlags)
+	block := make([]bool, 3*n)
+	s := &sourceSet{
+		fixedRise: block[0*n : 1*n : 1*n],
+		fixedFall: block[1*n : 2*n : 2*n],
+		storage:   block[2*n : 3*n : 3*n],
+		flags:     m.NodeFlags, phase: m.NodePhase, layout: m.Layout, sched: sched, cases: cases,
 	}
-	a.fixedRise = a.arena.bools(len(nl.Nodes))
-	a.fixedFall = a.arena.bools(len(nl.Nodes))
-	for _, n := range nl.Nodes {
+	c, in := cases.constants, cases.inputs
+	for i, f := range m.NodeFlags {
+		v := int32(i)
+		for len(c) > 0 && c[0] < v {
+			c = c[1:]
+		}
+		for len(in) > 0 && in[0].node < v {
+			in = in[1:]
+		}
+		an := anchor{node: v, rise: NegInf, fall: NegInf}
+		fall := true
 		switch {
-		case n.IsSupply():
-			a.fixedRise[n.Index] = true
-			a.fixedFall[n.Index] = true
-		case n.IsClock():
-			a.RiseAt[n.Index] = a.Sched.Rise(n.Phase)
-			a.FallAt[n.Index] = a.Sched.Fall(n.Phase)
-			a.fixedRise[n.Index] = true
-			a.fixedFall[n.Index] = true
-		case n.Flags.Has(netlist.FlagInput):
-			t := a.opt.DefaultInputTime
-			if it, ok := a.opt.InputTime[n.Name]; ok {
-				t = it
+		case len(c) > 0 && c[0] == v, f.Has(netlist.FlagSupply):
+		case f.Has(netlist.FlagClock):
+			an.rise, an.fall = sched.Rise(int(m.NodePhase[i])), sched.Fall(int(m.NodePhase[i]))
+		case f.Has(netlist.FlagInput):
+			an.rise = cases.dflt
+			if len(in) > 0 && in[0].node == v {
+				an.rise = in[0].t
 			}
-			a.RiseAt[n.Index] = t
-			a.FallAt[n.Index] = t
-			a.fixedRise[n.Index] = true
-			a.fixedFall[n.Index] = true
-		case n.Flags.Has(netlist.FlagPrecharged):
-			a.RiseAt[n.Index] = 0
-			a.fixedRise[n.Index] = true
+			an.fall = an.rise
+		case f.Has(netlist.FlagPrecharged):
+			an.rise, fall = 0, false
+		default:
+			continue
+		}
+		s.fixedRise[i], s.fixedFall[i] = true, fall
+		s.anchors = append(s.anchors, an)
+	}
+	for i := range m.Edges {
+		e := &m.Edges[i]
+		if m.NodeFlags[e.To]&netlist.FlagStorage != 0 && m.NodeFlags[e.From]&netlist.FlagClock != 0 {
+			s.storage[e.To] = true
 		}
 	}
-	for _, v := range a.constants {
-		a.RiseAt[v], a.FallAt[v] = NegInf, NegInf
-		a.fixedRise[v], a.fixedFall[v] = true, true
+	return s
+}
+
+// fits reports whether the set is the one deriveSources would derive for
+// model m under sched and cases: m shares the node snapshot it was
+// derived from and has its arc layout.
+func (s *sourceSet) fits(m *delay.Model, sched clocks.Schedule, cases caseInputs) bool {
+	return s != nil && s.layout != 0 && s.layout == m.Layout &&
+		sameArray(s.flags, m.NodeFlags) && sameArray(s.phase, m.NodePhase) &&
+		s.sched == sched && s.cases.equal(cases)
+}
+
+// sameArray reports whether two slices are the same array.
+func sameArray[T any](x, y []T) bool {
+	return len(x) == len(y) && (len(x) == 0 || &x[0] == &y[0])
+}
+
+// sourcesFor returns the analysis's sources+storage set: the plan's (a
+// corner shares its base's) or prev's when it fits, else a new one.
+func (a *analysis) sourcesFor(prev *Result, cases caseInputs) *sourceSet {
+	if p := a.opt.Plan; p != nil && p.src.fits(a.Model, a.Sched, cases) {
+		return p.src
+	}
+	if prev != nil && prev.src.fits(a.Model, a.Sched, cases) {
+		return prev.src
+	}
+	return deriveSources(a.Model, a.Sched, cases)
+}
+
+// anchorSources writes the anchored settle times and clears the anchored
+// polarities' predecessor records: a source has no producing arc.
+func (a *analysis) anchorSources() {
+	s := a.src
+	for _, an := range s.anchors {
+		if s.fixedRise[an.node] {
+			a.RiseAt[an.node], a.predRise[an.node] = an.rise, pred{edge: -1}
+		}
+		if s.fixedFall[an.node] {
+			a.FallAt[an.node], a.predFall[an.node] = an.fall, pred{edge: -1}
+		}
 	}
 }
 
-// caseConstants resolves opt's case constants to node indices, each name
-// by the node's own name (netlist.Named). Any name there or among
-// InputTime's keys that names no node fails the analysis with a
+// anchorEarly gives the early pass's sources the settle pass's anchor
+// times: a clock edge happens exactly at its scheduled time, an input
+// changes at its given time, a precharged node is high from the cycle
+// start. An anchored polarity that never transitions has no earliest
+// arrival. Settle values feed the early pass only through these anchors.
+func (a *analysis) anchorEarly() {
+	s := a.src
+	for _, an := range s.anchors {
+		if s.fixedRise[an.node] {
+			a.EarlyRise[an.node] = earlyAnchor(an.rise)
+		}
+		if s.fixedFall[an.node] {
+			a.EarlyFall[an.node] = earlyAnchor(an.fall)
+		}
+	}
+}
+
+func earlyAnchor(t float64) float64 {
+	if isInfNeg(t) {
+		return PosInf
+	}
+	return t
+}
+
+// caseInputs are an analysis's case options resolved to node indices:
+// the case constants (SetHigh and SetLow) and the inputs InputTime
+// times, each in index order, and DefaultInputTime.
+type caseInputs struct {
+	constants []int32
+	inputs    []inputTime
+	dflt      float64
+}
+
+// inputTime is one InputTime entry resolved to its node.
+type inputTime struct {
+	node int32
+	t    float64
+}
+
+// equal reports whether two resolved case inputs anchor the same times,
+// bit for bit.
+func (c caseInputs) equal(o caseInputs) bool {
+	return sameBits(c.dflt, o.dflt) && slices.Equal(c.constants, o.constants) &&
+		slices.EqualFunc(c.inputs, o.inputs, func(x, y inputTime) bool {
+			return x.node == y.node && sameBits(x.t, y.t)
+		})
+}
+
+// resolveCases resolves opt's case options to node indices, each name by
+// the node's own name (netlist.Named). Any name among SetHigh, SetLow
+// and InputTime's keys that names no node fails the analysis with a
 // tverr.Invalid error listing each such name with its option.
-func caseConstants(nl *netlist.Netlist, opt Options) ([]int32, error) {
-	var constants []int32
+func resolveCases(nl *netlist.Netlist, opt Options) (caseInputs, error) {
+	c := caseInputs{dflt: opt.DefaultInputTime}
 	var unknown []string
 	for _, list := range []struct {
 		option string
@@ -502,29 +609,34 @@ func caseConstants(nl *netlist.Netlist, opt Options) ([]int32, error) {
 	}{{"SetHigh", opt.SetHigh}, {"SetLow", opt.SetLow}} {
 		for _, name := range list.names {
 			if n := nl.Named(name); n != nil {
-				constants = append(constants, int32(n.Index))
+				c.constants = append(c.constants, int32(n.Index))
 			} else {
 				unknown = append(unknown, list.option+" "+name)
 			}
 		}
 	}
-	for name := range opt.InputTime {
-		if nl.Named(name) == nil {
+	for name, t := range opt.InputTime {
+		if n := nl.Named(name); n != nil {
+			c.inputs = append(c.inputs, inputTime{node: int32(n.Index), t: t})
+		} else {
 			unknown = append(unknown, "InputTime "+name)
 		}
 	}
 	if len(unknown) > 0 {
 		slices.Sort(unknown)
-		return nil, tverr.Errorf(tverr.Invalid, "core", "no such node: %s", strings.Join(slices.Compact(unknown), ", "))
+		return caseInputs{}, tverr.Errorf(tverr.Invalid, "core", "no such node: %s", strings.Join(slices.Compact(unknown), ", "))
 	}
-	return constants, nil
+	slices.Sort(c.constants)
+	c.constants = slices.Compact(c.constants)
+	slices.SortFunc(c.inputs, func(x, y inputTime) int { return int(x.node) - int(y.node) })
+	return c, nil
 }
 
 func (a *analysis) isFixed(idx int, pol Polarity) bool {
 	if pol == Rise {
-		return a.fixedRise[idx]
+		return a.src.fixedRise[idx]
 	}
-	return a.fixedFall[idx]
+	return a.src.fixedFall[idx]
 }
 
 // maskWindow returns the launch clamp and completion deadline implied by a

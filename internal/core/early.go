@@ -15,7 +15,7 @@ var PosInf = math.Inf(1)
 // Storage nodes launch from clock arcs only, as in the settle pass.
 func (a *analysis) relaxNodeEarly(v int32) bool {
 	idx := int(v)
-	storage := a.clockedStorage[idx]
+	storage := a.src.storage[idx]
 	changed := false
 	for _, pol := range bothPols {
 		if a.isFixed(idx, pol) {

@@ -37,7 +37,7 @@ func (r *Result) ArcsInto(v int32) []int32 { return r.wave.in(v) }
 // ClockedStorage reports whether node v is a storage node written through
 // a clocked pass device: such nodes launch from their clock edge only, so
 // backward path traversal must enter them via clock-gated arcs.
-func (r *Result) ClockedStorage(v int32) bool { return r.clockedStorage[v] }
+func (r *Result) ClockedStorage(v int32) bool { return r.src.storage[v] }
 
 // SameComp reports whether nodes a and b belong to the same strongly
 // connected component of the arc graph. Arcs between distinct components

@@ -4,7 +4,6 @@ import (
 	"context"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"nmostv/internal/clocks"
 	"nmostv/internal/delay"
@@ -23,24 +22,26 @@ type DeltaStats struct {
 	// ReusedWave reports whether the previous propagation plan was kept
 	// (arc endpoints unchanged).
 	ReusedWave bool
-	// Relaxed marks, per node index, the nodes re-relaxed in either pass.
-	// When the call ran with Options.Arena, the mask is arena-backed:
-	// consume it before the next analysis on that arena.
-	Relaxed []bool
+	// Relaxed lists, in index order, the nodes re-relaxed in either
+	// pass: every node whose arrivals can differ from the previous
+	// result's. When the call ran with Options.Arena, the list is
+	// arena-backed: consume it before the next analysis on that arena.
+	Relaxed []int32
 }
 
 // AnalyzeIncremental extends a previous analysis after a netlist edit
-// instead of starting over. dirtySeed marks (by node index) every node
-// whose incoming timing arcs may have changed — for a delta this is the
-// nodes of the stages the delay cache rebuilt; new nodes, changed source
-// anchors, changed storage classifications, and components whose member
-// list a rebuilt plan changed are detected here and added to the seed.
-// Only the components of the propagation plan reachable from the seed
-// through value changes are re-relaxed; everything else keeps the
-// previous fixpoint, which is provably equal to what a from-scratch run
-// would compute (untouched components have identical incoming arrivals,
-// identical internal arcs, and the same member list). The returned Result
-// is bit-identical to Analyze(nl, model, sched, opt) on the same state.
+// instead of starting over. dirtySeed lists (by node index, in any order)
+// every node whose incoming timing arcs may have changed — for a delta
+// this is the nodes of the stages the delay cache rebuilt; new nodes,
+// changed source anchors, changed storage classifications, and
+// components whose member list a rebuilt plan changed are detected here
+// and added to the seed. Only the components of the propagation plan
+// reachable from the seed through value changes are re-relaxed;
+// everything else keeps the previous fixpoint, which is provably equal to
+// what a from-scratch run would compute (untouched components have
+// identical incoming arrivals, identical internal arcs, and the same
+// member list). The returned Result is bit-identical to Analyze(nl,
+// model, sched, opt) on the same state.
 //
 // When prev's backward pass has run, the result also keeps prev's
 // Required and a list of seed nodes, so its own first Required call
@@ -52,11 +53,11 @@ type DeltaStats struct {
 // component relaxes, with no seed and no wake. The context aborts the
 // walk mid-pass; the caller's previous Result is never mutated, so an
 // aborted incremental pass leaves the published analysis intact.
-func AnalyzeIncremental(ctx context.Context, nl *netlist.Netlist, model *delay.Model, sched clocks.Schedule, opt Options, prev *Result, dirtySeed []bool) (*Result, DeltaStats, error) {
+func AnalyzeIncremental(ctx context.Context, nl *netlist.Netlist, model *delay.Model, sched clocks.Schedule, opt Options, prev *Result, dirtySeed []int32) (*Result, DeltaStats, error) {
 	if err := sched.Validate(); err != nil {
 		return nil, DeltaStats{}, err
 	}
-	constants, err := caseConstants(nl, opt)
+	cases, err := resolveCases(nl, opt)
 	if err != nil {
 		return nil, DeltaStats{}, err
 	}
@@ -67,7 +68,7 @@ func AnalyzeIncremental(ctx context.Context, nl *netlist.Netlist, model *delay.M
 	n := len(nl.Nodes)
 	r := &Result{NL: nl, Model: model, Sched: sched}
 	r.allocArrays(n, prev)
-	a := &analysis{Result: r, opt: opt, ctx: orBackground(ctx), constants: constants}
+	a := &analysis{Result: r, opt: opt, ctx: orBackground(ctx)}
 	a.arena = arenaFor(opt)
 	a.initMetrics()
 	spans := [...]string{"analyze", "propagate", "propagate-early"}
@@ -96,31 +97,20 @@ func AnalyzeIncremental(ctx context.Context, nl *netlist.Netlist, model *delay.M
 	sp.End()
 
 	sp = opt.Obs.Span("sources+storage")
-	a.initSources()
-	a.classifyStorage()
+	r.src = a.sourcesFor(prev, cases)
+	a.anchorSources()
 	sp.End()
 
 	settle := &pass{analysis: a, kind: settlePass, val: r.settleVals()}
 	early := &pass{analysis: a, kind: earlyPass, val: r.earlyVals()}
-	var base []bool
+	var base []int32
 	if prev != nil {
-		// A source never has a producing arc; clear any pred left over
-		// from a node that only just became fixed (e.g. an added input
-		// annotation).
-		for i := 0; i < n; i++ {
-			if a.fixedRise[i] {
-				r.predRise[i] = pred{edge: -1}
-			}
-			if a.fixedFall[i] {
-				r.predFall[i] = pred{edge: -1}
-			}
-		}
 		base = a.structuralSeed(prev, dirtySeed)
 		settle.prev, early.prev = prev.settleVals(), prev.earlyVals()
 	}
 	sp = opt.Obs.Span(spans[1])
 	if prev != nil {
-		settle.seed(base)
+		settle.seed(base, prev)
 	}
 	settle.walk()
 	sp.End()
@@ -129,7 +119,7 @@ func AnalyzeIncremental(ctx context.Context, nl *netlist.Netlist, model *delay.M
 	// in node-index order whatever the discovery order was.
 	if prev != nil {
 		for _, nd := range prev.loopNodes {
-			if !settle.dirty[r.wave.compOf[nd.Index]].Load() {
+			if !settle.work.has(r.wave.compOf[nd.Index]) {
 				r.loopNodes = append(r.loopNodes, nd)
 			}
 		}
@@ -138,170 +128,186 @@ func AnalyzeIncremental(ctx context.Context, nl *netlist.Netlist, model *delay.M
 		return r.loopNodes[i].Index < r.loopNodes[j].Index
 	})
 
-	// The early pass's sources get the settle pass's anchor times: a
-	// clock edge happens exactly at its scheduled time, an input changes
-	// at its given time, a precharged node is high from the cycle start.
-	// Settle values feed the early pass only through these anchors.
 	sp = opt.Obs.Span(spans[2])
-	for i := 0; i < n; i++ {
-		if a.fixedRise[i] && !isInfNeg(r.RiseAt[i]) {
-			r.EarlyRise[i] = r.RiseAt[i]
-		}
-		if a.fixedFall[i] && !isInfNeg(r.FallAt[i]) {
-			r.EarlyFall[i] = r.FallAt[i]
-		}
-	}
+	a.anchorEarly()
 	if prev != nil {
-		early.seed(base)
+		early.seed(base, prev)
 	}
 	early.walk()
 	sp.End()
 	if err := a.abortErr(); err != nil {
 		return nil, DeltaStats{}, err
 	}
-	stats := a.coneStats(settle.dirty, early.dirty)
+	stats := a.coneStats(settle.work, early.work)
 	stats.ReusedWave = prev != nil && r.wave == prev.wave
 
 	if prev != nil {
 		if q := prev.memo(); q != nil {
 			r.reqPrev = q
-			r.reqSeeds = a.requiredSeeds(prev, base)
+			r.reqSeeds = a.requiredSeeds(prev, base, settle.work)
 		}
 	}
 	// Checks name arcs by index and read the schedule, so they splice
-	// only over the previous plan under the same schedule.
+	// only over the previous plan under the same schedule. A node's
+	// checks read its in-arcs, its storage class, its output flag, its
+	// loop verdict and its in-arcs' causes' settle and early arrivals. A
+	// node whose in-arcs, storage class or flags changed is in the seed,
+	// a loop verdict changes only in a relaxed component, and a cause
+	// whose arrival moved woke the component of every To node of its
+	// out-arcs. So the relaxed nodes are every node whose checks can
+	// differ from prev's.
 	sp = opt.Obs.Span("checks")
 	if stats.ReusedWave && sched == prev.Sched {
-		a.runChecks(prev.Checks, a.affectedChecks(stats.Relaxed, prev))
+		a.runChecks(prev.Checks, stats.Relaxed, func(v int32) bool {
+			c := r.wave.compOf[v]
+			return settle.work.has(c) || early.work.has(c)
+		})
 	} else {
-		a.runChecks(nil, nil)
+		a.runChecks(nil, nil, nil)
 	}
 	sp.End()
 	return r, stats, nil
 }
 
-// structuralSeed marks the nodes to re-relax whatever their inputs'
-// values: the caller's dirty nodes, nodes prev lacks, nodes whose storage
-// classification flipped (their incoming-arc filter changed), and
-// components a rebuilt plan reordered or split.
-func (a *analysis) structuralSeed(prev *Result, dirtySeed []bool) []bool {
-	base := a.arena.bools(len(a.NL.Nodes))
-	for i := range base {
-		if (i < len(dirtySeed) && dirtySeed[i]) || i >= len(prev.RiseAt) {
-			base[i] = true
-			continue
-		}
-		ps := i < len(prev.clockedStorage) && prev.clockedStorage[i]
-		if a.clockedStorage[i] != ps {
-			base[i] = true
+// structuralSeed lists, in index order, the nodes to re-relax whatever
+// their inputs' values: the caller's dirty nodes, nodes prev lacks,
+// components a rebuilt plan reordered or split, and — only when the
+// storage classification was derived again — nodes whose class flipped
+// (their incoming-arc filter changed).
+func (a *analysis) structuralSeed(prev *Result, dirty []int32) []int32 {
+	seed := slices.Clone(dirty)
+	for i := len(prev.RiseAt); i < len(a.RiseAt); i++ {
+		seed = append(seed, int32(i))
+	}
+	if was := prev.src.storage; a.src != prev.src {
+		for i, s := range a.src.storage[:len(was)] {
+			if s != was[i] {
+				seed = append(seed, int32(i))
+			}
 		}
 	}
 	if a.wave != prev.wave {
-		seedChangedComps(a.wave, prev.wave, base)
+		seed = appendChangedComps(a.wave, prev.wave, seed)
 	}
-	return base
+	slices.Sort(seed)
+	return slices.Compact(seed)
 }
 
-// seed flags the components the pass must relax: those holding a node of
-// the structural seed or a node whose values moved from the previous
-// fixpoint's. Sources are anchored by then, and initSources only ever
-// writes fixed values, so a moved value there is an anchor change.
-func (p *pass) seed(base []bool) {
-	p.dirty = p.arena.atomicBools(p.wave.numComps())
-	for i, b := range base {
-		if b || movedAt(p.val, p.prev, i) {
-			p.dirty[p.wave.compOf[i]].Store(true)
+// seed queues the components the pass must relax: those holding a node
+// of the structural seed and, when the sources were derived again, an
+// anchored node whose values moved from the previous fixpoint's. Before
+// the walk only an anchor can have moved: every other value is prev's.
+func (p *pass) seed(base []int32, prev *Result) {
+	p.work = p.arena.worklist(p.wave)
+	for _, v := range base {
+		p.work.add(p.wave.compOf[v])
+	}
+	if p.src == prev.src {
+		return
+	}
+	for _, an := range p.src.anchors {
+		if movedAt(p.val, p.prev, int(an.node)) {
+			p.work.add(p.wave.compOf[an.node])
 		}
 	}
 }
 
 // coneStats counts what the two forward passes relaxed — the components
-// their dirty flags mark, or every component from scratch — and marks the
+// their worklists queued, or every component from scratch — and lists the
 // nodes relaxed in either.
-func (a *analysis) coneStats(settle, early []atomic.Bool) DeltaStats {
+func (a *analysis) coneStats(settle, early *worklist) DeltaStats {
 	ws := a.wave
-	st := DeltaStats{Comps: ws.numComps(), Relaxed: a.arena.bools(len(ws.compOf))}
+	st := DeltaStats{Comps: ws.numComps()}
 	if settle == nil {
 		st.CompsRelaxed, st.NodesRelaxed = st.Comps, len(ws.compOf)
+		st.Relaxed = a.arena.int32s(len(ws.compOf))
 		for i := range st.Relaxed {
-			st.Relaxed[i] = true
+			st.Relaxed[i] = int32(i)
 		}
 		return st
 	}
-	var sc, ec, sn, en int
-	for ci := range settle {
-		s, e := settle[ci].Load(), early[ci].Load()
-		if !s && !e {
-			continue
-		}
-		comp := ws.comp(int32(ci))
-		for _, v := range comp {
-			st.Relaxed[v] = true
-		}
-		if s {
-			sc, sn = sc+1, sn+len(comp)
-		}
-		if e {
-			ec, en = ec+1, en+len(comp)
+	sc, sn := settle.size(ws)
+	ec, en := early.size(ws)
+	st.CompsRelaxed, st.NodesRelaxed = max(sc, ec), max(sn, en)
+	rel := a.arena.int32s(sn + en)[:0]
+	for _, w := range [...]*worklist{settle, early} {
+		for _, b := range w.bucket {
+			for _, ci := range b {
+				if w == early && settle.has(ci) {
+					continue
+				}
+				rel = append(rel, ws.comp(ci)...)
+			}
 		}
 	}
-	st.CompsRelaxed, st.NodesRelaxed = max(sc, ec), max(sn, en)
+	slices.Sort(rel)
+	st.Relaxed = rel
 	return st
 }
 
-// seedChangedComps marks, for a plan rebuilt from old, the first node of
-// every component whose node sequence differs from old's component of
+// size counts the components the worklist queued and their nodes.
+func (w *worklist) size(ws *waveSchedule) (comps, nodes int) {
+	for _, b := range w.bucket {
+		comps += len(b)
+		for _, ci := range b {
+			nodes += len(ws.comp(ci))
+		}
+	}
+	return comps, nodes
+}
+
+// appendChangedComps appends, for a plan rebuilt from old, the first node
+// of every component whose node sequence differs from old's component of
 // that node. Keeping a component's previous values is only sound when it
 // relaxes over the same member list: a component that does not converge
 // stops after SCCIterBound·|comp|+8 rounds, and the Gauss–Seidel order —
 // hence its values, and which of two equal arcs a node records — follows
 // the list. Each new component is compared once, so the pass is O(n).
 // Components holding a new node are seeded already.
-func seedChangedComps(ws, old *waveSchedule, seed []bool) {
+func appendChangedComps(ws, old *waveSchedule, seed []int32) []int32 {
 	for ci := 0; ci < ws.numComps(); ci++ {
 		comp := ws.comp(int32(ci))
 		v := comp[0]
 		if int(v) < len(old.compOf) && !slices.Equal(comp, old.comp(old.compOf[v])) {
-			seed[v] = true
+			seed = append(seed, v)
 		}
 	}
+	return seed
 }
 
-// requiredSeeds lists the nodes whose required times may differ from
-// prev's even where every successor's required time is unchanged: the
-// structural seed, the From nodes of the seed nodes' old and new in-arcs
-// (the arcs that may have changed, appeared or vanished, and the arcs a
-// flipped storage filter reclassified), and every node whose settle
-// arrival changed (arrivals decide which arcs transmit, and the slack).
-// The list is as long as the cone, not the design.
-func (a *analysis) requiredSeeds(prev *Result, base []bool) []int32 {
-	listed := a.arena.bools(len(base))
-	settle, was := a.settleVals(), prev.settleVals()
+// requiredSeeds lists, in index order, the nodes whose required times
+// may differ from prev's even where every successor's required time is
+// unchanged: the structural seed, the From nodes of the seed nodes' old
+// and new in-arcs (the arcs that may have changed, appeared or vanished,
+// and the arcs a flipped storage filter reclassified), and every node
+// whose settle arrival the walk moved (arrivals decide which arcs
+// transmit, and the slack). The list is as long as the cone, not the
+// design.
+func (a *analysis) requiredSeeds(prev *Result, base []int32, settle *worklist) []int32 {
 	var seeds []int32
-	add := func(v int32) {
-		if !listed[v] {
-			listed[v] = true
-			seeds = append(seeds, v)
+	for _, v := range base {
+		seeds = append(seeds, v)
+		for _, ei := range a.wave.in(v) {
+			seeds = append(seeds, a.Model.Edges[ei].From)
+		}
+		if int(v) < len(prev.wave.compOf) {
+			for _, ei := range prev.wave.in(v) {
+				seeds = append(seeds, prev.Model.Edges[ei].From)
+			}
 		}
 	}
-	for i, b := range base {
-		v := int32(i)
-		if b {
-			add(v)
-			for _, ei := range a.wave.in(v) {
-				add(a.Model.Edges[ei].From)
-			}
-			if i < len(prev.wave.compOf) {
-				for _, ei := range prev.wave.in(v) {
-					add(prev.Model.Edges[ei].From)
+	now, was := a.settleVals(), prev.settleVals()
+	for _, b := range settle.bucket {
+		for _, ci := range b {
+			for _, v := range a.wave.comp(ci) {
+				if movedAt(now, was, int(v)) {
+					seeds = append(seeds, v)
 				}
 			}
 		}
-		if movedAt(settle, was, i) {
-			add(v)
-		}
 	}
-	return seeds
+	slices.Sort(seeds)
+	return slices.Compact(seeds)
 }
 
 // arcMoves maps the arc indices of the model a previous result was
@@ -316,11 +322,14 @@ type arcMoves struct {
 }
 
 // movesFrom returns the arc moves from prev's model to model: the
-// plan's own when they were found against prev's plan, otherwise a fresh
-// walk.
+// plan's own when they were found against prev's plan, none when the two
+// models share an arc layout, otherwise a fresh walk.
 func (p *Plan) movesFrom(prev *Result, model *delay.Model) arcMoves {
 	if p != nil && p.moves.from == prev.wave.id {
 		return p.moves
+	}
+	if model.Layout != 0 && model.Layout == prev.Model.Layout {
+		return arcMoves{from: prev.wave.id}
 	}
 	return arcMoves{from: prev.wave.id, idx: moveArcs(prev.Model.Edges, model.Edges)}
 }

@@ -20,7 +20,8 @@ import (
 // TestMoveArcs pins the arc-move walk: nil when no arc moved (the same
 // array or an equal one with other delays), and otherwise each old arc's
 // new index, -1 for an arc that is gone, with arcs of one (From, To,
-// Invert) group matched by their full identity whatever their order.
+// Invert) group matched by their full identity whatever their order. Two
+// models of one arc layout have no moves without a walk.
 func TestMoveArcs(t *testing.T) {
 	arc := func(from, to int32, inv bool, mask uint8) delay.Edge {
 		return delay.Edge{From: from, To: to, Invert: inv, MaskRise: mask, DRise: 1, DFall: 1}
@@ -49,6 +50,18 @@ func TestMoveArcs(t *testing.T) {
 	}
 	if m := moveArcs(old, cur[:2]); !slices.Equal(m, []int32{-1, 0, -1, -1, -1}) {
 		t.Fatalf("truncated: moves %v", m)
+	}
+	// A build gives one layout only to arc arrays with the same identities,
+	// so movesFrom takes a shared layout at its word: these arrays differ,
+	// and a walk would find moves.
+	prev := &Result{Model: &delay.Model{Edges: old, Layout: 7}, wave: &waveSchedule{id: 1}}
+	if m := (*Plan)(nil).movesFrom(prev, &delay.Model{Edges: cur, Layout: 7}); m.idx != nil || m.from != 1 {
+		t.Fatalf("kept layout: moves %+v, want none from plan 1", m)
+	}
+	for _, layout := range []uint64{0, 8} {
+		if m := (*Plan)(nil).movesFrom(prev, &delay.Model{Edges: cur, Layout: layout}); !slices.Equal(m.idx, want) {
+			t.Fatalf("layout 7 to %d: moves %v, want %v", layout, m.idx, want)
+		}
 	}
 }
 
@@ -165,13 +178,13 @@ func runRequiredChain(t *testing.T, chain int64, workers int) {
 		if m, bs, err = delay.BuildWithCache(ctx, nl, st, p, dopt, cache, loads); err != nil {
 			t.Fatal(err)
 		}
-		seed := make([]bool, len(nl.Nodes))
+		var seed []int32
 		for _, i := range seedNodes {
-			seed[i] = true
+			seed = append(seed, int32(i))
 		}
 		for _, stg := range bs.Rebuilt {
 			for _, nd := range stg.Nodes {
-				seed[nd.Index] = true
+				seed = append(seed, int32(nd.Index))
 			}
 		}
 		hadMemo := res.memo() != nil

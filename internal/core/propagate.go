@@ -29,6 +29,7 @@ type waveSchedule struct {
 	compStart, compNodes []int32
 	compOf               []int32   // node -> component id
 	cyclic               []bool    // per comp: >1 node or a self arc — needs iteration
+	level                []int32   // comp -> level
 	levels               [][]int32 // level -> comp ids; level 0 holds the sources
 }
 
@@ -120,6 +121,7 @@ func newWaveSchedule(n int, m *delay.Model, ar *Arena) *waveSchedule {
 			}
 		}
 	}
+	ws.level = level
 	ws.levels = make([][]int32, maxLevel+1)
 	for i := nc - 1; i >= 0; i-- {
 		ws.levels[level[i]] = append(ws.levels[level[i]], int32(i))
@@ -135,11 +137,13 @@ func newWaveSchedule(n int, m *delay.Model, ar *Arena) *waveSchedule {
 // The handle also carries how the arcs moved since the analysis that
 // produced it extended its previous result, so a corner extending its
 // own previous result remaps its predecessor records without a second
-// walk. The plan is read-only during propagation and safe for concurrent
-// analyses.
+// walk, and that analysis's sources and storage classification, which a
+// corner's model (same arcs, same node snapshot) shares. The plan is
+// read-only during propagation and safe for concurrent analyses.
 type Plan struct {
 	ws    *waveSchedule
 	moves arcMoves
+	src   *sourceSet
 }
 
 // fits reports whether the plan matches a model with n nodes and m arcs;
@@ -155,7 +159,7 @@ func (r *Result) Plan() *Plan {
 	if r.wave == nil {
 		return nil
 	}
-	return &Plan{ws: r.wave, moves: r.moves}
+	return &Plan{ws: r.wave, moves: r.moves, src: r.src}
 }
 
 // bothPols is the polarity pair the relaxation loops range over — an
@@ -170,7 +174,7 @@ var bothPols = [2]Polarity{Rise, Fall}
 // Returns true if either arrival increased.
 func (a *analysis) relaxNode(v int32) bool {
 	idx := int(v)
-	storage := a.clockedStorage[idx]
+	storage := a.src.storage[idx]
 	changed := false
 	for _, pol := range bothPols {
 		if a.isFixed(idx, pol) {

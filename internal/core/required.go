@@ -45,7 +45,6 @@ package core
 import (
 	"context"
 	"math"
-	"sync/atomic"
 
 	"nmostv/internal/delay"
 	"nmostv/internal/netlist"
@@ -138,8 +137,8 @@ func (r *Result) memo() *Required {
 
 // backwardPass computes the required times Required memoizes: the walk
 // (walk.go) in reverse level order. With a previous pass it copies that
-// pass's required times and re-relaxes the components holding a seed
-// node, waking upstream components only where a required time changed
+// pass's required times and queues the components holding a seed node,
+// waking upstream components only where a required time changed
 // bitwise. Without one, every component relaxes. Slacks are one
 // subtraction per node after the walk.
 func (r *Result) backwardPass(ctx context.Context, opt Options, prev *Required, seeds []int32) (*Required, error) {
@@ -166,9 +165,11 @@ func (r *Result) backwardPass(ctx context.Context, opt Options, prev *Required, 
 		growCopy(q.RiseRAT, prev.RiseRAT, PosInf)
 		growCopy(q.FallRAT, prev.FallRAT, PosInf)
 		p.prev = [2][]float64{prev.RiseRAT, prev.FallRAT}
-		p.dirty = make([]atomic.Bool, r.wave.numComps())
+		// Concurrent first calls on different results may run this pass
+		// at once, so its worklist is its own, not an arena's.
+		p.work = newWorklist(r.wave)
 		for _, v := range seeds {
-			p.dirty[r.wave.compOf[v]].Store(true)
+			p.work.add(r.wave.compOf[v])
 		}
 	}
 	sp.End()
@@ -231,7 +232,7 @@ func (p *pass) seedEndpoints(idx int32) {
 			if isInfNeg(cause) {
 				continue // cause never transitions: nothing to require
 			}
-			if cause > deadline && phaseOfMask(mask) == 1 && p.clockedStorage[e.To] {
+			if cause > deadline && phaseOfMask(mask) == 1 && p.src.storage[e.To] {
 				deadline += p.Sched.Period
 			}
 			req := deadline - d
@@ -263,7 +264,7 @@ func (p *pass) relaxNodeRequired(idx int32) bool {
 	changed := false
 	for _, ei := range p.wave.out(idx) {
 		e := &p.Model.Edges[ei]
-		if p.clockedStorage[e.To] && !p.Model.IsClock(e.From) {
+		if p.src.storage[e.To] && !p.Model.IsClock(e.From) {
 			// Data arc into clocked storage: a setup check (seeded), not
 			// propagation — forward relaxNode skips it identically.
 			continue
@@ -293,7 +294,7 @@ func (p *pass) relaxNodeRequired(idx int32) bool {
 				continue // edge never fires forward; transmits nothing back
 			}
 			if constrained {
-				if cause > deadline && phaseOfMask(mask) == 1 && p.clockedStorage[e.To] {
+				if cause > deadline && phaseOfMask(mask) == 1 && p.src.storage[e.To] {
 					deadline += p.Sched.Period
 				}
 				if cause > deadline {

@@ -300,7 +300,7 @@ func oracleRAT(t *testing.T, r *Result) (rise, fall []float64) {
 // oracles must agree with the engine on: latch pipelines, restoring
 // chains, dynamic (precharged) logic — one with a clocked evaluate
 // device, whose arcs the launch clamp holds to the φ2 window — and pass
-// networks.
+// networks, one of which only the launch clamp times.
 func oracleCircuits(p tech.Params) []struct {
 	name  string
 	build func() *netlist.Netlist
@@ -338,6 +338,23 @@ func oracleCircuits(p tech.Params) []struct {
 			dyn := b.PrechargedNode(phi1)
 			b.DischargeBranch(dyn, phi2, b.Input("a"))
 			b.Output(b.Inverter(dyn))
+			return b.Finish()
+		}},
+		{"precharged-pass", func() *netlist.Netlist {
+			// bus is annotated precharged but has no pullup of its own,
+			// so nothing re-establishes a high on it: the φ2 pass
+			// device's gate arc into x cannot rise, and x rises only
+			// along the data arc from bus, which the launch clamp holds
+			// to φ2's rise. The device is annotated to flow from bus to
+			// x, which keeps the design loop-free.
+			b := gen.New("pp", p)
+			phi2 := b.Clock("phi2", 2)
+			bus := b.Fresh("bus")
+			bus.Flags |= netlist.FlagPrecharged
+			b.DischargeBranch(bus, b.Input("a"))
+			x := b.Fresh("x")
+			b.NL.AddTransistor(netlist.Enh, phi2, bus, x, b.Sizes.PassW, b.Sizes.PassL).ForceFlow = netlist.FlowAB
+			b.Output(b.Inverter(x))
 			return b.Finish()
 		}},
 		{"pass-latch", func() *netlist.Netlist {
@@ -667,6 +684,10 @@ func TestAnalyzeSharedPlanBitIdentical(t *testing.T) {
 	qf := requiredFor(t, fresh, 1)
 	qs := requiredFor(t, shared, 1)
 	assertRequiredIdentical(t, 1, qf, qs)
+	// The corner takes the base's sources and storage through the plan.
+	if shared.src != base.src || fresh.src == base.src {
+		t.Fatal("the corner did not take the base's sources+storage through the plan, or took them without it")
+	}
 	// A non-matching plan must be ignored, not trusted.
 	tiny := gen.New("tiny", tech.Default())
 	tiny.Output(tiny.Inverter(tiny.Input("in")))
@@ -678,7 +699,7 @@ func TestAnalyzeSharedPlanBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mis.wave == base.wave {
+	if mis.wave == base.wave || mis.src == base.src {
 		t.Fatal("mismatched plan was adopted")
 	}
 }

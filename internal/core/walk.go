@@ -16,14 +16,17 @@ import (
 // once those are final its relaxation is a pure function of them: a
 // singleton relaxes once, and a cyclic component iterates inside one
 // worker to a bounded fixpoint. That makes every pass bit-identical at
-// any worker count, and it makes the incremental pass exact: a walk with
-// a dirty set relaxes only the flagged components, each exactly as a
-// from-scratch walk would, and a node whose values moved bitwise wakes
-// the components across its arcs — the To side going forward, the From
-// side in reverse — which sit at levels the walk has not reached yet.
-// Components never woken keep the previous fixpoint, which is what a
-// from-scratch walk would compute for them. A walk only ever sets dirty
-// flags, so when it ends they mark the components it relaxed.
+// any worker count. From scratch the walk takes each level's components
+// from the plan. An incremental pass takes them from its worklist, which
+// holds per level the components it must relax: the seed's, and those a
+// relaxed node whose values moved bitwise wakes across its arcs — the To
+// side going forward, the From side in reverse. A wake only ever targets
+// a level the walk has not reached, so a level's bucket is complete when
+// the walk gets to it, and the components of one level share no arcs, so
+// their order in the bucket does not matter. Components never queued
+// keep the previous fixpoint, which is what a from-scratch walk would
+// compute for them. When the walk ends, the worklist holds exactly the
+// components it relaxed; no step scans the components it did not.
 
 // passKind names the fixpoint a pass computes.
 type passKind uint8
@@ -45,12 +48,12 @@ type pass struct {
 	// val holds the rise and fall values the pass computes, indexed by
 	// Polarity: the settle or early arrivals, or the required times.
 	val [2][]float64
-	// dirty flags the components to relax; nil relaxes every one. prev
+	// work queues the components to relax; nil relaxes every one. prev
 	// holds the previous fixpoint's values, shorter than val when nodes
 	// were added: a relaxed node whose values moved from them (movedAt)
 	// wakes what it feeds.
-	dirty []atomic.Bool
-	prev  [2][]float64
+	work *worklist
+	prev [2][]float64
 	// outputs marks, per node index, the primary outputs that transition
 	// (required pass): the nodes runChecks gave an output check. Reading
 	// them off the checks, not the nodes' flags in walk order, spares the
@@ -60,6 +63,44 @@ type pass struct {
 	// components that did not converge.
 	loopMu sync.Mutex
 }
+
+// worklist is an incremental pass's dirty set: a mark per component and,
+// per level, the components marked there in marking order. A component
+// is marked when its mark holds the worklist's stamp, so a fresh
+// worklist needs no clearing.
+type worklist struct {
+	level  []int32 // the plan's component levels
+	mark   []atomic.Uint32
+	stamp  uint32
+	bucket [][]int32
+	mu     sync.Mutex // guards bucket appends from concurrent wakes
+}
+
+// newWorklist returns an empty worklist over plan ws on memory of its
+// own.
+func newWorklist(ws *waveSchedule) *worklist {
+	return &worklist{
+		level:  ws.level,
+		mark:   make([]atomic.Uint32, ws.numComps()),
+		stamp:  1,
+		bucket: make([][]int32, len(ws.levels)),
+	}
+}
+
+// add queues component ci in its level's bucket unless it is queued
+// already. Safe for concurrent use.
+func (w *worklist) add(ci int32) {
+	if m := &w.mark[ci]; m.Load() == w.stamp || m.Swap(w.stamp) == w.stamp {
+		return
+	}
+	l := w.level[ci]
+	w.mu.Lock()
+	w.bucket[l] = append(w.bucket[l], ci)
+	w.mu.Unlock()
+}
+
+// has reports whether component ci is queued.
+func (w *worklist) has(ci int32) bool { return w.mark[ci].Load() == w.stamp }
 
 // minParallelLevel is the narrowest level worth fanning out: below this,
 // goroutine handoff costs more than the relaxations themselves.
@@ -71,7 +112,9 @@ const abortStride = 64
 
 // walk runs the pass level by level, with each level a barrier, and
 // concurrently within a level when the analysis has more than one
-// worker.
+// worker and the level holds at least minParallelLevel components to
+// relax. A level an incremental pass has nothing queued at is skipped
+// outright: no span, no counter update, no poll.
 //
 // Instrumentation: the counters are pre-resolved atomic handles updated
 // once per level (never per component), and spans are built only when a
@@ -84,7 +127,13 @@ func (p *pass) walk() {
 		if p.kind == requiredPass {
 			li = len(levels) - 1 - k
 		}
-		if !p.runLevel(li, levels[li]) {
+		lvl := levels[li]
+		if p.work != nil {
+			if lvl = p.work.bucket[li]; len(lvl) == 0 {
+				continue
+			}
+		}
+		if !p.runLevel(li, lvl) {
 			return
 		}
 	}
@@ -160,13 +209,10 @@ func (p *pass) runLevel(li int, lvl []int32) bool {
 	return !p.stopped.Load()
 }
 
-// visit relaxes component ci, when it is dirty, and wakes what its moved
-// nodes feed. The settle pass reports a cyclic component that spends its
-// iteration bound as a loop.
+// visit relaxes component ci and, in an incremental pass, wakes what its
+// moved nodes feed. The settle pass reports a cyclic component that
+// spends its iteration bound as a loop.
 func (p *pass) visit(ci int32) {
-	if p.dirty != nil && !p.dirty[ci].Load() {
-		return
-	}
 	comp := p.wave.comp(ci)
 	p.reset(comp)
 	if !p.wave.cyclic[ci] {
@@ -174,7 +220,7 @@ func (p *pass) visit(ci int32) {
 	} else if !p.iterate(comp) && p.kind == settlePass {
 		p.reportLoop(comp)
 	}
-	if p.dirty != nil {
+	if p.work != nil {
 		p.wake(ci, comp)
 	}
 }
@@ -194,22 +240,22 @@ func (p *pass) reset(comp []int32) {
 		for _, idx := range comp {
 			p.seedEndpoints(idx)
 		}
-	case p.dirty == nil:
+	case p.work == nil:
 	case p.kind == settlePass:
 		for _, idx := range comp {
-			if !p.fixedRise[idx] {
+			if !p.src.fixedRise[idx] {
 				p.RiseAt[idx], p.predRise[idx] = NegInf, pred{edge: -1}
 			}
-			if !p.fixedFall[idx] {
+			if !p.src.fixedFall[idx] {
 				p.FallAt[idx], p.predFall[idx] = NegInf, pred{edge: -1}
 			}
 		}
 	default:
 		for _, idx := range comp {
-			if !p.fixedRise[idx] {
+			if !p.src.fixedRise[idx] {
 				p.EarlyRise[idx] = PosInf
 			}
-			if !p.fixedFall[idx] {
+			if !p.src.fixedFall[idx] {
 				p.EarlyFall[idx] = PosInf
 			}
 		}
@@ -253,14 +299,15 @@ func (p *pass) reportLoop(comp []int32) {
 	p.loopMu.Lock()
 	defer p.loopMu.Unlock()
 	for _, idx := range comp {
-		if !p.fixedRise[idx] || !p.fixedFall[idx] {
+		if !p.src.fixedRise[idx] || !p.src.fixedFall[idx] {
 			p.loopNodes = append(p.loopNodes, p.NL.Nodes[idx])
 		}
 	}
 }
 
-// wake flags the components across the arcs of every node of comp whose
-// values moved: the To side going forward, the From side in reverse.
+// wake queues the components across the arcs of every node of comp
+// whose values moved: the To side going forward, the From side in
+// reverse.
 func (p *pass) wake(ci int32, comp []int32) {
 	ws := p.wave
 	for _, idx := range comp {
@@ -270,14 +317,14 @@ func (p *pass) wake(ci int32, comp []int32) {
 		if p.kind == requiredPass {
 			for _, ei := range ws.in(idx) {
 				if c := ws.compOf[p.Model.Edges[ei].From]; c != ci {
-					p.dirty[c].Store(true)
+					p.work.add(c)
 				}
 			}
 			continue
 		}
 		for _, ei := range ws.out(idx) {
 			if c := ws.compOf[p.Model.Edges[ei].To]; c != ci {
-				p.dirty[c].Store(true)
+				p.work.add(c)
 			}
 		}
 	}

@@ -1,0 +1,172 @@
+package core
+
+import (
+	"context"
+	"math"
+	"runtime"
+	"slices"
+	"testing"
+
+	"nmostv/internal/delay"
+	"nmostv/internal/flow"
+	"nmostv/internal/gen"
+	"nmostv/internal/netlist"
+	"nmostv/internal/obs"
+	"nmostv/internal/stage"
+	"nmostv/internal/tech"
+)
+
+// TestIncrementalWorkFollowsCone pins that an incremental pass pays for
+// its cone, not the design: resizing the pulldown of an inverter chain's
+// last stage schedules as many components (core_wave_comps_total, over
+// AnalyzeIncremental and the Required pass after it) at chain 32 as at
+// chain 512. Nothing constrains the chain, so no required time moves and
+// the backward pass relaxes its seed alone.
+func TestIncrementalWorkFollowsCone(t *testing.T) {
+	scheduled := func(chain int) int64 {
+		ctx := context.Background()
+		p := tech.Default()
+		b := gen.New("cone", p)
+		last := b.InvChain(b.Input("in"), chain)
+		nl := b.Finish()
+		st := stage.Extract(nl)
+		flow.Analyze(nl)
+		dopt := delay.Options{Workers: 1}
+		cache := delay.NewCache()
+		m, _, err := delay.BuildWithCache(ctx, nl, st, p, dopt, cache, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Analyze(ctx, nl, m, sched(), Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := res.Required(ctx, Options{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		var pd *netlist.Transistor
+		for _, tr := range last.Terms {
+			if tr.Kind == netlist.Enh {
+				pd = tr
+			}
+		}
+		pd.W *= 2
+		m, bs, err := delay.BuildWithCache(ctx, nl, st, p, dopt, cache, []int{pd.Gate.Index, pd.A.Index, pd.B.Index})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seed []int32
+		for _, stg := range bs.Rebuilt {
+			for _, nd := range stg.Nodes {
+				seed = append(seed, int32(nd.Index))
+			}
+		}
+		o := obs.NewObs()
+		opt := Options{Workers: 1, Obs: o}
+		next, ds, err := AnalyzeIncremental(ctx, nl, m, sched(), opt, res, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ds.CompsRelaxed == 0 {
+			t.Fatalf("chain %d: the resize relaxed nothing", chain)
+		}
+		if _, err := next.Required(ctx, opt); err != nil {
+			t.Fatal(err)
+		}
+		return o.Counter("core_wave_comps_total", "").Value()
+	}
+	if short, long := scheduled(32), scheduled(512); short != long || short == 0 {
+		t.Fatalf("a last-stage resize scheduled %d components at chain 32 and %d at chain 512, want the same", short, long)
+	}
+}
+
+// TestWorklistFanOutRace drives the incremental walk's fan-out: a fan of
+// inverter chains whose first and last stages slow down, so the seed
+// fills levels with at least minParallelLevel components and the forward
+// and backward passes wake the next level from concurrent workers. The
+// result and its Required must equal a from-scratch analysis bit for bit
+// (run under -race in CI).
+func TestWorklistFanOutRace(t *testing.T) {
+	const chains, depth = 2 * minParallelLevel, 5
+	ctx := context.Background()
+	b := gen.New("fan", tech.Default())
+	in := b.Input("in")
+	var first, ends []*netlist.Node
+	for i := 0; i < chains; i++ {
+		n := b.Inverter(in)
+		first = append(first, n)
+		ends = append(ends, b.Output(b.InvChain(n, depth-1)))
+	}
+	nl, m := pipeline(b)
+	opt := Options{Workers: runtime.GOMAXPROCS(0) + 1}
+	res, err := Analyze(ctx, nl, m, sched(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := res.Required(ctx, opt); err != nil {
+		t.Fatal(err)
+	}
+	for _, set := range [][]*netlist.Node{first, ends} {
+		lvl := res.wave.level[res.wave.compOf[set[0].Index]]
+		for _, n := range set {
+			if res.wave.level[res.wave.compOf[n.Index]] != lvl {
+				t.Fatalf("node %s is not at level %d with %s", n, lvl, set[0])
+			}
+		}
+	}
+
+	slow := *m
+	slow.Edges = slices.Clone(m.Edges)
+	var seed []int32
+	for _, n := range append(first, ends...) {
+		seed = append(seed, int32(n.Index))
+		for _, ei := range res.wave.in(int32(n.Index)) {
+			slow.Edges[ei].DRise *= 1.5
+			slow.Edges[ei].DFall *= 1.5
+		}
+	}
+	next, _, err := AnalyzeIncremental(ctx, nl, &slow, sched(), opt, res, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := next.Required(ctx, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Analyze(ctx, nl, &slow, sched(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Required(ctx, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, arr := range []struct {
+		name       string
+		have, want []float64
+	}{
+		{"RiseAt", next.RiseAt, ref.RiseAt}, {"FallAt", next.FallAt, ref.FallAt},
+		{"EarlyRise", next.EarlyRise, ref.EarlyRise}, {"EarlyFall", next.EarlyFall, ref.EarlyFall},
+		{"RiseRAT", got.RiseRAT, want.RiseRAT}, {"FallRAT", got.FallRAT, want.FallRAT},
+		{"SlackRise", got.SlackRise, want.SlackRise}, {"SlackFall", got.SlackFall, want.SlackFall},
+	} {
+		for i := range arr.want {
+			if math.Float64bits(arr.have[i]) != math.Float64bits(arr.want[i]) {
+				t.Fatalf("%s[%d] (%s) = %v, from scratch %v", arr.name, i, nl.Nodes[i], arr.have[i], arr.want[i])
+			}
+		}
+	}
+	for i := range nl.Nodes {
+		for _, pol := range bothPols {
+			if next.predOf(i, pol) != ref.predOf(i, pol) {
+				t.Fatalf("node %s %s predecessor %+v, from scratch %+v", nl.Nodes[i], pol, next.predOf(i, pol), ref.predOf(i, pol))
+			}
+		}
+	}
+	if !slices.Equal(next.Checks, ref.Checks) {
+		t.Fatalf("checks differ from a from-scratch analysis")
+	}
+	if ref.RiseAt[ends[0].Index] == res.RiseAt[ends[0].Index] || want.RiseRAT[in.Index] == res.req.RiseRAT[in.Index] {
+		t.Fatal("the slower arcs moved neither the chains' arrivals nor the input's required time")
+	}
+}

@@ -226,6 +226,7 @@ func BuildWithCache(ctx context.Context, nl *netlist.Netlist, st *stage.Result, 
 	} else {
 		m.Edges = slices.Clone(prev.model.Edges)
 		m.Truncated = prev.model.Truncated
+		m.Layout = prev.model.Layout
 		var arcs []int32
 		for _, i := range todo {
 			pos := prev.place.of(i)

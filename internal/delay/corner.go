@@ -56,7 +56,7 @@ func (pt *Patch) Scale(prev, m *Model, rScale, cScale float64) *Model {
 }
 
 // scaled is a corner model of base over the given arc and capacitance
-// arrays, sharing base's structural arrays.
+// arrays, sharing base's structural arrays and arc layout.
 func scaled(base *Model, edges []Edge, caps []float64) *Model {
 	return &Model{
 		Edges:     edges,
@@ -64,6 +64,7 @@ func scaled(base *Model, edges []Edge, caps []float64) *Model {
 		NodeFlags: base.NodeFlags,
 		NodePhase: base.NodePhase,
 		Truncated: base.Truncated,
+		Layout:    base.Layout,
 	}
 }
 

@@ -190,7 +190,16 @@ type Model struct {
 	// Truncated counts nodes whose GND-path enumeration hit MaxPaths and
 	// used the conservative fallback.
 	Truncated int
+	// Layout names the arc layout: two models with the same nonzero
+	// Layout hold the same arcs (SameArc) at every index. A merge of the
+	// shards lays the arcs out afresh under a new Layout; a cached build
+	// that keeps every arc's identity, and a corner model, keep theirs.
+	// Zero names no layout.
+	Layout uint64
 }
+
+// layouts numbers the arc layouts mergeShards produces.
+var layouts atomic.Uint64
 
 // IsClock reports whether node index i was annotated as a clock when the
 // model was built.
@@ -399,10 +408,11 @@ func (sh *shard) scatter(edges []Edge, pos []int32) {
 }
 
 // mergeShards places every shard's arcs into m.Edges in the canonical
-// order and returns the placement.
+// order, under a new Layout, and returns the placement.
 func mergeShards(m *Model, shards []shard) placement {
 	pl := place(shards, len(m.Caps))
 	m.Edges = make([]Edge, len(pl.pos))
+	m.Layout = layouts.Add(1)
 	m.Truncated = 0
 	for i := range shards {
 		shards[i].scatter(m.Edges, pl.of(i))

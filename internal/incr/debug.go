@@ -34,14 +34,19 @@ type version struct {
 // record stamps the just-committed result with its publish sequence and
 // changed-node count, and appends it to the version ring. Called with
 // the write lock held at both commit sites (runFull, Apply), after the
-// result is published and before the stats escape.
-func (s *Session) record(st *Stats) {
+// result is published and before the stats escape. An apply passes the
+// nodes its base analysis relaxed, the only ones whose arrivals can
+// differ from the previous version's; a full run compares every node.
+func (s *Session) record(st *Stats, relaxed []int32) {
 	s.seq++
 	st.Version = s.seq
-	if n := len(s.history); n > 0 {
-		st.ChangedNodes = paths.CountChanged(s.history[n-1].res, s.res)
-	} else {
+	switch n := len(s.history); {
+	case n == 0:
 		st.ChangedNodes = len(s.nl.Nodes)
+	case st.Full:
+		st.ChangedNodes = paths.CountChanged(s.history[n-1].res, s.res)
+	default:
+		st.ChangedNodes = paths.CountChangedAt(s.history[n-1].res, s.res, relaxed)
 	}
 	depth := s.opt.HistoryDepth
 	if depth <= 0 {

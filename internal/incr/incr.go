@@ -237,7 +237,7 @@ func (s *Session) runFull(ctx context.Context) (Stats, error) {
 		Corners:       len(s.corners),
 		Elapsed:       time.Since(start),
 	}
-	s.record(&st)
+	s.record(&st, nil)
 	s.last = st
 	s.publish(st, ps.Build)
 	return st, nil
@@ -478,11 +478,9 @@ func (s *Session) Apply(ctx context.Context, deltas []Delta) (Stats, error) {
 	for _, stg := range ps.Build.Rebuilt {
 		cone[stg.Index] = true
 	}
-	for i, rel := range ps.Delta.Relaxed {
-		if rel {
-			if stg := s.stages.ByNode(s.nl.Nodes[i]); stg != nil {
-				cone[stg.Index] = true
-			}
+	for _, i := range ps.Delta.Relaxed {
+		if stg := s.stages.ByNode(s.nl.Nodes[i]); stg != nil {
+			cone[stg.Index] = true
 		}
 	}
 	st := Stats{
@@ -501,7 +499,7 @@ func (s *Session) Apply(ctx context.Context, deltas []Delta) (Stats, error) {
 	if addedIDs != nil {
 		st.AddedIDs = *addedIDs
 	}
-	s.record(&st)
+	s.record(&st, ps.Delta.Relaxed)
 	s.last = st
 	s.publish(st, ps.Build)
 	return st, nil

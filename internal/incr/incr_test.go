@@ -14,6 +14,7 @@ import (
 	"nmostv/internal/flow"
 	"nmostv/internal/gen"
 	"nmostv/internal/netlist"
+	"nmostv/internal/paths"
 	"nmostv/internal/stage"
 	"nmostv/internal/tech"
 	"nmostv/internal/tverr"
@@ -161,6 +162,8 @@ func randomDelta(rng *rand.Rand, s *Session) Delta {
 // bit-identical to a from-scratch analysis — arrivals, predecessor
 // records, checks and the backward pass — at serial and full worker
 // counts, over the datapath, shifter, PLA, and shift-register workloads.
+// Each batch's ChangedNodes, counted over the nodes the analysis relaxed,
+// must equal paths.CountChanged's comparison of every node.
 //
 // It also replays sessions a sweep once found failing (40 seeds × the
 // four workloads × 1 and 2 workers, rand.NewSource(seed*977+workers)):
@@ -222,8 +225,13 @@ func TestRandomDeltaEquivalence(t *testing.T) {
 				for i := range batch {
 					batch[i] = randomDelta(rng, s)
 				}
-				if _, err := s.Apply(ctx, batch); err != nil {
+				before := s.Result()
+				st, err := s.Apply(ctx, batch)
+				if err != nil {
 					t.Fatalf("round %d: Apply: %v", round, err)
+				}
+				if want := paths.CountChanged(before, s.Result()); st.ChangedNodes != want {
+					t.Fatalf("round %d after %v: ChangedNodes %d from the relaxed nodes, %d comparing every node", round, batch, st.ChangedNodes, want)
 				}
 				if err := s.SelfCheck(ctx); err != nil {
 					t.Fatalf("round %d after %v: %v", round, batch, err)

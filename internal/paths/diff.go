@@ -124,22 +124,43 @@ func DiffResults(ctx context.Context, a, b *core.Result, reqA, reqB *core.Requir
 	return d, nil
 }
 
-// CountChanged returns how many shared nodes differ bitwise in any
-// arrival array, plus the number of nodes only the newer result has —
-// the per-batch "what did this change" headline number.
+// CountChanged returns how many shared nodes differ in any arrival
+// array, plus the number of nodes only the newer result has — the
+// per-batch "what did this change" headline number.
 func CountChanged(a, b *core.Result) int {
-	n := min(len(a.RiseAt), len(b.RiseAt))
-	count := len(b.RiseAt) - n
-	if count < 0 {
-		count = len(a.RiseAt) - n
-	}
+	count, n := onlyOne(a, b)
 	for i := 0; i < n; i++ {
-		if a.RiseAt[i] != b.RiseAt[i] || a.FallAt[i] != b.FallAt[i] ||
-			a.EarlyRise[i] != b.EarlyRise[i] || a.EarlyFall[i] != b.EarlyFall[i] {
+		if changedAt(a, b, i) {
 			count++
 		}
 	}
 	return count
+}
+
+// CountChangedAt is CountChanged for a b that AnalyzeIncremental
+// extended from a: only the nodes it relaxed (DeltaStats.Relaxed, each
+// listed once) can differ, so only they are compared.
+func CountChangedAt(a, b *core.Result, relaxed []int32) int {
+	count, n := onlyOne(a, b)
+	for _, v := range relaxed {
+		if i := int(v); i < n && changedAt(a, b, i) {
+			count++
+		}
+	}
+	return count
+}
+
+// onlyOne returns how many nodes only one of the results has, and how
+// many both have.
+func onlyOne(a, b *core.Result) (count, shared int) {
+	shared = min(len(a.RiseAt), len(b.RiseAt))
+	return max(len(a.RiseAt), len(b.RiseAt)) - shared, shared
+}
+
+// changedAt reports whether node i's arrivals differ between a and b.
+func changedAt(a, b *core.Result, i int) bool {
+	return a.RiseAt[i] != b.RiseAt[i] || a.FallAt[i] != b.FallAt[i] ||
+		a.EarlyRise[i] != b.EarlyRise[i] || a.EarlyFall[i] != b.EarlyFall[i]
 }
 
 // pathSig fingerprints a path by endpoint identity and transition

@@ -10,7 +10,7 @@
 //	stage partition  stage-partition        edit kind Unstaged or above    partition
 //	flow             flow                   edit kind Annotations or above pass-device orientation
 //	delay build      delay-build[-cached]   partition, loads (Sizes)       model, rebuilt stages, patch
-//	base analysis    analyze[-incremental]  rebuilt stages + edited nodes  relaxed mask, result
+//	base analysis    analyze[-incremental]  rebuilt stages + edited nodes  relaxed list, result
 //	corner analyses  corner-analyses        the base's node seed, patch    per-corner models, results
 //
 // A full run is the same path with no previous state: without a shard
@@ -66,7 +66,7 @@ type Pipeline struct {
 	Core    core.Options
 	Corners []tech.Corner
 	// Arenas, when set, is the analysis scratch every run reuses: the
-	// base's, then one per corner, since the base's relaxed mask is read
+	// base's, then one per corner, since the base's relaxed list is read
 	// after the corners run. Runs sharing arenas must not overlap.
 	Arenas []core.Arena
 }
@@ -126,15 +126,14 @@ func (p *Pipeline) Run(ctx context.Context, o *obs.Obs, prev State, edit Edit, n
 	if stats.Build, err = p.build(ctx, o, &next, loads); err != nil {
 		return State{}, Stats{}, err
 	}
-	var seed []bool
+	var seed []int32
 	if prev.Base != nil {
-		seed = make([]bool, len(next.NL.Nodes))
 		for _, i := range nodes {
-			seed[i] = true
+			seed = append(seed, int32(i))
 		}
 		for _, stg := range stats.Build.Rebuilt {
 			for _, nd := range stg.Nodes {
-				seed[nd.Index] = true
+				seed = append(seed, int32(nd.Index))
 			}
 		}
 		if err := faultpoint.Hit("incr.apply.analyze"); err != nil {
@@ -231,7 +230,7 @@ func (p *Pipeline) build(ctx context.Context, o *obs.Obs, st *State, loads []int
 
 // base re-relaxes from prev only what the seed reaches, or everything
 // when prev is nil.
-func (p *Pipeline) base(ctx context.Context, o *obs.Obs, st *State, prev *core.Result, seed []bool, arena *core.Arena) (core.DeltaStats, error) {
+func (p *Pipeline) base(ctx context.Context, o *obs.Obs, st *State, prev *core.Result, seed []int32, arena *core.Arena) (core.DeltaStats, error) {
 	opt := p.Core
 	opt.Obs, opt.Arena = o, arena
 	res, ds, err := core.AnalyzeIncremental(ctx, st.NL, st.Model, p.Sched, opt, prev, seed)
@@ -248,7 +247,7 @@ func (p *Pipeline) base(ctx context.Context, o *obs.Obs, st *State, prev *core.R
 // uniform scaling keeps every arc, and changes one exactly when it
 // changes the base arc. The plan handle carries the arc moves the base
 // analysis found, so no corner walks the arcs again.
-func (p *Pipeline) corners(ctx context.Context, o *obs.Obs, st *State, prev State, patch *delay.Patch, seed []bool, arenas []core.Arena) error {
+func (p *Pipeline) corners(ctx context.Context, o *obs.Obs, st *State, prev State, patch *delay.Patch, seed []int32, arenas []core.Arena) error {
 	st.Corners = nil
 	if len(p.Corners) == 0 {
 		return nil

@@ -250,8 +250,11 @@ func TestDeltaClientTimeoutAbortsAndRollsBack(t *testing.T) {
 	getJSON(t, ts.URL+"/devices?design=chain", http.StatusOK, &devs)
 	target := devs[len(devs)/2]
 
-	// ≥64 level hits per propagation pass × 3 ms ≫ the client's 50 ms
-	// budget: the walk cannot finish before the client hangs up.
+	// An incremental pass polls the level fault point only at the levels
+	// it relaxes. Resizing the middle stage relaxes the rest of the
+	// chain, ≥32 levels in each forward pass: ≥64 level hits × 3 ms ≫
+	// the client's 50 ms budget, so the walk cannot finish before the
+	// client hangs up.
 	faultpoint.Arm("core.propagate.level", faultpoint.Action{Delay: 3 * time.Millisecond})
 	client := &http.Client{Timeout: 50 * time.Millisecond}
 	_, err := client.Post(ts.URL+"/delta?design=chain", "application/json",
