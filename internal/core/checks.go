@@ -129,10 +129,7 @@ func (a *analysis) nodeChecks(v int32, loop bool, out []Check) []Check {
 		e := &a.Model.Edges[ei]
 		raceArc := storage && !a.Model.IsClock(e.From)
 		for _, pol := range bothPols {
-			d, mask := e.DRise, e.MaskRise
-			if pol == Fall {
-				d, mask = e.DFall, e.MaskFall
-			}
+			d, mask := a.Model.Delay(e, pol == Fall)
 			if mask == 0 || isInfPos(d) {
 				continue
 			}

@@ -43,13 +43,7 @@ func (a *analysis) relaxNodeEarly(v int32) bool {
 // earliest arrival, clamped into the clock window for masked arcs.
 func (a *analysis) relaxEdgeEarly(ei int, target Polarity) (t float64, ok bool) {
 	e := &a.Model.Edges[ei]
-	var d float64
-	var mask uint8
-	if target == Rise {
-		d, mask = e.DRise, e.MaskRise
-	} else {
-		d, mask = e.DFall, e.MaskFall
-	}
+	d, mask := a.Model.Delay(e, target == Fall)
 	if math.IsInf(d, 1) {
 		return 0, false
 	}

@@ -85,20 +85,6 @@ type BuildStats struct {
 	// Rebuilt lists the stages whose shards were recomputed (cache
 	// misses), in stage-index order.
 	Rebuilt []*stage.Stage
-	// Patch is set when a sized build derived the model from the last
-	// build's without placing its arcs again; see Patch.
-	Patch *Patch
-}
-
-// Patch lists every difference between a sized build's model and Base,
-// the model of the build before it: the arcs at positions Arcs were
-// rewritten, and the loading at nodes Nodes recomputed. Every other arc
-// and capacitance is bitwise Base's, and the node flag and phase arrays
-// are Base's own.
-type Patch struct {
-	Base  *Model
-	Arcs  []int32
-	Nodes []int
 }
 
 // BuildWithCache is Build with per-stage shard reuse against the cache's
@@ -125,9 +111,9 @@ type Patch struct {
 // When every rebuilt shard keeps its arc identities (From, To, Invert,
 // GateArc and the phase masks, in order) the arcs keep their merged
 // positions: the build copies the last model's arc array and writes the
-// rebuilt shards over it instead of placing every arc again, and a sized
-// build reports the rewritten positions as a Patch. When nothing was
-// rebuilt and no loading moved, the last model itself is returned.
+// rebuilt shards over it instead of placing every arc again. When
+// nothing was rebuilt and no loading moved, the last model itself is
+// returned.
 //
 // The context is polled once per rebuilt shard. An aborted build returns
 // the error with no model and leaves the last build in place, so a
@@ -227,15 +213,9 @@ func BuildWithCache(ctx context.Context, nl *netlist.Netlist, st *stage.Result, 
 		m.Edges = slices.Clone(prev.model.Edges)
 		m.Truncated = prev.model.Truncated
 		m.Layout = prev.model.Layout
-		var arcs []int32
 		for _, i := range todo {
-			pos := prev.place.of(i)
-			shards[i].scatter(m.Edges, pos)
-			arcs = append(arcs, pos...)
+			shards[i].scatter(m.Edges, prev.place.of(i))
 			m.Truncated += shards[i].truncated - prev.shards[i].truncated
-		}
-		if sized {
-			stats.Patch = &Patch{Base: prev.model, Arcs: arcs, Nodes: loads}
 		}
 	}
 	c.last = &record{stages: st, fps: fps, shards: shards, model: m, place: prev.place}

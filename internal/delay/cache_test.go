@@ -68,6 +68,9 @@ func sameModel(t *testing.T, what string, got, want *Model) {
 	if got.Truncated != want.Truncated {
 		t.Fatalf("%s: truncated %d, want %d", what, got.Truncated, want.Truncated)
 	}
+	if math.Float64bits(got.DelayScale()) != math.Float64bits(want.DelayScale()) {
+		t.Fatalf("%s: delay scale %v, want %v", what, got.DelayScale(), want.DelayScale())
+	}
 }
 
 // TestSizedBuildMatchesFullProbe: over random sequences of resizes (W,
@@ -75,9 +78,10 @@ func sameModel(t *testing.T, what string, got, want *Model) {
 // setcaps, a sized BuildWithCache — loads naming each resized device's
 // gate and terminals and each set node — equals a full-probe
 // BuildWithCache and a from-scratch Build bit for bit, rebuilds the
-// same stages, and retains the from-scratch fingerprints. A patch lists
-// exactly the arcs of the rebuilt stages, and the corner model it
-// derives equals ScaleModel.
+// same stages, and retains the from-scratch fingerprints. A sized model
+// that keeps the previous arc layout differs from the previous model
+// only at the rebuilt stages' arcs and the named nodes' loading, and the
+// two builds' corner views read the delays of ScaleModel's copy.
 func TestSizedBuildMatchesFullProbe(t *testing.T) {
 	ctx := context.Background()
 	p := tech.Default()
@@ -96,7 +100,6 @@ func TestSizedBuildMatchesFullProbe(t *testing.T) {
 			if _, _, err := BuildWithCache(ctx, nl, st, p, opt, full, nil); err != nil {
 				t.Fatal(err)
 			}
-			prevCorner := ScaleModel(prev, slow.RScale, slow.CScale)
 			rng := rand.New(rand.NewSource(seq))
 			patched := 0
 			for step := 0; step < 40; step++ {
@@ -138,31 +141,58 @@ func TestSizedBuildMatchesFullProbe(t *testing.T) {
 				if !slices.Equal(sized.Fingerprints(), Fingerprints(nl, st, p, opt)) {
 					t.Fatalf("%s: retained fingerprints differ from a from-scratch probe", what)
 				}
-				corner := ScaleModel(m, slow.RScale, slow.CScale)
-				if pt := bs.Patch; pt != nil {
+				sameModel(t, what+" corner views", m.At(slow), mf.At(slow))
+				sameView(t, what+" corner view", m.At(slow), ScaleModel(m, slow.RScale, slow.CScale))
+				if m != prev && m.Layout == prev.Layout {
 					patched++
-					if pt.Base != prev {
-						t.Fatalf("%s: patch is not over the previous model", what)
-					}
-					var want []int32
-					for k, e := range m.Edges {
-						if si := st.NodeStage[e.To]; si >= 0 && slices.Contains(bs.Rebuilt, st.Stages[si]) {
-							want = append(want, int32(k))
+					for k := range m.Edges {
+						e := &m.Edges[k]
+						if si := st.NodeStage[e.To]; !sameEdge(e, &prev.Edges[k]) && (si < 0 || !slices.Contains(bs.Rebuilt, st.Stages[si])) {
+							t.Fatalf("%s: arc %d moved outside the rebuilt stages: %v, was %v", what, k, *e, prev.Edges[k])
 						}
 					}
-					if got := slices.Sorted(slices.Values(pt.Arcs)); !slices.Equal(got, want) {
-						t.Fatalf("%s: patch arcs %v, rebuilt stages' arcs %v", what, got, want)
+					for i := range m.Caps {
+						if math.Float64bits(m.Caps[i]) != math.Float64bits(prev.Caps[i]) && !slices.Contains(loads, i) {
+							t.Fatalf("%s: node %d loading moved but was not named", what, i)
+						}
 					}
-					sameModel(t, what+" patched corner", pt.Scale(prevCorner, m, slow.RScale, slow.CScale), corner)
 				} else if m != prev && len(bs.Rebuilt) == 0 {
-					t.Fatalf("%s: nothing rebuilt but no patch over the previous model", what)
+					t.Fatalf("%s: nothing rebuilt but the arcs were laid out again", what)
 				}
-				prev, prevCorner = m, corner
+				prev = m
 			}
 			if patched == 0 {
-				t.Fatal("no step patched the previous model")
+				t.Fatal("no step derived its model from the previous one")
 			}
 		})
+	}
+}
+
+// sameEdge reports whether two arcs are identical, delays bitwise.
+func sameEdge(x, y *Edge) bool {
+	return *x == *y && math.Float64bits(x.DRise) == math.Float64bits(y.DRise) &&
+		math.Float64bits(x.DFall) == math.Float64bits(y.DFall)
+}
+
+// sameView asserts that a corner view and a materialized model hold the
+// same arcs and read the same delays, bit for bit.
+func sameView(t *testing.T, what string, view, mat *Model) {
+	t.Helper()
+	if len(view.Edges) != len(mat.Edges) {
+		t.Fatalf("%s: %d arcs, materialized %d", what, len(view.Edges), len(mat.Edges))
+	}
+	for i := range mat.Edges {
+		v, w := &view.Edges[i], &mat.Edges[i]
+		if !SameArc(v, w) || v.Via != w.Via {
+			t.Fatalf("%s: arc %d is %v, materialized %v", what, i, *v, *w)
+		}
+		for _, fall := range []bool{false, true} {
+			dv, mv := view.Delay(v, fall)
+			dw, mw := mat.Delay(w, fall)
+			if math.Float64bits(dv) != math.Float64bits(dw) || mv != mw {
+				t.Fatalf("%s: arc %d (fall %v) reads %v, materialized %v", what, i, fall, dv, dw)
+			}
+		}
 	}
 }
 

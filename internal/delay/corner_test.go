@@ -53,10 +53,8 @@ func TestScaleModelStructureShared(t *testing.T) {
 			t.Fatalf("edge %d: scaling changed impossibility", i)
 		}
 	}
-	for i, c0 := range base.Caps {
-		if math.Float64bits(m.Caps[i]) != math.Float64bits(c0*c.CScale) {
-			t.Fatalf("cap %d not scaled by CScale", i)
-		}
+	if m.Caps != nil || m.DelayScale() != 1 {
+		t.Error("a materialized corner model holds no Caps and reads its arcs unscaled")
 	}
 	// The structural snapshots are shared, not copied.
 	if &m.NodeFlags[0] != &base.NodeFlags[0] || &m.NodePhase[0] != &base.NodePhase[0] {
@@ -82,6 +80,43 @@ func TestScaleModelLeavesBaseIntact(t *testing.T) {
 	for i := range before {
 		if base.Edges[i] != before[i] {
 			t.Fatalf("edge %d of the base model mutated by ScaleModel", i)
+		}
+	}
+}
+
+// TestCornerViewSharesBase: a corner view is the base's arrays read at
+// the corner's delay scale — the same arc array, node snapshot, layout
+// and truncation count, no Caps — and reads exactly ScaleModel's
+// delays. A typical corner's view is the base itself, and a Model
+// literal that sets no scale reads its arcs unscaled.
+func TestCornerViewSharesBase(t *testing.T) {
+	base := cornerTestModel(t)
+	if base.At(tech.Typical()) != base || base.DelayScale() != 1 {
+		t.Fatal("the typical view must be the base, read at scale 1")
+	}
+	for _, c := range []tech.Corner{tech.Slow(), tech.Fast(), {Name: "hot", RScale: 1.45, CScale: 1.2}} {
+		v := base.At(c)
+		if &v.Edges[0] != &base.Edges[0] || &v.NodeFlags[0] != &base.NodeFlags[0] ||
+			&v.NodePhase[0] != &base.NodePhase[0] || v.Layout != base.Layout || v.Truncated != base.Truncated {
+			t.Fatalf("%s: the view does not share the base's arrays", c.Name)
+		}
+		if v.Caps != nil {
+			t.Fatalf("%s: the view holds Caps", c.Name)
+		}
+		if math.Float64bits(v.DelayScale()) != math.Float64bits(c.DelayScale()) {
+			t.Fatalf("%s: view scale %v, want %v", c.Name, v.DelayScale(), c.DelayScale())
+		}
+		mat := ScaleModel(base, c.RScale, c.CScale)
+		sameView(t, c.Name, v, mat)
+	}
+	lit := &Model{Edges: base.Edges}
+	for i := range lit.Edges {
+		e := &lit.Edges[i]
+		if d, m := lit.Delay(e, false); math.Float64bits(d) != math.Float64bits(e.DRise) || m != e.MaskRise {
+			t.Fatalf("arc %d: a literal reads rise %v, stored %v", i, d, e.DRise)
+		}
+		if d, m := lit.Delay(e, true); math.Float64bits(d) != math.Float64bits(e.DFall) || m != e.MaskFall {
+			t.Fatalf("arc %d: a literal reads fall %v, stored %v", i, d, e.DFall)
 		}
 	}
 }

@@ -171,12 +171,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Model is the computed set of timing edges for a netlist.
+// Model is the computed set of timing edges for a netlist, or a corner's
+// view of one (At).
 type Model struct {
-	// Edges holds every arc, deterministically ordered.
+	// Edges holds every arc, deterministically ordered. Its delays are
+	// the typical process's; Delay reads them at the model's scale.
 	Edges []Edge
 	// Caps[i] is the total capacitance in pF seen at node index i
-	// (extracted wire cap + gate loading + diffusion loading).
+	// (extracted wire cap + gate loading + diffusion loading) at the
+	// typical process. A corner view has none.
 	Caps []float64
 	// NodeFlags[i] and NodePhase[i] snapshot node i's annotations and
 	// clock phase at build time. The analyzer reads node state from
@@ -196,6 +199,51 @@ type Model struct {
 	// that keeps every arc's identity, and a corner model, keep theirs.
 	// Zero names no layout.
 	Layout uint64
+	// scale is the factor Delay multiplies every arc delay by: a
+	// corner's RScale·CScale. Zero, which every built model and every
+	// Model literal has, reads the delays unscaled.
+	scale float64
+}
+
+// At returns the model's view at corner c: the same arcs, node snapshot
+// and layout, read at c's delay scale (tech.Corner.DelayScale), and no
+// Caps. It is O(1) — the view shares every array with m — and a typical
+// corner's view is m itself. Because each arc delay is a sum of R·C
+// products, the view's delays are exactly the corner's (see corner.go).
+func (m *Model) At(c tech.Corner) *Model {
+	if c.IsTypical() {
+		return m
+	}
+	return &Model{
+		Edges:     m.Edges,
+		NodeFlags: m.NodeFlags,
+		NodePhase: m.NodePhase,
+		Truncated: m.Truncated,
+		Layout:    m.Layout,
+		scale:     m.DelayScale() * c.DelayScale(),
+	}
+}
+
+// DelayScale is the factor the model reads its arc delays at: 1 for a
+// built model, the corner's RScale·CScale for a corner view.
+func (m *Model) DelayScale() float64 {
+	if m.scale == 0 {
+		return 1
+	}
+	return m.scale
+}
+
+// Delay returns arc e's delay at the model's scale and its phase mask,
+// for To rising, or falling when fall is set. Every reader of an arc
+// delay goes through it. The explicit conversion rounds the product
+// before any addition the caller makes: the Go spec lets the compiler
+// fuse x*y+z into one rounding, and an analysis over a materialized
+// corner model (ScaleModel) adds the rounded product.
+func (m *Model) Delay(e *Edge, fall bool) (float64, uint8) {
+	if fall {
+		return float64(e.DFall * m.DelayScale()), e.MaskFall
+	}
+	return float64(e.DRise * m.DelayScale()), e.MaskRise
 }
 
 // layouts numbers the arc layouts mergeShards produces.

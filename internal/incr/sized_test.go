@@ -3,6 +3,7 @@ package incr
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -62,10 +63,11 @@ func TestSizedAbortRefillsScratch(t *testing.T) {
 }
 
 // TestNamedLoadsMatchFullProbe: one resize-and-setcap batch run through
-// pipeline.Run with its loads named (a sized build, patched corner
-// models) and without (every stage probed, corners rescaled in full)
-// gives identical models at every corner and identical re-analysis
-// stats.
+// pipeline.Run with its loads named (a sized build) and without (every
+// stage probed) gives identical base models, identical corner views and
+// identical re-analysis stats. The named build keeps the previous arc
+// layout and differs from the previous model only at the rebuilt
+// stages' arcs and the named nodes' loading.
 func TestNamedLoadsMatchFullProbe(t *testing.T) {
 	ctx := context.Background()
 	run := func(named bool) (pipeline.State, pipeline.Stats) {
@@ -86,8 +88,23 @@ func TestNamedLoadsMatchFullProbe(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if named != (ps.Build.Patch != nil) {
-			t.Fatalf("named loads %v, patched build %v", named, ps.Build.Patch != nil)
+		if named {
+			prev, m := s.model, next.Model
+			if m.Layout != prev.Layout {
+				t.Fatal("the sized build laid the arcs out again")
+			}
+			for k := range m.Edges {
+				e := &m.Edges[k]
+				si := next.Stages.NodeStage[e.To]
+				if *e != prev.Edges[k] && (si < 0 || !slices.Contains(ps.Build.Rebuilt, next.Stages.Stages[si])) {
+					t.Fatalf("arc %d moved outside the rebuilt stages: %v, was %v", k, *e, prev.Edges[k])
+				}
+			}
+			for i := range m.Caps {
+				if m.Caps[i] != prev.Caps[i] && !slices.Contains(loads, i) {
+					t.Fatalf("node %d loading moved but was not named", i)
+				}
+			}
 		}
 		return next, ps
 	}
@@ -119,6 +136,9 @@ func sameModel(got, want *delay.Model) error {
 	if !slices.Equal(got.Caps, want.Caps) || !slices.Equal(got.NodeFlags, want.NodeFlags) ||
 		!slices.Equal(got.NodePhase, want.NodePhase) || got.Truncated != want.Truncated {
 		return errors.New("model node arrays differ")
+	}
+	if got.DelayScale() != want.DelayScale() {
+		return fmt.Errorf("delay scale %v, want %v", got.DelayScale(), want.DelayScale())
 	}
 	return nil
 }

@@ -235,13 +235,7 @@ func (g *Generator) seedLatches() (candidates int) {
 	for i := range g.model.Edges {
 		e := &g.model.Edges[i]
 		for _, pol := range []core.Polarity{core.Rise, core.Fall} {
-			var d float64
-			var mask uint8
-			if pol == core.Rise {
-				d, mask = e.DRise, e.MaskRise
-			} else {
-				d, mask = e.DFall, e.MaskFall
-			}
+			d, mask := g.model.Delay(e, pol == core.Fall)
 			if mask == 0 || math.IsInf(d, 1) {
 				continue
 			}
@@ -391,13 +385,7 @@ func (g *Generator) expand(st *state) {
 		if storage && !g.model.IsClock(e.From) {
 			continue // storage launches from its clock edge only
 		}
-		var d float64
-		var mask uint8
-		if st.pol == core.Rise {
-			d, mask = e.DRise, e.MaskRise
-		} else {
-			d, mask = e.DFall, e.MaskFall
-		}
+		d, mask := g.model.Delay(e, st.pol == core.Fall)
 		if math.IsInf(d, 1) {
 			continue
 		}
@@ -534,13 +522,7 @@ func (g *Generator) build(st *state) Path {
 			to, toPol = chain[i+1].node, chain[i+1].pol
 		}
 		e := &g.model.Edges[cur.arc]
-		var d float64
-		var mask uint8
-		if toPol == core.Rise {
-			d, mask = e.DRise, e.MaskRise
-		} else {
-			d, mask = e.DFall, e.MaskFall
-		}
+		d, mask := g.model.Delay(e, toPol == core.Fall)
 		clamp, _, constrained, _ := core.MaskWindow(g.sched, mask)
 		if i+1 == len(chain) && end.wrapped {
 			clamp += g.sched.Period

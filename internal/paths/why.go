@@ -96,13 +96,7 @@ func WhyLate(res *core.Result, node int32, pol core.Polarity) (Why, bool) {
 	for i := len(chain) - 2; i >= 0; i-- {
 		l := chain[i]
 		e := &res.Model.Edges[l.arc]
-		var d float64
-		var mask uint8
-		if l.pol == core.Rise {
-			d, mask = e.DRise, e.MaskRise
-		} else {
-			d, mask = e.DFall, e.MaskFall
-		}
+		d, mask := res.Model.Delay(e, l.pol == core.Fall)
 		clamp, _, constrained, _ := core.MaskWindow(res.Sched, mask)
 		launch, clamped := t, false
 		if constrained && launch < clamp {
