@@ -54,11 +54,6 @@ type pass struct {
 	// wakes what it feeds.
 	work *worklist
 	prev [2][]float64
-	// outputs marks, per node index, the primary outputs that transition
-	// (required pass): the nodes runChecks gave an output check. Reading
-	// them off the checks, not the nodes' flags in walk order, spares the
-	// walk a cache miss per node.
-	outputs []bool
 	// loopMu guards Result.loopNodes while the settle pass reports the
 	// components that did not converge.
 	loopMu sync.Mutex

@@ -25,6 +25,7 @@ import (
 	"nmostv/internal/obs"
 	"nmostv/internal/pipeline"
 	"nmostv/internal/simfile"
+	"nmostv/internal/slack"
 	"nmostv/internal/stage"
 	"nmostv/internal/tech"
 	"nmostv/internal/tverr"
@@ -148,6 +149,8 @@ type Session struct {
 
 	// corners is the per-corner published state (nil when single-corner).
 	corners []*cornerState
+	// merged is the published version's merged corner view.
+	merged *mergedView
 
 	// history is the version ring of retained published results (latest
 	// last); seq is the monotone publish counter. See debug.go.
@@ -534,10 +537,11 @@ func (s *Session) publish(st Stats, bstats delay.BuildStats) {
 // flow, timing arcs, full analysis at every corner — and verifies the
 // session's current state is bit-identical: the shard cache's per-stage
 // fingerprints (which a sized build updates only for the stages it
-// probed), every timing arc, every arrival (settle and early, both
-// polarities), every dominant-predecessor record (what /why, /critical
-// and /paths walk), every check in order with its producing arc, and the
-// backward pass of the base and of every corner. This is the equivalence
+// probed), every timing arc and delay scale, every arrival (settle and
+// early, both polarities), every dominant-predecessor record (what /why,
+// /critical and /paths walk), every check in order with its producing
+// arc, the backward pass of the base and of every corner, and the merged
+// corner view a /slack read would serve. This is the equivalence
 // invariant of the incremental engine; it returns nil when it holds.
 func (s *Session) SelfCheck(ctx context.Context) error {
 	s.mu.Lock()
@@ -584,17 +588,37 @@ func (s *Session) SelfCheck(ctx context.Context) error {
 	if err := check(s.model, want.Model, s.res, want.Base); err != nil {
 		return err
 	}
+	refCorners := make([]slack.CornerResult, len(s.corners))
 	for i, cs := range s.corners {
 		wc := want.Corners[i]
 		if err := check(cs.model, wc.Model, cs.res, wc.Res); err != nil {
 			return fmt.Errorf("corner %s: %w", cs.corner.Name, err)
 		}
+		refReq, err := wc.Res.Required(ctx, refOpt)
+		if err != nil {
+			return fmt.Errorf("selfcheck reference backward pass: %w", err)
+		}
+		refCorners[i] = slack.CornerResult{Corner: wc.Corner, Model: wc.Model, Res: wc.Res, Req: refReq}
 	}
-	return nil
+	if len(s.corners) == 0 {
+		return nil
+	}
+	got, err := s.mergedSweep(ctx, false)
+	if err != nil {
+		return fmt.Errorf("selfcheck merged view: %w", err)
+	}
+	wantSweep, err := slack.Merge(refCorners)
+	if err != nil {
+		return fmt.Errorf("selfcheck reference merge: %w", err)
+	}
+	return compareMerged(got, wantSweep, s.nl.Nodes)
 }
 
-// compareArcs asserts bit-identical timing arcs.
+// compareArcs asserts bit-identical timing arcs and delay scales.
 func compareArcs(got, ref *delay.Model) error {
+	if math.Float64bits(got.DelayScale()) != math.Float64bits(ref.DelayScale()) {
+		return fmt.Errorf("selfcheck: delay scale %v, reference %v", got.DelayScale(), ref.DelayScale())
+	}
 	if len(got.Edges) != len(ref.Edges) {
 		return fmt.Errorf("selfcheck: %d timing arcs, reference %d", len(got.Edges), len(ref.Edges))
 	}

@@ -208,14 +208,24 @@ func TestRandomDeltaEquivalence(t *testing.T) {
 	for _, w := range testWorkloads() {
 		builds[w.name] = w.build
 	}
+	// merges counts the corner sessions' merged /slack reads by how the
+	// view was built: refolded from the previous version's, or in full.
+	var merges [2]int
+	cornerRuns := 0
 	for _, sc := range sessions {
 		opt := Options{Params: p, Sched: testSchedule(), Core: core.Options{Workers: sc.workers}}
 		if sc.corners {
 			opt.Corners = tech.Corners()
 		}
 		t.Run(sc.name, func(t *testing.T) {
+			if sc.corners {
+				cornerRuns++
+			}
 			ctx := context.Background()
 			rng := rand.New(rand.NewSource(sc.source))
+			// The merged reads draw from a source of their own, so the
+			// replayed sessions keep their batches.
+			reads := rand.New(rand.NewSource(sc.source + 1))
 			s, err := New(ctx, sc.workload, builds[sc.workload](p), opt)
 			if err != nil {
 				t.Fatal(err)
@@ -233,11 +243,25 @@ func TestRandomDeltaEquivalence(t *testing.T) {
 				if want := paths.CountChanged(before, s.Result()); st.ChangedNodes != want {
 					t.Fatalf("round %d after %v: ChangedNodes %d from the relaxed nodes, %d comparing every node", round, batch, st.ChangedNodes, want)
 				}
+				if sc.corners && reads.Intn(4) > 0 {
+					refold := s.merged.prev != nil
+					if _, err := s.Slack(ctx, 10, ""); err != nil {
+						t.Fatalf("round %d: merged Slack: %v", round, err)
+					}
+					if refold {
+						merges[0]++
+					} else {
+						merges[1]++
+					}
+				}
 				if err := s.SelfCheck(ctx); err != nil {
 					t.Fatalf("round %d after %v: %v", round, batch, err)
 				}
 			}
 		})
+	}
+	if cornerRuns == 2 && (merges[0] == 0 || merges[1] == 0) {
+		t.Fatalf("the corner sessions' merged reads refolded %d views and merged %d in full; want both", merges[0], merges[1])
 	}
 }
 

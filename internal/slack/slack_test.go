@@ -3,6 +3,7 @@ package slack
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"nmostv/internal/clocks"
@@ -69,9 +70,15 @@ func TestSweepMatchesIndependentRuns(t *testing.T) {
 			!eqF(cr.Res.EarlyRise, res.EarlyRise) || !eqF(cr.Res.EarlyFall, res.EarlyFall) {
 			t.Fatalf("corner %s: sweep arrivals differ from independent run", c.Name)
 		}
-		if !eqF(cr.Req.RiseRAT, req.RiseRAT) || !eqF(cr.Req.FallRAT, req.FallRAT) ||
-			!eqF(cr.Req.SlackRise, req.SlackRise) || !eqF(cr.Req.SlackFall, req.SlackFall) {
-			t.Fatalf("corner %s: sweep required/slack differ from independent run", c.Name)
+		if !eqF(cr.Req.RiseRAT, req.RiseRAT) || !eqF(cr.Req.FallRAT, req.FallRAT) {
+			t.Fatalf("corner %s: sweep required times differ from independent run", c.Name)
+		}
+		for n := range req.RiseRAT {
+			for _, pol := range []core.Polarity{core.Rise, core.Fall} {
+				if math.Float64bits(cr.Req.Slack(n, pol)) != math.Float64bits(req.Slack(n, pol)) {
+					t.Fatalf("corner %s: node %d %s sweep slack differs from independent run", c.Name, n, pol)
+				}
+			}
 		}
 		if len(cr.Res.Checks) != len(res.Checks) {
 			t.Fatalf("corner %s: %d checks, independent %d", c.Name, len(cr.Res.Checks), len(res.Checks))
@@ -214,5 +221,43 @@ func TestSweepValidation(t *testing.T) {
 	}
 	if len(sw.Corners) != 1 || sw.Corners[0].Corner.Name != "typ" {
 		t.Fatalf("empty corner list gave %v", sw.Corners)
+	}
+}
+
+// TestRemergeFallsBackUnlessExtended: Remerge refolds only over backward
+// passes that extended prev's. Analyses of an edited design made from
+// scratch extend nothing, so their Remerge over the unedited sweep must
+// fold every node — equal to Merge, and different from prev.
+func TestRemergeFallsBackUnlessExtended(t *testing.T) {
+	ctx := context.Background()
+	p := tech.Default()
+	nl, base := testDesign(t)
+	opt := Options{Sched: clocks.TwoPhase(1200, 0.8), Core: core.Options{Workers: 1}}
+	prev, err := Analyze(ctx, nl, base, tech.Corners(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range nl.Trans[:len(nl.Trans)/4] {
+		tr.W *= 3
+	}
+	edited := delay.Build(nl, stage.Extract(nl), p, delay.Options{Workers: 1})
+	fresh, err := Analyze(ctx, nl, edited, tech.Corners(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ci, cr := range fresh.Corners {
+		if _, ok := cr.Req.ChangedSince(prev.Corners[ci].Req); ok {
+			t.Fatalf("corner %s: a from-scratch pass claims to extend another", cr.Corner.Name)
+		}
+	}
+	got, err := Remerge(prev, fresh.Corners)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !eqF(got.WorstSlack, fresh.WorstSlack) || !slices.Equal(got.WorstCorner, fresh.WorstCorner) {
+		t.Fatal("Remerge over passes that extend nothing differs from a full merge")
+	}
+	if eqF(got.WorstSlack, prev.WorstSlack) {
+		t.Fatal("the edit moved no merged slack; the test cannot tell a refold from a full merge")
 	}
 }

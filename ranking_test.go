@@ -72,13 +72,13 @@ func refSlackRanking(r *core.Result, q *core.Required, k int) []core.SlackEntry 
 			continue
 		}
 		i := nd.Index
-		if !math.IsInf(q.SlackRise[i], 1) {
+		if s := q.Slack(i, core.Rise); !math.IsInf(s, 1) {
 			out = append(out, core.SlackEntry{Node: nd, Pol: core.Rise,
-				Arrival: r.RiseAt[i], Required: q.RiseRAT[i], Slack: q.SlackRise[i]})
+				Arrival: r.RiseAt[i], Required: q.RiseRAT[i], Slack: s})
 		}
-		if !math.IsInf(q.SlackFall[i], 1) {
+		if s := q.Slack(i, core.Fall); !math.IsInf(s, 1) {
 			out = append(out, core.SlackEntry{Node: nd, Pol: core.Fall,
-				Arrival: r.FallAt[i], Required: q.FallRAT[i], Slack: q.SlackFall[i]})
+				Arrival: r.FallAt[i], Required: q.FallRAT[i], Slack: s})
 		}
 	}
 	slices.SortFunc(out, func(a, c core.SlackEntry) int {
@@ -111,7 +111,7 @@ func refMergedRanking(sw *slack.Sweep, k int) []slack.Entry {
 		}
 		cr := &sw.Corners[ci]
 		pol := core.Rise
-		if cr.Req.SlackFall[nd.Index] < cr.Req.SlackRise[nd.Index] {
+		if cr.Req.Slack(nd.Index, core.Fall) < cr.Req.Slack(nd.Index, core.Rise) {
 			pol = core.Fall
 		}
 		at := cr.Res.RiseAt[nd.Index]
