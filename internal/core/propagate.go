@@ -131,8 +131,8 @@ func newWaveSchedule(n int, m *delay.Model, ar *Arena) *waveSchedule {
 
 // Plan is an opaque shareable handle to a propagation plan (adjacency,
 // SCC condensation, levelization). The plan depends only on a model's
-// arc endpoints and node count, so analyses of models derived by
-// delay.ScaleModel (same arcs, delays uniformly rescaled) can share one
+// arc endpoints and node count, so analyses of a base model's corner
+// views (delay.Model.At: the same arcs read at a scale) can share one
 // plan instead of recomputing it per corner: pass it via Options.Plan.
 // The handle also carries how the arcs moved since the analysis that
 // produced it extended its previous result, so a corner extending its
@@ -148,7 +148,7 @@ type Plan struct {
 
 // fits reports whether the plan matches a model with n nodes and m arcs;
 // deeper structural identity (same endpoints per arc index) is the
-// caller's contract — delay.ScaleModel guarantees it.
+// caller's contract — a corner view shares its base's arcs.
 func (p *Plan) fits(n, m int) bool {
 	return p != nil && p.ws != nil && len(p.ws.compOf) == n && len(p.ws.outEdge) == m
 }
