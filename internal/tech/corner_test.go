@@ -44,14 +44,16 @@ func TestParseCorners(t *testing.T) {
 		t.Fatalf("empty spec = %v, %v; want nil, nil", got, err)
 	}
 	for _, bad := range []string{
-		"warm",        // unknown builtin
-		"x:1.0",       // wrong arity
-		"x:a:b",       // non-numeric
-		"x:-1:1",      // non-positive scale
-		"slow,slow",   // duplicate
-		"typ,typical", // duplicate via alias
-		":1:1",        // empty name
-		"slow:1:1:1",  // too many fields
+		"warm",            // unknown builtin
+		"x:1.0",           // wrong arity
+		"x:a:b",           // non-numeric
+		"x:-1:1",          // non-positive scale
+		"x:1e-200:1e-200", // delay scale underflows to 0
+		"x:1e200:1e200",   // delay scale overflows
+		"slow,slow",       // duplicate
+		"typ,typical",     // duplicate via alias
+		":1:1",            // empty name
+		"slow:1:1:1",      // too many fields
 	} {
 		if _, err := ParseCorners(bad); err == nil {
 			t.Errorf("ParseCorners(%q) succeeded, want error", bad)
