@@ -188,7 +188,7 @@ func main() {
 	stats := d.NL.ComputeStats()
 	fmt.Printf("circuit %s: %d transistors (%d enh, %d dep), %d nodes, %d stages, %d timing arcs\n",
 		d.NL.Name, stats.Transistors, stats.Enh, stats.Dep, stats.Nodes,
-		len(d.Stages.Stages), len(d.Model.Edges))
+		len(d.Stages.Stages), d.Model.Edges.Len())
 	fmt.Printf("process: %s\n", p)
 	if !*noFlow {
 		fmt.Printf("%s\n", d.Flow)
@@ -361,7 +361,7 @@ func printPaths(res *nmostv.Result, k int) {
 		for _, s := range p.Steps {
 			via := ""
 			if s.Arc >= 0 {
-				if tr := res.NL.TransByID(res.Model.Edges[s.Arc].Via); tr != nil && tr.Gate != nil {
+				if tr := res.NL.TransByID(res.Model.Arc(s.Arc).Via); tr != nil && tr.Gate != nil {
 					via = "  via " + tr.Gate.Name
 				}
 			}
@@ -428,7 +428,7 @@ func printSettles(res *nmostv.Result) {
 		if math.IsInf(s, -1) {
 			continue
 		}
-		rows = append(rows, row{n.Name, res.RiseAt[n.Index], res.FallAt[n.Index], s})
+		rows = append(rows, row{n.Name, res.RiseAt.At(n.Index), res.FallAt.At(n.Index), s})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].both > rows[j].both })
 	for _, r := range rows {

@@ -67,14 +67,14 @@ func TestFacadeCornersMatchSession(t *testing.T) {
 				if g.Corner != w.Corner {
 					t.Fatalf("corner %d is %v, facade %v", i, g.Corner, w.Corner)
 				}
-				if !same(g.Res.RiseAt, w.Res.RiseAt) || !same(g.Res.FallAt, w.Res.FallAt) ||
-					!same(g.Res.EarlyRise, w.Res.EarlyRise) || !same(g.Res.EarlyFall, w.Res.EarlyFall) {
+				if !same(g.Res.RiseAt.Slice(), w.Res.RiseAt.Slice()) || !same(g.Res.FallAt.Slice(), w.Res.FallAt.Slice()) ||
+					!same(g.Res.EarlyRise.Slice(), w.Res.EarlyRise.Slice()) || !same(g.Res.EarlyFall.Slice(), w.Res.EarlyFall.Slice()) {
 					t.Fatalf("corner %s: arrivals differ", w.Corner.Name)
 				}
-				if !same(g.Req.RiseRAT, w.Req.RiseRAT) || !same(g.Req.FallRAT, w.Req.FallRAT) {
+				if !same(g.Req.RiseRAT.Slice(), w.Req.RiseRAT.Slice()) || !same(g.Req.FallRAT.Slice(), w.Req.FallRAT.Slice()) {
 					t.Fatalf("corner %s: required times differ", w.Corner.Name)
 				}
-				for n := range w.Req.RiseRAT {
+				for n := range w.Req.RiseRAT.Len() {
 					for _, pol := range []core.Polarity{core.Rise, core.Fall} {
 						if !same([]float64{g.Req.Slack(n, pol)}, []float64{w.Req.Slack(n, pol)}) {
 							t.Fatalf("corner %s: node %d %s slack differs", w.Corner.Name, n, pol)
@@ -82,12 +82,12 @@ func TestFacadeCornersMatchSession(t *testing.T) {
 					}
 				}
 			}
-			if !same(got.WorstSlack, want.WorstSlack) {
+			if !same(got.WorstSlack.Slice(), want.WorstSlack.Slice()) {
 				t.Fatal("merged worst slack differs")
 			}
-			for i := range want.WorstCorner {
-				if got.WorstCorner[i] != want.WorstCorner[i] {
-					t.Fatalf("node %d: worst corner %d, facade %d", i, got.WorstCorner[i], want.WorstCorner[i])
+			for i := range want.WorstCorner.Len() {
+				if got.WorstCorner.At(i) != want.WorstCorner.At(i) {
+					t.Fatalf("node %d: worst corner %d, facade %d", i, got.WorstCorner.At(i), want.WorstCorner.At(i))
 				}
 			}
 			const k = 25

@@ -95,7 +95,7 @@ func main() {
 	worstT := -1.0
 	for _, o := range outs {
 		st := res.Settle(o)
-		tab.Add(o.Name, res.RiseAt[o.Index], res.FallAt[o.Index], st)
+		tab.Add(o.Name, res.RiseAt.At(o.Index), res.FallAt.At(o.Index), st)
 		if st > worstT {
 			worst, worstT = o, st
 		}
@@ -104,7 +104,7 @@ func main() {
 
 	fmt.Printf("\nworst output %s settles at %.4g ns via:\n", worst, worstT)
 	pol := nmostv.Rise
-	if res.FallAt[worst.Index] > res.RiseAt[worst.Index] {
+	if res.FallAt.At(worst.Index) > res.RiseAt.At(worst.Index) {
 		pol = nmostv.Fall
 	}
 	fmt.Print(nmostv.FormatPath(res.Path(worst, pol)))

@@ -37,7 +37,7 @@ func main() {
 	// Prepare: stage extraction, signal-flow analysis, RC timing arcs.
 	d := nmostv.Prepare(nl, p, nmostv.PrepareOptions{})
 	fmt.Println("flow:", d.Flow)
-	fmt.Println("timing arcs:", len(d.Model.Edges))
+	fmt.Println("timing arcs:", d.Model.Edges.Len())
 
 	// Analyze one clock cycle.
 	sched := nmostv.TwoPhase(50, 0.8)

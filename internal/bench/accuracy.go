@@ -183,9 +183,9 @@ func MeasureAccuracy() []AccRow {
 		nl := b.Finish()
 		pr := prepare(nl, p, true)
 		res, _ := pr.analyze(genericSchedule())
-		tv := res.RiseAt[out.Index]
+		tv := res.RiseAt.At(out.Index)
 		if c.Pol == core.Fall {
-			tv = res.FallAt[out.Index]
+			tv = res.FallAt.At(out.Index)
 		}
 
 		// Simulation of the same transition.

@@ -122,11 +122,11 @@ func timeSweep(nl *netlist.Netlist, model *delay.Model, corners []tech.Corner, w
 // sameRequired reports whether two backward passes produced bit-identical
 // required times and slacks.
 func sameRequired(a, b *core.Required) bool {
-	if len(a.RiseRAT) != len(b.RiseRAT) {
+	if a.RiseRAT.Len() != b.RiseRAT.Len() {
 		return false
 	}
 	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-	for i := range a.RiseRAT {
+	for i := range a.RiseRAT.Len() {
 		for _, pol := range []core.Polarity{core.Rise, core.Fall} {
 			if !same(a.RAT(i, pol), b.RAT(i, pol)) || !same(a.Slack(i, pol), b.Slack(i, pol)) {
 				return false
@@ -163,12 +163,12 @@ func sweepMatchesIndependent(nl *netlist.Netlist, model *delay.Model, sw *slack.
 	if err != nil {
 		return false
 	}
-	if len(merged.WorstSlack) != len(sw.WorstSlack) {
+	if merged.WorstSlack.Len() != sw.WorstSlack.Len() {
 		return false
 	}
-	for i := range sw.WorstSlack {
-		if math.Float64bits(merged.WorstSlack[i]) != math.Float64bits(sw.WorstSlack[i]) ||
-			merged.WorstCorner[i] != sw.WorstCorner[i] {
+	for i := range sw.WorstSlack.Len() {
+		if math.Float64bits(merged.WorstSlack.At(i)) != math.Float64bits(sw.WorstSlack.At(i)) ||
+			merged.WorstCorner.At(i) != sw.WorstCorner.At(i) {
 			return false
 		}
 	}
@@ -236,7 +236,7 @@ func measureCornerPoint(target, workers, repeats int) T9Sample {
 		Target:            target,
 		Transistors:       pr.stats.Transistors,
 		Nodes:             pr.stats.Nodes,
-		Arcs:              len(pr.model.Edges),
+		Arcs:              pr.model.Edges.Len(),
 		Corners:           len(corners),
 		Workers:           w,
 		SingleNs:          singleDur.Nanoseconds(),

@@ -99,7 +99,7 @@ func MeasurePassChains(maxK int) []PassChainPoint {
 		nl := b.Finish()
 		pr := prepare(nl, p, true)
 		res, _ := pr.analyze(genericSchedule())
-		pt.TV = res.RiseAt[end.Index]
+		pt.TV = res.RiseAt.At(end.Index)
 
 		// Bare chain: simulator.
 		b2 := gen.New("chain", p)
@@ -123,7 +123,7 @@ func MeasurePassChains(maxK int) []PassChainPoint {
 		if k >= 1 {
 			// Per-node load along the chain (uniform by construction).
 			mid := nl.Lookup("pch_1")
-			cseg = pr.model.Caps[mid.Index]
+			cseg = pr.model.Caps.At(mid.Index)
 		}
 		pt.Naive = float64(k) * rseg * cseg
 
@@ -204,8 +204,8 @@ func MeasureRatios(ratios []float64) []RatioPoint {
 		res, _ := pr.analyze(genericSchedule())
 		out = append(out, RatioPoint{
 			Ratio:      ratio,
-			RiseDelay:  res.RiseAt[first.Index],
-			FallDelay:  res.FallAt[first.Index],
+			RiseDelay:  res.RiseAt.At(first.Index),
+			FallDelay:  res.FallAt.At(first.Index),
 			ChainDelay: res.Settle(cur),
 		})
 	}

@@ -57,24 +57,24 @@ func TestParallelEngineGoldenEquality(t *testing.T) {
 			}
 			for _, workers := range []int{2, runtime.GOMAXPROCS(0)} {
 				m := delay.Build(nl, st, p, delay.Options{Workers: workers})
-				if len(m.Edges) != len(mBase.Edges) {
-					t.Fatalf("workers=%d: %d edges, serial %d", workers, len(m.Edges), len(mBase.Edges))
+				if m.Edges.Len() != mBase.Edges.Len() {
+					t.Fatalf("workers=%d: %d edges, serial %d", workers, m.Edges.Len(), mBase.Edges.Len())
 				}
-				for i := range m.Edges {
-					if m.Edges[i] != mBase.Edges[i] {
+				for i := range m.Edges.Len() {
+					if m.Edges.At(i) != mBase.Edges.At(i) {
 						t.Fatalf("workers=%d: edge %d differs:\n got %v\nwant %v",
-							workers, i, m.Edges[i], mBase.Edges[i])
+							workers, i, m.Edges.At(i), mBase.Edges.At(i))
 					}
 				}
 				res, err := core.Analyze(context.Background(), nl, m, sched, core.Options{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i := range rBase.RiseAt {
-					if res.RiseAt[i] != rBase.RiseAt[i] || res.FallAt[i] != rBase.FallAt[i] {
+				for i := range rBase.RiseAt.Len() {
+					if res.RiseAt.At(i) != rBase.RiseAt.At(i) || res.FallAt.At(i) != rBase.FallAt.At(i) {
 						t.Fatalf("workers=%d: arrivals differ at node %d", workers, i)
 					}
-					if res.EarlyRise[i] != rBase.EarlyRise[i] || res.EarlyFall[i] != rBase.EarlyFall[i] {
+					if res.EarlyRise.At(i) != rBase.EarlyRise.At(i) || res.EarlyFall.At(i) != rBase.EarlyFall.At(i) {
 						t.Fatalf("workers=%d: early arrivals differ at node %d", workers, i)
 					}
 				}

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"nmostv/internal/core"
+	"nmostv/internal/cow"
 	"nmostv/internal/gen"
 	"nmostv/internal/netlist"
 	"nmostv/internal/report"
@@ -96,7 +97,7 @@ func measureMedian(nl *netlist.Netlist, p tech.Params, useFlow bool, workers, re
 		m = measured{
 			transistors: pr.stats.Transistors,
 			nodes:       pr.stats.Nodes,
-			arcs:        len(pr.model.Edges),
+			arcs:        pr.model.Edges.Len(),
 			checks:      len(res.Checks),
 			workers:     pr.workers,
 		}
@@ -158,19 +159,11 @@ func MeasureTiled(target, workers int) T8Sample {
 // sameResult reports whether two analyses of the same design produced
 // bit-identical arrivals and the same check verdicts.
 func sameResult(a, b *core.Result) bool {
-	eq := func(x, y []float64) bool {
-		if len(x) != len(y) {
-			return false
-		}
-		for i := range x {
-			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
-				return false
-			}
-		}
-		return true
+	eq := func(x, y *cow.Array[float64]) bool {
+		return cow.Equal(x, y, func(u, v float64) bool { return math.Float64bits(u) == math.Float64bits(v) })
 	}
-	if !eq(a.RiseAt, b.RiseAt) || !eq(a.FallAt, b.FallAt) ||
-		!eq(a.EarlyRise, b.EarlyRise) || !eq(a.EarlyFall, b.EarlyFall) {
+	if !eq(&a.RiseAt, &b.RiseAt) || !eq(&a.FallAt, &b.FallAt) ||
+		!eq(&a.EarlyRise, &b.EarlyRise) || !eq(&a.EarlyFall, &b.EarlyFall) {
 		return false
 	}
 	if len(a.Checks) != len(b.Checks) {

@@ -193,7 +193,7 @@ func RunT4() *Report {
 	summary.Add("circuit", nl.Name)
 	summary.Add("transistors", pr.stats.Transistors)
 	summary.Add("stages", len(pr.stages.Stages))
-	summary.Add("timing arcs", len(pr.model.Edges))
+	summary.Add("timing arcs", pr.model.Edges.Len())
 	summary.Add("minimum cycle time (ns)", T)
 	summary.Add("clock schedule", res.Sched.String())
 	minSlack, _ := res.MinSlack()
@@ -269,7 +269,7 @@ func RunT5() *Report {
 			if !useFlow {
 				mode = "off"
 			}
-			tab.Add(w.Name, mode, bidir, len(pr.model.Edges), loops,
+			tab.Add(w.Name, mode, bidir, pr.model.Edges.Len(), loops,
 				maxSettle, float64(dur.Microseconds())/1000)
 		}
 	}

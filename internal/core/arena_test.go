@@ -65,11 +65,11 @@ func TestArenaReuseNoGrowth(t *testing.T) {
 		t.Fatalf("reference Analyze: %v", err)
 	}
 	for i := range nl.Nodes {
-		if res.RiseAt[i] != ref.RiseAt[i] || res.FallAt[i] != ref.FallAt[i] {
+		if res.RiseAt.At(i) != ref.RiseAt.At(i) || res.FallAt.At(i) != ref.FallAt.At(i) {
 			t.Fatalf("node %d settle diverged: (%v,%v) vs (%v,%v)",
-				i, res.RiseAt[i], res.FallAt[i], ref.RiseAt[i], ref.FallAt[i])
+				i, res.RiseAt.At(i), res.FallAt.At(i), ref.RiseAt.At(i), ref.FallAt.At(i))
 		}
-		if res.EarlyRise[i] != ref.EarlyRise[i] || res.EarlyFall[i] != ref.EarlyFall[i] {
+		if res.EarlyRise.At(i) != ref.EarlyRise.At(i) || res.EarlyFall.At(i) != ref.EarlyFall.At(i) {
 			t.Fatalf("node %d early diverged", i)
 		}
 	}

@@ -76,8 +76,7 @@ func TestAnalyzeIncrementalAbortKeepsPrev(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rise := make([]float64, len(prev.RiseAt))
-	copy(rise, prev.RiseAt)
+	rise := prev.RiseAt.Slice()
 
 	seed := make([]int32, len(nl.Nodes))
 	for i := range seed {
@@ -89,7 +88,7 @@ func TestAnalyzeIncrementalAbortKeepsPrev(t *testing.T) {
 		t.Fatalf("AnalyzeIncremental = %v, want injected fault", err)
 	}
 	for i := range rise {
-		if prev.RiseAt[i] != rise[i] {
+		if prev.RiseAt.At(i) != rise[i] {
 			t.Fatalf("aborted incremental pass mutated prev.RiseAt[%d]", i)
 		}
 	}

@@ -126,7 +126,7 @@ func (a *analysis) nodeChecks(v int32, loop bool, out []Check) []Check {
 	race := [2]int{-1, -1}          // by phase−1
 	dead := false
 	for _, ei := range a.wave.in(v) {
-		e := &a.Model.Edges[ei]
+		e := a.Model.Arc(ei)
 		raceArc := storage && !a.Model.IsClock(e.From)
 		for _, pol := range bothPols {
 			d, mask := a.Model.Delay(e, pol == Fall)
@@ -195,7 +195,7 @@ func (a *analysis) nodeChecks(v int32, loop bool, out []Check) []Check {
 	if node.Flags.Has(netlist.FlagOutput) {
 		if s := a.Settle(node); !isInfNeg(s) {
 			pol := Rise
-			if a.FallAt[v] > a.RiseAt[v] {
+			if a.FallAt.At(int(v)) > a.RiseAt.At(int(v)) {
 				pol = Fall
 			}
 			out = append(out, Check{

@@ -27,8 +27,8 @@ func oracleChecks(r *Result) []Check {
 	n := len(r.NL.Nodes)
 	clock := func(v int32) bool { return m.NodeFlags[v]&netlist.FlagClock != 0 }
 	storage := make([]bool, n)
-	for i := range m.Edges {
-		e := &m.Edges[i]
+	for i := range m.Edges.Len() {
+		e := m.Edges.Ref(i)
 		if m.NodeFlags[e.To]&netlist.FlagStorage != 0 && clock(e.From) {
 			storage[e.To] = true
 		}
@@ -38,16 +38,16 @@ func oracleChecks(r *Result) []Check {
 		loop[nd.Index] = true
 	}
 	arrival := func(at [2][]float64, v int32, pol Polarity) float64 { return at[pol][v] }
-	settle := [2][]float64{r.RiseAt, r.FallAt}
-	early := [2][]float64{r.EarlyRise, r.EarlyFall}
+	settle := [2][]float64{r.RiseAt.Slice(), r.FallAt.Slice()}
+	early := [2][]float64{r.EarlyRise.Slice(), r.EarlyFall.Slice()}
 	var out []Check
 	for v, node := range r.NL.Nodes {
 		var latch [2][2]*Check // [phase-1][pol]
 		var race [2]*Check     // [phase-1]
 		var mine []Check
 		dead := false
-		for ei := range m.Edges {
-			e := &m.Edges[ei]
+		for ei := range m.Edges.Len() {
+			e := m.Edges.Ref(ei)
 			if int(e.To) != v {
 				continue
 			}
@@ -122,9 +122,9 @@ func oracleChecks(r *Result) []Check {
 			}
 		}
 		if node.Flags.Has(netlist.FlagOutput) {
-			if t := math.Max(r.RiseAt[v], r.FallAt[v]); !math.IsInf(t, -1) {
+			if t := math.Max(r.RiseAt.At(v), r.FallAt.At(v)); !math.IsInf(t, -1) {
 				pol := Rise
-				if r.FallAt[v] > r.RiseAt[v] {
+				if r.FallAt.At(v) > r.RiseAt.At(v) {
 					pol = Fall
 				}
 				mine = append(mine, Check{Kind: CheckOutput, Node: node, Pol: pol,
@@ -191,7 +191,7 @@ func TestChecksMatchOracle(t *testing.T) {
 
 // latchDelay is the delay of a latch check's producing arc.
 func latchDelay(m *delay.Model, c Check) float64 {
-	e := &m.Edges[c.edge]
+	e := m.Arc(c.edge)
 	if c.Pol == Fall {
 		return e.DFall
 	}

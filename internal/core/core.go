@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 
 	"nmostv/internal/clocks"
+	"nmostv/internal/cow"
 	"nmostv/internal/delay"
 	"nmostv/internal/faultpoint"
 	"nmostv/internal/netlist"
@@ -202,18 +203,18 @@ type Result struct {
 
 	// RiseAt and FallAt are per-node-index settle times in ns; NegInf
 	// for transitions that never occur.
-	RiseAt, FallAt []float64
+	RiseAt, FallAt cow.Array[float64]
 
 	// EarlyRise and EarlyFall are per-node-index earliest arrivals in
 	// ns (best case); PosInf for transitions that never occur.
-	EarlyRise, EarlyFall []float64
+	EarlyRise, EarlyFall cow.Array[float64]
 
 	// Checks holds every verification result in one total order:
 	// violations first, then slack, node, polarity, kind, phase and
 	// producing arc.
 	Checks []Check
 
-	predRise, predFall []pred
+	predRise, predFall cow.Array[pred]
 
 	// wave, src, and loopNodes persist the propagation plan and derived
 	// classifications so AnalyzeIncremental can extend this result after
@@ -238,7 +239,7 @@ type Result struct {
 // Settle returns the overall settle time of a node: the latest of its rise
 // and fall arrivals, NegInf if static.
 func (r *Result) Settle(n *netlist.Node) float64 {
-	return math.Max(r.RiseAt[n.Index], r.FallAt[n.Index])
+	return math.Max(r.RiseAt.At(n.Index), r.FallAt.At(n.Index))
 }
 
 // Violations returns the failing checks.
@@ -313,43 +314,39 @@ func (a *analysis) initMetrics() {
 		"components scheduled across all propagation passes")
 }
 
-// allocArrays lays out the Result-owned per-node arrays: the four arrival
-// arrays share one 4n float64 block and the two predecessor arrays one 2n
-// block, so a Result is two allocations and the settle/early pair of each
-// node sits a fixed stride apart. These escape into the published Result
-// and are deliberately NOT arena-carved: a later analysis reusing the
-// arena must not scribble over a result a reader still holds. They start
-// as prev's values; a node prev lacks (every node when prev is nil) never
-// transitions and has no producing arc.
+// allocArrays lays out the Result-owned per-node arrays. They escape
+// into the published Result and are deliberately NOT arena-carved: a
+// later analysis reusing the arena must not scribble over a result a
+// reader still holds. They start as versions of prev's (cow.Array.Clone),
+// so they share every chunk the walks do not write; a node prev lacks
+// (every node when prev is nil) never transitions and has no producing
+// arc.
 func (r *Result) allocArrays(n int, prev *Result) {
-	block := make([]float64, 4*n)
-	r.RiseAt = block[0*n : 1*n : 1*n]
-	r.FallAt = block[1*n : 2*n : 2*n]
-	r.EarlyRise = block[2*n : 3*n : 3*n]
-	r.EarlyFall = block[3*n : 4*n : 4*n]
-	pb := make([]pred, 2*n)
-	r.predRise = pb[0:n:n]
-	r.predFall = pb[n : 2*n : 2*n]
-	m := 0
-	if prev != nil {
-		m = copy(r.RiseAt, prev.RiseAt)
-		copy(r.FallAt, prev.FallAt)
-		copy(r.EarlyRise, prev.EarlyRise)
-		copy(r.EarlyFall, prev.EarlyFall)
-		copy(r.predRise, prev.predRise)
-		copy(r.predFall, prev.predFall)
+	if prev == nil {
+		r.RiseAt, r.FallAt = cow.Make(n, NegInf), cow.Make(n, NegInf)
+		r.EarlyRise, r.EarlyFall = cow.Make(n, PosInf), cow.Make(n, PosInf)
+		r.predRise, r.predFall = cow.Make(n, pred{edge: -1}), cow.Make(n, pred{edge: -1})
+		return
 	}
-	for i := m; i < n; i++ {
-		r.RiseAt[i], r.FallAt[i] = NegInf, NegInf
-		r.EarlyRise[i], r.EarlyFall[i] = PosInf, PosInf
-		r.predRise[i], r.predFall[i] = pred{edge: -1}, pred{edge: -1}
-	}
+	r.RiseAt, r.FallAt = prev.RiseAt.Clone(), prev.FallAt.Clone()
+	r.EarlyRise, r.EarlyFall = prev.EarlyRise.Clone(), prev.EarlyFall.Clone()
+	r.predRise, r.predFall = prev.predRise.Clone(), prev.predFall.Clone()
+	r.RiseAt.Grow(n, NegInf)
+	r.FallAt.Grow(n, NegInf)
+	r.EarlyRise.Grow(n, PosInf)
+	r.EarlyFall.Grow(n, PosInf)
+	r.predRise.Grow(n, pred{edge: -1})
+	r.predFall.Grow(n, pred{edge: -1})
 }
 
 // settleVals and earlyVals return the arrival pairs the forward passes
 // compute, indexed by Polarity.
-func (r *Result) settleVals() [2][]float64 { return [2][]float64{r.RiseAt, r.FallAt} }
-func (r *Result) earlyVals() [2][]float64  { return [2][]float64{r.EarlyRise, r.EarlyFall} }
+func (r *Result) settleVals() [2]*cow.Array[float64] {
+	return [2]*cow.Array[float64]{&r.RiseAt, &r.FallAt}
+}
+func (r *Result) earlyVals() [2]*cow.Array[float64] {
+	return [2]*cow.Array[float64]{&r.EarlyRise, &r.EarlyFall}
+}
 
 // arenaFor returns the caller-provided scratch arena, reset for a new
 // call, or a fresh private one.
@@ -500,8 +497,8 @@ func deriveSources(m *delay.Model, sched clocks.Schedule, cases caseInputs) *sou
 		s.fixedRise[i], s.fixedFall[i] = true, fall
 		s.anchors = append(s.anchors, an)
 	}
-	for i := range m.Edges {
-		e := &m.Edges[i]
+	for i := range m.Edges.Len() {
+		e := m.Edges.Ref(i)
 		if m.NodeFlags[e.To]&netlist.FlagStorage != 0 && m.NodeFlags[e.From]&netlist.FlagClock != 0 {
 			s.storage[e.To] = true
 		}
@@ -536,15 +533,19 @@ func (a *analysis) sourcesFor(prev *Result, cases caseInputs) *sourceSet {
 }
 
 // anchorSources writes the anchored settle times and clears the anchored
-// polarities' predecessor records: a source has no producing arc.
+// polarities' predecessor records: a source has no producing arc. The
+// anchors are spread over the whole design, so only values that differ
+// from the stored ones (the previous version's) are written, and a
+// version copies no chunk for an anchor that did not move.
 func (a *analysis) anchorSources() {
 	s := a.src
 	for _, an := range s.anchors {
-		if s.fixedRise[an.node] {
-			a.RiseAt[an.node], a.predRise[an.node] = an.rise, pred{edge: -1}
+		i := int(an.node)
+		if s.fixedRise[i] && (!sameBits(a.RiseAt.At(i), an.rise) || a.predRise.At(i) != pred{edge: -1}) {
+			a.setArrival(i, Rise, an.rise, pred{edge: -1})
 		}
-		if s.fixedFall[an.node] {
-			a.FallAt[an.node], a.predFall[an.node] = an.fall, pred{edge: -1}
+		if s.fixedFall[i] && (!sameBits(a.FallAt.At(i), an.fall) || a.predFall.At(i) != pred{edge: -1}) {
+			a.setArrival(i, Fall, an.fall, pred{edge: -1})
 		}
 	}
 }
@@ -557,11 +558,12 @@ func (a *analysis) anchorSources() {
 func (a *analysis) anchorEarly() {
 	s := a.src
 	for _, an := range s.anchors {
-		if s.fixedRise[an.node] {
-			a.EarlyRise[an.node] = earlyAnchor(an.rise)
+		i := int(an.node)
+		if t := earlyAnchor(an.rise); s.fixedRise[i] && !sameBits(a.EarlyRise.At(i), t) {
+			a.EarlyRise.Set(i, t)
 		}
-		if s.fixedFall[an.node] {
-			a.EarlyFall[an.node] = earlyAnchor(an.fall)
+		if t := earlyAnchor(an.fall); s.fixedFall[i] && !sameBits(a.EarlyFall.At(i), t) {
+			a.EarlyFall.Set(i, t)
 		}
 	}
 }
@@ -651,8 +653,8 @@ func (a *analysis) maskWindow(mask uint8) (clampRise, deadline float64, constrai
 // given target polarity from current arrivals. ok=false when the edge
 // cannot fire (cause never happens, impossible transition, or the cause
 // misses the clock window).
-func (a *analysis) relaxEdge(ei int, target Polarity) (t float64, fromPol Polarity, ok bool) {
-	e := &a.Model.Edges[ei]
+func (a *analysis) relaxEdge(ei int32, target Polarity) (t float64, fromPol Polarity, ok bool) {
+	e := a.Model.Arc(ei)
 	d, mask := a.Model.Delay(e, target == Fall)
 	if math.IsInf(d, 1) {
 		return 0, 0, false
@@ -660,9 +662,9 @@ func (a *analysis) relaxEdge(ei int, target Polarity) (t float64, fromPol Polari
 	fromPol = causePol(e, target)
 	var cause float64
 	if fromPol == Rise {
-		cause = a.RiseAt[e.From]
+		cause = a.RiseAt.At(int(e.From))
 	} else {
-		cause = a.FallAt[e.From]
+		cause = a.FallAt.At(int(e.From))
 	}
 	if math.IsInf(cause, -1) {
 		return 0, 0, false
@@ -700,17 +702,17 @@ func causePol(e *delay.Edge, target Polarity) Polarity {
 
 func (a *analysis) arrival(idx int, pol Polarity) float64 {
 	if pol == Rise {
-		return a.RiseAt[idx]
+		return a.RiseAt.At(idx)
 	}
-	return a.FallAt[idx]
+	return a.FallAt.At(idx)
 }
 
 func (a *analysis) setArrival(idx int, pol Polarity, t float64, p pred) {
 	if pol == Rise {
-		a.RiseAt[idx] = t
-		a.predRise[idx] = p
+		a.RiseAt.Set(idx, t)
+		a.predRise.Set(idx, p)
 	} else {
-		a.FallAt[idx] = t
-		a.predFall[idx] = p
+		a.FallAt.Set(idx, t)
+		a.predFall.Set(idx, p)
 	}
 }

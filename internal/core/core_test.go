@@ -36,8 +36,8 @@ func analyze(t *testing.T, nl *netlist.Netlist, m *delay.Model, s clocks.Schedul
 }
 
 func edgeBetween(m *delay.Model, from, to *netlist.Node) *delay.Edge {
-	for i := range m.Edges {
-		e := &m.Edges[i]
+	for i := range m.Edges.Len() {
+		e := m.Edges.Ref(i)
 		if int(e.From) == from.Index && int(e.To) == to.Index {
 			return e
 		}
@@ -61,22 +61,22 @@ func TestInverterChainArrivalAccumulation(t *testing.T) {
 	// Polarity-aware longest paths: inputs change at t=0 both ways.
 	wantFall1 := e1.DFall // caused by in rising
 	wantRise1 := e1.DRise // caused by in falling
-	if math.Abs(res.FallAt[o1.Index]-wantFall1) > 1e-9 {
-		t.Errorf("fall(o1) = %g, want %g", res.FallAt[o1.Index], wantFall1)
+	if math.Abs(res.FallAt.At(o1.Index)-wantFall1) > 1e-9 {
+		t.Errorf("fall(o1) = %g, want %g", res.FallAt.At(o1.Index), wantFall1)
 	}
-	if math.Abs(res.RiseAt[o1.Index]-wantRise1) > 1e-9 {
-		t.Errorf("rise(o1) = %g, want %g", res.RiseAt[o1.Index], wantRise1)
+	if math.Abs(res.RiseAt.At(o1.Index)-wantRise1) > 1e-9 {
+		t.Errorf("rise(o1) = %g, want %g", res.RiseAt.At(o1.Index), wantRise1)
 	}
 	// o2 rises when o1 falls; o2 falls when o1 rises.
-	if want := wantFall1 + e2.DRise; math.Abs(res.RiseAt[o2.Index]-want) > 1e-9 {
-		t.Errorf("rise(o2) = %g, want %g", res.RiseAt[o2.Index], want)
+	if want := wantFall1 + e2.DRise; math.Abs(res.RiseAt.At(o2.Index)-want) > 1e-9 {
+		t.Errorf("rise(o2) = %g, want %g", res.RiseAt.At(o2.Index), want)
 	}
-	if want := wantRise1 + e2.DFall; math.Abs(res.FallAt[o2.Index]-want) > 1e-9 {
-		t.Errorf("fall(o2) = %g, want %g", res.FallAt[o2.Index], want)
+	if want := wantRise1 + e2.DFall; math.Abs(res.FallAt.At(o2.Index)-want) > 1e-9 {
+		t.Errorf("fall(o2) = %g, want %g", res.FallAt.At(o2.Index), want)
 	}
 	// And one more inversion for o3.
-	if want := wantRise1 + e2.DFall + e3.DRise; math.Abs(res.RiseAt[o3.Index]-want) > 1e-9 {
-		t.Errorf("rise(o3) = %g, want %g", res.RiseAt[o3.Index], want)
+	if want := wantRise1 + e2.DFall + e3.DRise; math.Abs(res.RiseAt.At(o3.Index)-want) > 1e-9 {
+		t.Errorf("rise(o3) = %g, want %g", res.RiseAt.At(o3.Index), want)
 	}
 }
 
@@ -88,10 +88,10 @@ func TestClockArrivalsFixed(t *testing.T) {
 	nl, m := pipeline(b)
 	s := sched()
 	res := analyze(t, nl, m, s)
-	if res.RiseAt[phi1.Index] != s.Rise(1) || res.FallAt[phi1.Index] != s.Fall(1) {
+	if res.RiseAt.At(phi1.Index) != s.Rise(1) || res.FallAt.At(phi1.Index) != s.Fall(1) {
 		t.Error("phi1 arrivals must equal the schedule edges")
 	}
-	if res.RiseAt[phi2.Index] != s.Rise(2) || res.FallAt[phi2.Index] != s.Fall(2) {
+	if res.RiseAt.At(phi2.Index) != s.Rise(2) || res.FallAt.At(phi2.Index) != s.Fall(2) {
 		t.Error("phi2 arrivals must equal the schedule edges")
 	}
 }
@@ -107,12 +107,12 @@ func TestLatchLaunchesAtClockRise(t *testing.T) {
 
 	clkArc := edgeBetween(m, phi1, store)
 	want := s.Rise(1) + clkArc.DRise
-	if math.Abs(res.RiseAt[store.Index]-want) > 1e-9 {
+	if math.Abs(res.RiseAt.At(store.Index)-want) > 1e-9 {
 		t.Errorf("storage rise = %g, want clock rise + pass delay = %g",
-			res.RiseAt[store.Index], want)
+			res.RiseAt.At(store.Index), want)
 	}
-	if math.Abs(res.FallAt[store.Index]-want) > 1e-9 {
-		t.Errorf("storage fall = %g, want %g", res.FallAt[store.Index], want)
+	if math.Abs(res.FallAt.At(store.Index)-want) > 1e-9 {
+		t.Errorf("storage fall = %g, want %g", res.FallAt.At(store.Index), want)
 	}
 
 	// A latch-settle check for the data arc must exist and pass.
@@ -197,12 +197,12 @@ func TestPrechargedSemantics(t *testing.T) {
 	res := analyze(t, nl, m, s)
 
 	// Rise is pinned at cycle start (precharged in the previous cycle).
-	if res.RiseAt[dyn.Index] != 0 {
-		t.Errorf("precharged rise = %g, want 0", res.RiseAt[dyn.Index])
+	if res.RiseAt.At(dyn.Index) != 0 {
+		t.Errorf("precharged rise = %g, want 0", res.RiseAt.At(dyn.Index))
 	}
 	// Fall (evaluate) propagates from the data input.
-	if !(res.FallAt[dyn.Index] > 0) {
-		t.Errorf("precharged fall = %g, want positive", res.FallAt[dyn.Index])
+	if !(res.FallAt.At(dyn.Index) > 0) {
+		t.Errorf("precharged fall = %g, want positive", res.FallAt.At(dyn.Index))
 	}
 	// The precharge-completes check exists against φ2's fall.
 	found := false
@@ -335,7 +335,7 @@ func TestPathReconstruction(t *testing.T) {
 	res := analyze(t, nl, m, sched())
 
 	pol := Rise
-	if res.FallAt[out.Index] > res.RiseAt[out.Index] {
+	if res.FallAt.At(out.Index) > res.RiseAt.At(out.Index) {
 		pol = Fall
 	}
 	steps := res.Path(out, pol)
@@ -426,8 +426,8 @@ func TestDeterminism(t *testing.T) {
 	s := clocks.TwoPhase(2000, 0.8)
 	a := analyze(t, nl, m, s)
 	c := analyze(t, nl, m, s)
-	for i := range a.RiseAt {
-		if a.RiseAt[i] != c.RiseAt[i] || a.FallAt[i] != c.FallAt[i] {
+	for i := range a.RiseAt.Len() {
+		if a.RiseAt.At(i) != c.RiseAt.At(i) || a.FallAt.At(i) != c.FallAt.At(i) {
 			t.Fatalf("arrivals differ between identical runs at node %d", i)
 		}
 	}
@@ -560,7 +560,7 @@ func TestCaseAnalysisForcedHighPrecharge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.IsInf(res.RiseAt[out.Index], -1) {
+	if math.IsInf(res.RiseAt.At(out.Index), -1) {
 		t.Error("forced-high pullup must let the node rise when the input falls")
 	}
 }
@@ -572,17 +572,17 @@ func TestEarlyNeverExceedsLate(t *testing.T) {
 	flow.Analyze(nl)
 	m := delay.Build(nl, st, p, delay.Options{})
 	res := analyze(t, nl, m, clocks.TwoPhase(2000, 0.8))
-	for i := range res.RiseAt {
-		if !math.IsInf(res.RiseAt[i], -1) && res.EarlyRise[i] > res.RiseAt[i]+1e-9 {
+	for i := range res.RiseAt.Len() {
+		if !math.IsInf(res.RiseAt.At(i), -1) && res.EarlyRise.At(i) > res.RiseAt.At(i)+1e-9 {
 			t.Fatalf("node %s: early rise %g exceeds settle %g",
-				nl.Nodes[i], res.EarlyRise[i], res.RiseAt[i])
+				nl.Nodes[i], res.EarlyRise.At(i), res.RiseAt.At(i))
 		}
-		if !math.IsInf(res.FallAt[i], -1) && res.EarlyFall[i] > res.FallAt[i]+1e-9 {
+		if !math.IsInf(res.FallAt.At(i), -1) && res.EarlyFall.At(i) > res.FallAt.At(i)+1e-9 {
 			t.Fatalf("node %s: early fall %g exceeds settle %g",
-				nl.Nodes[i], res.EarlyFall[i], res.FallAt[i])
+				nl.Nodes[i], res.EarlyFall.At(i), res.FallAt.At(i))
 		}
 		// A transition that never happens is consistent in both views.
-		if math.IsInf(res.RiseAt[i], -1) != math.IsInf(res.EarlyRise[i], 1) {
+		if math.IsInf(res.RiseAt.At(i), -1) != math.IsInf(res.EarlyRise.At(i), 1) {
 			t.Fatalf("node %s: rise existence disagrees between passes", nl.Nodes[i])
 		}
 	}
@@ -598,9 +598,9 @@ func TestEarlyShorterPathWins(t *testing.T) {
 	out := b.Output(b.Nand(short, long))
 	nl, m := pipeline(b)
 	res := analyze(t, nl, m, sched())
-	if !(res.EarlyFall[out.Index] < res.FallAt[out.Index]) {
+	if !(res.EarlyFall.At(out.Index) < res.FallAt.At(out.Index)) {
 		t.Errorf("early fall %g must precede settle fall %g",
-			res.EarlyFall[out.Index], res.FallAt[out.Index])
+			res.EarlyFall.At(out.Index), res.FallAt.At(out.Index))
 	}
 }
 

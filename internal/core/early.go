@@ -13,7 +13,9 @@ var PosInf = math.Inf(1)
 // how much clock skew the design tolerates before a newly launched value
 // could reach a latch whose previous-phase clock has not yet closed.
 // Storage nodes launch from clock arcs only, as in the settle pass.
-func (a *analysis) relaxNodeEarly(v int32) bool {
+// fresh starts from PosInf and stores only a value that moved, as
+// relaxNode does.
+func (a *analysis) relaxNodeEarly(v int32, fresh bool) bool {
 	idx := int(v)
 	storage := a.src.storage[idx]
 	changed := false
@@ -21,19 +23,23 @@ func (a *analysis) relaxNodeEarly(v int32) bool {
 		if a.isFixed(idx, pol) {
 			continue
 		}
-		best := a.earlyArrival(idx, pol)
+		cur := a.earlyArrival(idx, pol)
+		best := cur
+		if fresh {
+			best = PosInf
+		}
 		for _, ei := range a.wave.in(v) {
-			if storage && !a.Model.IsClock(a.Model.Edges[ei].From) {
+			if storage && !a.Model.IsClock(a.Model.Arc(ei).From) {
 				continue
 			}
-			t, ok := a.relaxEdgeEarly(int(ei), pol)
+			t, ok := a.relaxEdgeEarly(ei, pol)
 			if ok && t < best {
 				best = t
-				changed = true
 			}
 		}
-		if changed {
+		if fresh && !sameBits(best, cur) || !fresh && best < cur {
 			a.setEarly(idx, pol, best)
+			changed = true
 		}
 	}
 	return changed
@@ -41,8 +47,8 @@ func (a *analysis) relaxNodeEarly(v int32) bool {
 
 // relaxEdgeEarly is relaxEdge with best-case semantics: the cause's
 // earliest arrival, clamped into the clock window for masked arcs.
-func (a *analysis) relaxEdgeEarly(ei int, target Polarity) (t float64, ok bool) {
-	e := &a.Model.Edges[ei]
+func (a *analysis) relaxEdgeEarly(ei int32, target Polarity) (t float64, ok bool) {
+	e := a.Model.Arc(ei)
 	d, mask := a.Model.Delay(e, target == Fall)
 	if math.IsInf(d, 1) {
 		return 0, false
@@ -68,16 +74,16 @@ func (a *analysis) relaxEdgeEarly(ei int, target Polarity) (t float64, ok bool) 
 
 func (a *analysis) earlyArrival(idx int, pol Polarity) float64 {
 	if pol == Rise {
-		return a.EarlyRise[idx]
+		return a.EarlyRise.At(idx)
 	}
-	return a.EarlyFall[idx]
+	return a.EarlyFall.At(idx)
 }
 
 func (a *analysis) setEarly(idx int, pol Polarity, t float64) {
 	if pol == Rise {
-		a.EarlyRise[idx] = t
+		a.EarlyRise.Set(idx, t)
 	} else {
-		a.EarlyFall[idx] = t
+		a.EarlyFall.Set(idx, t)
 	}
 }
 

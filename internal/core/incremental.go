@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"nmostv/internal/clocks"
+	"nmostv/internal/cow"
 	"nmostv/internal/delay"
 	"nmostv/internal/netlist"
 )
@@ -85,15 +86,15 @@ func AnalyzeIncremental(ctx context.Context, nl *netlist.Netlist, model *delay.M
 		r.moves = opt.Plan.movesFrom(prev, model)
 	}
 	switch {
-	case opt.Plan.fits(n, len(model.Edges)):
+	case opt.Plan.fits(n, model.Edges.Len()):
 		r.wave = opt.Plan.ws
 	case prev != nil && r.moves.idx == nil && n == len(prev.wave.compOf):
 		r.wave = prev.wave
 	default:
 		r.wave = newWaveSchedule(n, model, a.arena)
 	}
-	r.moves.apply(r.predRise)
-	r.moves.apply(r.predFall)
+	r.moves.apply(&r.predRise)
+	r.moves.apply(&r.predFall)
 	sp.End()
 
 	sp = opt.Obs.Span("sources+storage")
@@ -178,7 +179,7 @@ func AnalyzeIncremental(ctx context.Context, nl *netlist.Netlist, model *delay.M
 // (their incoming-arc filter changed).
 func (a *analysis) structuralSeed(prev *Result, dirty []int32) []int32 {
 	seed := slices.Clone(dirty)
-	for i := len(prev.RiseAt); i < len(a.RiseAt); i++ {
+	for i := prev.RiseAt.Len(); i < a.RiseAt.Len(); i++ {
 		seed = append(seed, int32(i))
 	}
 	if was := prev.src.storage; a.src != prev.src {
@@ -290,11 +291,11 @@ func (a *analysis) requiredSeeds(prev *Result, base []int32, settle *worklist) [
 	for _, v := range base {
 		seeds = append(seeds, v)
 		for _, ei := range a.wave.in(v) {
-			seeds = append(seeds, a.Model.Edges[ei].From)
+			seeds = append(seeds, a.Model.Arc(ei).From)
 		}
 		if int(v) < len(prev.wave.compOf) {
 			for _, ei := range prev.wave.in(v) {
-				seeds = append(seeds, prev.Model.Edges[ei].From)
+				seeds = append(seeds, prev.Model.Arc(ei).From)
 			}
 		}
 	}
@@ -333,7 +334,7 @@ func (p *Plan) movesFrom(prev *Result, model *delay.Model) arcMoves {
 	if model.Layout != 0 && model.Layout == prev.Model.Layout {
 		return arcMoves{from: prev.wave.id}
 	}
-	return arcMoves{from: prev.wave.id, idx: moveArcs(prev.Model.Edges, model.Edges)}
+	return arcMoves{from: prev.wave.id, idx: moveArcs(&prev.Model.Edges, &model.Edges)}
 }
 
 // moveArcs maps old's arc indices onto cur's in one linear walk, nil
@@ -343,28 +344,29 @@ func (p *Plan) movesFrom(prev *Result, model *delay.Model) arcMoves {
 // keys on, so identical arcs meet in the same small (From, To, Invert)
 // group on both sides. Every arc's To belongs to the one stage that
 // generated it, so an identity occurs at most once per model.
-func moveArcs(old, cur []delay.Edge) []int32 {
+func moveArcs(old, cur *cow.Array[delay.Edge]) []int32 {
 	k := 0
-	if len(old) == len(cur) {
-		if len(old) == 0 || &old[0] == &cur[0] {
+	no, nc := old.Len(), cur.Len()
+	if no == nc {
+		if old.SharedChunks(cur) == old.NumChunks() {
 			return nil
 		}
-		for k < len(old) && delay.SameArc(&old[k], &cur[k]) {
+		for k < no && delay.SameArc(old.Ref(k), cur.Ref(k)) {
 			k++
 		}
-		if k == len(old) {
+		if k == no {
 			return nil
 		}
 	}
-	idx := make([]int32, len(old))
+	idx := make([]int32, no)
 	for i := 0; i < k; i++ {
 		idx[i] = int32(i)
 	}
 	i, j := k, k
-	for i < len(old) {
+	for i < no {
 		c := -1 // past cur's end, every remaining old arc is gone
-		if j < len(cur) {
-			c = cmpArcGroup(&old[i], &cur[j])
+		if j < nc {
+			c = cmpArcGroup(old.Ref(i), cur.Ref(j))
 		}
 		switch {
 		case c < 0:
@@ -374,13 +376,13 @@ func moveArcs(old, cur []delay.Edge) []int32 {
 			j++
 		default:
 			end := j + 1
-			for end < len(cur) && cmpArcGroup(&cur[end], &cur[j]) == 0 {
+			for end < nc && cmpArcGroup(cur.Ref(end), cur.Ref(j)) == 0 {
 				end++
 			}
-			for ; i < len(old) && cmpArcGroup(&old[i], &cur[j]) == 0; i++ {
+			for ; i < no && cmpArcGroup(old.Ref(i), cur.Ref(j)) == 0; i++ {
 				idx[i] = -1
 				for jj := j; jj < end; jj++ {
-					if delay.SameArc(&old[i], &cur[jj]) {
+					if delay.SameArc(old.Ref(i), cur.Ref(jj)) {
 						idx[i] = int32(jj)
 						break
 					}
@@ -410,18 +412,23 @@ func cmpArcGroup(x, y *delay.Edge) int {
 
 // apply rewrites predecessor records, which index the previous model's
 // arcs, to the new model's indices. A record whose arc is gone resets to
-// "source"; its node is in the dirty seed and recomputes it anyway.
-func (m arcMoves) apply(preds []pred) {
+// "source"; its node is in the dirty seed and recomputes it anyway. Only
+// the records whose arc moved are written.
+func (m arcMoves) apply(preds *cow.Array[pred]) {
 	if m.idx == nil {
 		return
 	}
-	for i := range preds {
-		if e := preds[i].edge; e >= 0 {
-			if ne := m.idx[e]; ne >= 0 {
-				preds[i].edge = ne
-			} else {
-				preds[i] = pred{edge: -1}
+	for c := range preds.NumChunks() {
+		for k, p := range preds.Chunk(c) {
+			if p.edge < 0 || m.idx[p.edge] == p.edge {
+				continue
 			}
+			if ne := m.idx[p.edge]; ne >= 0 {
+				p.edge = ne
+			} else {
+				p = pred{edge: -1}
+			}
+			preds.Set(c<<cow.Shift+k, p)
 		}
 	}
 }

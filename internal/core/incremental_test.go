@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"nmostv/internal/clocks"
+	"nmostv/internal/cow"
 	"nmostv/internal/delay"
 	"nmostv/internal/flow"
 	"nmostv/internal/gen"
@@ -26,29 +27,33 @@ func TestMoveArcs(t *testing.T) {
 	arc := func(from, to int32, inv bool, mask uint8) delay.Edge {
 		return delay.Edge{From: from, To: to, Invert: inv, MaskRise: mask, DRise: 1, DFall: 1}
 	}
-	old := []delay.Edge{arc(0, 1, false, 0), arc(0, 1, true, 0), arc(1, 2, true, 0), arc(1, 2, true, 1), arc(2, 3, true, 0)}
-	if m := moveArcs(old, old); m != nil {
+	old := cow.From([]delay.Edge{arc(0, 1, false, 0), arc(0, 1, true, 0), arc(1, 2, true, 0), arc(1, 2, true, 1), arc(2, 3, true, 0)})
+	if m := moveArcs(&old, &old); m != nil {
 		t.Fatalf("same array: %v, want nil", m)
 	}
-	slower := slices.Clone(old)
-	for i := range slower {
-		slower[i].DRise *= 2
+	if cl := old.Clone(); moveArcs(&old, &cl) != nil {
+		t.Fatal("a version sharing every chunk has moves")
 	}
-	if m := moveArcs(old, slower); m != nil {
+	slower := old.Clone()
+	for i := range slower.Len() {
+		slower.Mut(i).DRise *= 2
+	}
+	if m := moveArcs(&old, &slower); m != nil {
 		t.Fatalf("delays changed only: %v, want nil", m)
 	}
-	cur := []delay.Edge{
+	curArcs := []delay.Edge{
 		arc(0, 1, true, 0),  // old 1; old 0 is gone
 		arc(0, 2, false, 0), // new
 		arc(1, 2, true, 1),  // old 3, now first in its group
 		arc(1, 2, true, 0),  // old 2
 		arc(2, 3, true, 0),  // old 4
 	}
+	cur, cut := cow.From(curArcs), cow.From(curArcs[:2])
 	want := []int32{-1, 0, 3, 2, 4}
-	if m := moveArcs(old, cur); !slices.Equal(m, want) {
+	if m := moveArcs(&old, &cur); !slices.Equal(m, want) {
 		t.Fatalf("moves %v, want %v", m, want)
 	}
-	if m := moveArcs(old, cur[:2]); !slices.Equal(m, []int32{-1, 0, -1, -1, -1}) {
+	if m := moveArcs(&old, &cut); !slices.Equal(m, []int32{-1, 0, -1, -1, -1}) {
 		t.Fatalf("truncated: moves %v", m)
 	}
 	// A build gives one layout only to arc arrays with the same identities,

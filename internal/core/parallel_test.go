@@ -30,10 +30,10 @@ func assertResultsIdentical(t *testing.T, workers int, base, res *Result) {
 		name       string
 		want, have []float64
 	}{
-		{"RiseAt", base.RiseAt, res.RiseAt},
-		{"FallAt", base.FallAt, res.FallAt},
-		{"EarlyRise", base.EarlyRise, res.EarlyRise},
-		{"EarlyFall", base.EarlyFall, res.EarlyFall},
+		{"RiseAt", base.RiseAt.Slice(), res.RiseAt.Slice()},
+		{"FallAt", base.FallAt.Slice(), res.FallAt.Slice()},
+		{"EarlyRise", base.EarlyRise.Slice(), res.EarlyRise.Slice()},
+		{"EarlyFall", base.EarlyFall.Slice(), res.EarlyFall.Slice()},
 	}
 	for _, arr := range arrays {
 		for i := range arr.want {
@@ -130,8 +130,8 @@ func TestAnalyzeWorkersCyclicComponent(t *testing.T) {
 func buildAdjacencyAppend(n int, m *delay.Model) (out, in [][]int32) {
 	out = make([][]int32, n)
 	in = make([][]int32, n)
-	for i := range m.Edges {
-		e := &m.Edges[i]
+	for i := range m.Edges.Len() {
+		e := m.Edges.Ref(i)
 		out[e.From] = append(out[e.From], int32(i))
 		in[e.To] = append(in[e.To], int32(i))
 	}

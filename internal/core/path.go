@@ -68,7 +68,7 @@ func (r *Result) Path(n *netlist.Node, pol Polarity) []Step {
 		pr := r.predOf(idx, p)
 		step := Step{Node: r.NL.Nodes[idx], Pol: p, Time: r.arrivalOf(idx, p)}
 		if pr.edge >= 0 {
-			e := &r.Model.Edges[pr.edge]
+			e := r.Model.Arc(pr.edge)
 			step.Via = r.NL.TransByID(e.Via)
 			step.Invert = e.Invert
 			rev = append(rev, step)
@@ -93,16 +93,16 @@ func (r *Result) Path(n *netlist.Node, pol Polarity) []Step {
 
 func (r *Result) arrivalOf(idx int, pol Polarity) float64 {
 	if pol == Rise {
-		return r.RiseAt[idx]
+		return r.RiseAt.At(idx)
 	}
-	return r.FallAt[idx]
+	return r.FallAt.At(idx)
 }
 
 func (r *Result) predOf(idx int, pol Polarity) pred {
 	if pol == Rise {
-		return r.predRise[idx]
+		return r.predRise.At(idx)
 	}
-	return r.predFall[idx]
+	return r.predFall.At(idx)
 }
 
 // CriticalPath returns the path to the design's most constrained endpoint:
@@ -126,7 +126,7 @@ func (r *Result) CriticalPath() []Step {
 			return nil
 		}
 		pol := Rise
-		if r.FallAt[n.Index] > r.RiseAt[n.Index] {
+		if r.FallAt.At(n.Index) > r.RiseAt.At(n.Index) {
 			pol = Fall
 		}
 		return r.Path(n, pol)
@@ -168,7 +168,7 @@ func (r *Result) TopPaths(k int) []RankedPath {
 				continue
 			}
 			pol := Rise
-			if r.FallAt[n.Index] > r.RiseAt[n.Index] {
+			if r.FallAt.At(n.Index) > r.RiseAt.At(n.Index) {
 				pol = Fall
 			}
 			top.Offer(Check{
@@ -205,7 +205,7 @@ func (r *Result) CheckPath(c Check) []Step {
 	if c.edge < 0 {
 		return r.Path(c.Node, c.Pol)
 	}
-	e := &r.Model.Edges[c.edge]
+	e := r.Model.Arc(c.edge)
 	steps := r.Path(r.NL.Nodes[e.From], causePol(e, c.Pol))
 	return append(steps, Step{
 		Node:   c.Node,

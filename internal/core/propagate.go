@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"nmostv/internal/delay"
@@ -31,6 +32,11 @@ type waveSchedule struct {
 	cyclic               []bool    // per comp: >1 node or a self arc — needs iteration
 	level                []int32   // comp -> level
 	levels               [][]int32 // level -> comp ids; level 0 holds the sources
+
+	// free keeps the worklists backward passes over this plan returned
+	// (takeWorklist), so an incremental Required allocates none.
+	freeMu sync.Mutex
+	free   []*worklist
 }
 
 func (ws *waveSchedule) out(v int32) []int32 {
@@ -54,8 +60,8 @@ func (ws *waveSchedule) numComps() int { return len(ws.compStart) - 1 }
 func buildAdjacency(n int, m *delay.Model, ws *waveSchedule) {
 	outStart := make([]int32, n+1)
 	inStart := make([]int32, n+1)
-	for i := range m.Edges {
-		e := &m.Edges[i]
+	for i := range m.Edges.Len() {
+		e := m.Edges.Ref(i)
 		outStart[e.From+1]++
 		inStart[e.To+1]++
 	}
@@ -63,10 +69,10 @@ func buildAdjacency(n int, m *delay.Model, ws *waveSchedule) {
 		outStart[i+1] += outStart[i]
 		inStart[i+1] += inStart[i]
 	}
-	outEdge := make([]int32, len(m.Edges))
-	inEdge := make([]int32, len(m.Edges))
-	for i := range m.Edges {
-		e := &m.Edges[i]
+	outEdge := make([]int32, m.Edges.Len())
+	inEdge := make([]int32, m.Edges.Len())
+	for i := range m.Edges.Len() {
+		e := m.Edges.Ref(i)
 		outEdge[outStart[e.From]] = int32(i)
 		outStart[e.From]++
 		inEdge[inStart[e.To]] = int32(i)
@@ -111,7 +117,7 @@ func newWaveSchedule(n int, m *delay.Model, ar *Arena) *waveSchedule {
 		ws.cyclic[i] = len(comp) > 1 || hasSelfArc(m, ws, comp[0])
 		for _, v := range comp {
 			for _, ei := range ws.out(v) {
-				wc := compOf[m.Edges[ei].To]
+				wc := compOf[m.Arc(ei).To]
 				if int(wc) != i && level[i]+1 > level[wc] {
 					level[wc] = level[i] + 1
 					if level[wc] > maxLevel {
@@ -172,7 +178,13 @@ var bothPols = [2]Polarity{Rise, Fall}
 // value launches when the latch opens; late data arcs are setup checks,
 // not propagation — this is what cuts every legal sequential cycle.
 // Returns true if either arrival increased.
-func (a *analysis) relaxNode(v int32) bool {
+//
+// fresh computes each polarity from NegInf, as a singleton component's
+// one relaxation does, instead of improving the stored value, as a
+// cyclic component's rounds do, and stores it only where it or its
+// predecessor moved: an incremental pass then copies only the chunks
+// holding a node whose values changed (see walk.go).
+func (a *analysis) relaxNode(v int32, fresh bool) bool {
 	idx := int(v)
 	storage := a.src.storage[idx]
 	changed := false
@@ -180,21 +192,25 @@ func (a *analysis) relaxNode(v int32) bool {
 		if a.isFixed(idx, pol) {
 			continue
 		}
-		best := a.arrival(idx, pol)
+		cur := a.arrival(idx, pol)
+		best := cur
+		if fresh {
+			best = NegInf
+		}
 		bestPred := pred{edge: -1}
 		havePred := false
 		for _, ei := range a.wave.in(v) {
-			if storage && !a.Model.IsClock(a.Model.Edges[ei].From) {
+			if storage && !a.Model.IsClock(a.Model.Arc(ei).From) {
 				continue
 			}
-			t, fromPol, ok := a.relaxEdge(int(ei), pol)
+			t, fromPol, ok := a.relaxEdge(ei, pol)
 			if ok && t > best {
 				best = t
 				bestPred = pred{edge: ei, fromPol: fromPol}
 				havePred = true
 			}
 		}
-		if havePred {
+		if fresh && (!sameBits(best, cur) || bestPred != a.predOf(idx, pol)) || !fresh && havePred {
 			a.setArrival(idx, pol, best, bestPred)
 			changed = true
 		}
@@ -204,7 +220,7 @@ func (a *analysis) relaxNode(v int32) bool {
 
 func hasSelfArc(m *delay.Model, ws *waveSchedule, idx int32) bool {
 	for _, ei := range ws.out(idx) {
-		if m.Edges[ei].To == idx {
+		if m.Arc(ei).To == idx {
 			return true
 		}
 	}
@@ -259,7 +275,7 @@ func tarjan(n int, ws *waveSchedule, m *delay.Model, ar *Arena) {
 			advanced := false
 			oe := ws.out(v)
 			for f.ei < len(oe) {
-				w := m.Edges[oe[f.ei]].To
+				w := m.Arc(oe[f.ei]).To
 				f.ei++
 				if index[w] == unvisited {
 					index[w] = counter

@@ -45,9 +45,9 @@ package core
 import (
 	"context"
 	"math"
-	"slices"
 	"sync/atomic"
 
+	"nmostv/internal/cow"
 	"nmostv/internal/delay"
 	"nmostv/internal/netlist"
 )
@@ -60,10 +60,10 @@ import (
 // +Inf slack. A Required is immutable once its pass returns.
 type Required struct {
 	// RiseRAT and FallRAT are per-node-index required times in ns.
-	RiseRAT, FallRAT []float64
+	RiseRAT, FallRAT cow.Array[float64]
 	// at holds the analysis's settle arrivals, indexed by Polarity: the
 	// AT of every slack.
-	at [2][]float64
+	at [2]cow.Array[float64]
 	// id names the pass; from is the id of the pass it extended, 0 when
 	// it ran from scratch, and relaxed lists the nodes its walk relaxed
 	// then.
@@ -77,15 +77,15 @@ var requiredIDs atomic.Uint64
 // RAT returns the required time of one transition.
 func (q *Required) RAT(idx int, pol Polarity) float64 {
 	if pol == Rise {
-		return q.RiseRAT[idx]
+		return q.RiseRAT.At(idx)
 	}
-	return q.FallRAT[idx]
+	return q.FallRAT.At(idx)
 }
 
 // Slack returns the slack of one transition, RAT − AT; negative means
 // the node settles too late for some downstream deadline.
 func (q *Required) Slack(idx int, pol Polarity) float64 {
-	return q.RAT(idx, pol) - q.at[pol][idx]
+	return q.RAT(idx, pol) - q.at[pol].At(idx)
 }
 
 // NodeSlack returns the worse of a node's rise and fall slacks.
@@ -98,7 +98,7 @@ func (q *Required) NodeSlack(idx int) float64 {
 // minima the first in node order wins, rise before fall.
 func (q *Required) WorstSlack() (idx int, pol Polarity, slack float64, ok bool) {
 	idx, pol, slack = -1, Rise, math.Inf(1)
-	for i := range q.RiseRAT {
+	for i := range q.RiseRAT.Len() {
 		if s := q.Slack(i, Rise); s < slack {
 			idx, pol, slack, ok = i, Rise, s, true
 		}
@@ -161,34 +161,37 @@ func (r *Result) memo() *Required {
 
 // backwardPass computes the required times Required memoizes: the walk
 // (walk.go) in reverse level order. With a previous pass it starts from
-// copies of that pass's required times and queues the components
-// holding a seed node, waking upstream components only where a required
-// time changed bitwise; it records the nodes it relaxed. Without one,
-// every component relaxes.
+// versions of that pass's required times (cow.Array.Clone), queues the
+// components holding a seed node on a worklist from the plan's free
+// list, and wakes upstream components only where a required time
+// changed bitwise; it records the nodes it relaxed. Without one, every
+// component relaxes.
 func (r *Result) backwardPass(ctx context.Context, opt Options, prev *Required, seeds []int32) (*Required, error) {
 	opt = opt.withDefaults()
-	n := len(r.RiseAt)
-	q := &Required{at: r.settleVals(), id: requiredIDs.Add(1)}
+	n := r.RiseAt.Len()
+	q := &Required{at: [2]cow.Array[float64]{r.RiseAt, r.FallAt}, id: requiredIDs.Add(1)}
 	a := &analysis{Result: r, opt: opt, ctx: orBackground(ctx)}
 	a.initMetrics()
 	defer opt.Obs.Span("required").End()
 	p := &pass{analysis: a, kind: requiredPass}
 	sp := opt.Obs.Span("required-seeds")
 	if prev == nil {
-		block := make([]float64, 2*n)
-		q.RiseRAT, q.FallRAT = block[:n:n], block[n:]
+		q.RiseRAT, q.FallRAT = cow.Make(n, PosInf), cow.Make(n, PosInf)
 	} else {
-		q.RiseRAT, q.FallRAT = cloneGrow(prev.RiseRAT, n), cloneGrow(prev.FallRAT, n)
+		q.RiseRAT, q.FallRAT = prev.RiseRAT.Clone(), prev.FallRAT.Clone()
+		q.RiseRAT.Grow(n, PosInf)
+		q.FallRAT.Grow(n, PosInf)
 		q.from = prev.id
-		p.prev = [2][]float64{prev.RiseRAT, prev.FallRAT}
+		p.prev = [2]*cow.Array[float64]{&prev.RiseRAT, &prev.FallRAT}
 		// Concurrent first calls on different results may run this pass
 		// at once, so its worklist is its own, not an arena's.
-		p.work = newWorklist(r.wave)
+		p.work = r.wave.takeWorklist()
+		defer r.wave.putWorklist(p.work)
 		for _, v := range seeds {
 			p.work.add(r.wave.compOf[v])
 		}
 	}
-	p.val = [2][]float64{q.RiseRAT, q.FallRAT}
+	p.val = [2]*cow.Array[float64]{&q.RiseRAT, &q.FallRAT}
 	sp.End()
 	sp = opt.Obs.Span("required-propagate")
 	p.walk()
@@ -206,23 +209,20 @@ func (r *Result) backwardPass(ctx context.Context, opt Options, prev *Required, 
 	return q, nil
 }
 
-// cloneGrow returns a copy of src extended to n values, the added ones
-// +Inf (unconstrained).
-func cloneGrow(src []float64, n int) []float64 {
-	dst := slices.Clone(src)
-	for len(dst) < n {
-		dst = append(dst, PosInf)
-	}
-	return dst
-}
-
-// lowerRAT tightens one transition's required time; reports change.
-func (p *pass) lowerRAT(idx int32, pol Polarity, t float64) bool {
-	if t < p.val[pol][idx] {
-		p.val[pol][idx] = t
+// lowerRAT tightens one transition of rat, the required-time pair being
+// computed for a node; reports change.
+func lowerRAT(rat *[2]float64, pol Polarity, t float64) bool {
+	if t < rat[pol] {
+		rat[pol] = t
 		return true
 	}
 	return false
+}
+
+// setRAT stores node idx's required-time pair.
+func (p *pass) setRAT(idx int32, rat [2]float64) {
+	p.val[Rise].Set(int(idx), rat[Rise])
+	p.val[Fall].Set(int(idx), rat[Fall])
 }
 
 // phaseOfMask maps a single-phase mask to its clock phase number.
@@ -233,15 +233,16 @@ func phaseOfMask(mask uint8) int {
 	return 1
 }
 
-// seedEndpoints applies node idx's endpoint constraints: one per masked
-// out-arc whose cause transitions (mirroring runChecks' latch and
-// missed-window rules, including the φ1 cross-cycle wrap) and, for a
-// primary output that transitions, the cycle boundary. Out-arcs are in
+// seedEndpoints applies node idx's endpoint constraints to rat, its
+// required-time pair: one per masked out-arc whose cause transitions
+// (mirroring runChecks' latch and missed-window rules, including the φ1
+// cross-cycle wrap) and, for a primary output that transitions, the
+// cycle boundary. An out-arc's From is idx itself. Out-arcs are in
 // ascending arc order, so a node's seeds apply in the order a scan of
 // the whole arc array would apply them.
-func (p *pass) seedEndpoints(idx int32) {
+func (p *pass) seedEndpoints(idx int32, rat *[2]float64) {
 	for _, ei := range p.wave.out(idx) {
-		e := &p.Model.Edges[ei]
+		e := p.Model.Arc(ei)
 		for _, pol := range bothPols {
 			d, mask := p.Model.Delay(e, pol == Fall)
 			if mask == 0 || isInfPos(d) {
@@ -266,28 +267,37 @@ func (p *pass) seedEndpoints(idx int32) {
 				// the missed-window check.
 				req = deadline
 			}
-			p.lowerRAT(e.From, fromPol, req)
+			lowerRAT(rat, fromPol, req)
 		}
 	}
 	if !p.Model.NodeFlags[idx].Has(netlist.FlagOutput) {
 		return
 	}
-	if !isInfNeg(p.RiseAt[idx]) {
-		p.lowerRAT(idx, Rise, p.Sched.Period)
+	if !isInfNeg(p.RiseAt.At(int(idx))) {
+		lowerRAT(rat, Rise, p.Sched.Period)
 	}
-	if !isInfNeg(p.FallAt[idx]) {
-		p.lowerRAT(idx, Fall, p.Sched.Period)
+	if !isInfNeg(p.FallAt.At(int(idx))) {
+		lowerRAT(rat, Fall, p.Sched.Period)
 	}
 }
 
 // relaxNodeRequired tightens both polarities of node idx from its
 // outgoing arcs — the exact reversal of relaxNode's arc transmission
 // rules; see the file comment for why clamping is absent. Returns true if
-// either RAT decreased.
-func (p *pass) relaxNodeRequired(idx int32) bool {
+// either RAT decreased. fresh starts from +Inf lowered by the node's
+// endpoint seeds, as a singleton component's one relaxation does, and
+// stores the pair only if it moved, as relaxNode does; otherwise the
+// stored pair is lowered, as a cyclic component's rounds do.
+func (p *pass) relaxNodeRequired(idx int32, fresh bool) bool {
+	cur := [2]float64{p.val[Rise].At(int(idx)), p.val[Fall].At(int(idx))}
+	rat := cur
+	if fresh {
+		rat = [2]float64{PosInf, PosInf}
+		p.seedEndpoints(idx, &rat)
+	}
 	changed := false
 	for _, ei := range p.wave.out(idx) {
-		e := &p.Model.Edges[ei]
+		e := p.Model.Arc(ei)
 		if p.src.storage[e.To] && !p.Model.IsClock(e.From) {
 			// Data arc into clocked storage: a setup check (seeded), not
 			// propagation — forward relaxNode skips it identically.
@@ -298,8 +308,11 @@ func (p *pass) relaxNodeRequired(idx int32) bool {
 			if isInfPos(d) {
 				continue
 			}
-			rat := p.val[pol][e.To]
-			if isInfPos(rat) {
+			to := p.val[pol].At(int(e.To))
+			if e.To == idx {
+				to = rat[pol] // a self arc reads the pair being lowered
+			}
+			if isInfPos(to) {
 				continue
 			}
 			_, deadline, constrained, alive := p.maskWindow(mask)
@@ -318,14 +331,20 @@ func (p *pass) relaxNodeRequired(idx int32) bool {
 				if cause > deadline {
 					continue // missed window: excluded forward, excluded here
 				}
-				if rat-d >= deadline {
+				if to-d >= deadline {
 					continue // the window deadline dominates; already seeded
 				}
 			}
-			if p.lowerRAT(e.From, fromPol, rat-d) {
+			if lowerRAT(&rat, fromPol, to-d) {
 				changed = true
 			}
 		}
+	}
+	if fresh {
+		changed = !sameBits(rat[Rise], cur[Rise]) || !sameBits(rat[Fall], cur[Fall])
+	}
+	if changed {
+		p.setRAT(idx, rat)
 	}
 	return changed
 }
@@ -353,11 +372,11 @@ func (r *Result) SlackRanking(q *Required, k int) []SlackEntry {
 		i := nd.Index
 		if s := q.Slack(i, Rise); !math.IsInf(s, 1) {
 			top.Offer(SlackEntry{Node: nd, Pol: Rise,
-				Arrival: r.RiseAt[i], Required: q.RiseRAT[i], Slack: s})
+				Arrival: r.RiseAt.At(i), Required: q.RiseRAT.At(i), Slack: s})
 		}
 		if s := q.Slack(i, Fall); !math.IsInf(s, 1) {
 			top.Offer(SlackEntry{Node: nd, Pol: Fall,
-				Arrival: r.FallAt[i], Required: q.FallRAT[i], Slack: s})
+				Arrival: r.FallAt.At(i), Required: q.FallRAT.At(i), Slack: s})
 		}
 	}
 	return top.Sorted()

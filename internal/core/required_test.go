@@ -51,8 +51,8 @@ func TestSlackEqualsRATMinusAT(t *testing.T) {
 		finite, negative := 0, 0
 		slackRise, slackFall := slackArrays(q)
 		for i := range nl.Nodes {
-			wantR := q.RiseRAT[i] - r.RiseAt[i]
-			wantF := q.FallRAT[i] - r.FallAt[i]
+			wantR := q.RiseRAT.At(i) - r.RiseAt.At(i)
+			wantF := q.FallRAT.At(i) - r.FallAt.At(i)
 			if math.Float64bits(slackRise[i]) != math.Float64bits(wantR) ||
 				math.Float64bits(slackFall[i]) != math.Float64bits(wantF) {
 				t.Fatalf("period %g node %d: slack != RAT − AT", period, i)
@@ -78,7 +78,7 @@ func TestSlackEqualsRATMinusAT(t *testing.T) {
 
 // slackArrays reads every node's slacks off q, per polarity.
 func slackArrays(q *Required) (rise, fall []float64) {
-	rise, fall = make([]float64, len(q.RiseRAT)), make([]float64, len(q.RiseRAT))
+	rise, fall = make([]float64, q.RiseRAT.Len()), make([]float64, q.RiseRAT.Len())
 	for i := range rise {
 		rise[i], fall[i] = q.Slack(i, Rise), q.Slack(i, Fall)
 	}
@@ -93,8 +93,8 @@ func assertRequiredIdentical(t *testing.T, workers int, base, q *Required) {
 		name       string
 		want, have []float64
 	}{
-		{"RiseRAT", base.RiseRAT, q.RiseRAT},
-		{"FallRAT", base.FallRAT, q.FallRAT},
+		{"RiseRAT", base.RiseRAT.Slice(), q.RiseRAT.Slice()},
+		{"FallRAT", base.FallRAT.Slice(), q.FallRAT.Slice()},
 		{"SlackRise", baseRise, qRise},
 		{"SlackFall", baseFall, qFall},
 	}
@@ -170,8 +170,8 @@ func oracleRAT(t *testing.T, r *Result) (rise, fall []float64) {
 	}
 	// Clocked-storage classification, recomputed rather than borrowed.
 	cs := make([]bool, n)
-	for i := range r.Model.Edges {
-		e := &r.Model.Edges[i]
+	for i := range r.Model.Edges.Len() {
+		e := r.Model.Edges.Ref(i)
 		if r.Model.NodeFlags[e.To]&netlist.FlagStorage != 0 &&
 			r.Model.NodeFlags[e.From]&netlist.FlagClock != 0 {
 			cs[e.To] = true
@@ -179,9 +179,9 @@ func oracleRAT(t *testing.T, r *Result) (rise, fall []float64) {
 	}
 	at := func(i int32, pol Polarity) float64 {
 		if pol == Rise {
-			return r.RiseAt[i]
+			return r.RiseAt.At(int(i))
 		}
-		return r.FallAt[i]
+		return r.FallAt.At(int(i))
 	}
 	rat := func(i int32, pol Polarity) *float64 {
 		if pol == Rise {
@@ -243,8 +243,8 @@ func oracleRAT(t *testing.T, r *Result) (rise, fall []float64) {
 		return v, true
 	}
 	// Seeds: masked arcs and primary outputs.
-	for i := range r.Model.Edges {
-		e := &r.Model.Edges[i]
+	for i := range r.Model.Edges.Len() {
+		e := r.Model.Edges.Ref(i)
 		for _, pol := range []Polarity{Rise, Fall} {
 			v, ok := look(e, pol)
 			if !ok || !v.seeded {
@@ -264,10 +264,10 @@ func oracleRAT(t *testing.T, r *Result) (rise, fall []float64) {
 			continue
 		}
 		i := int32(nd.Index)
-		if !math.IsInf(r.RiseAt[i], -1) && r.Sched.Period < rise[i] {
+		if !math.IsInf(r.RiseAt.At(int(i)), -1) && r.Sched.Period < rise[i] {
 			rise[i] = r.Sched.Period
 		}
-		if !math.IsInf(r.FallAt[i], -1) && r.Sched.Period < fall[i] {
+		if !math.IsInf(r.FallAt.At(int(i)), -1) && r.Sched.Period < fall[i] {
 			fall[i] = r.Sched.Period
 		}
 	}
@@ -277,8 +277,8 @@ func oracleRAT(t *testing.T, r *Result) (rise, fall []float64) {
 			t.Fatal("oracle did not converge — test circuit unsuitable (diverging cycle)")
 		}
 		changed := false
-		for i := range r.Model.Edges {
-			e := &r.Model.Edges[i]
+		for i := range r.Model.Edges.Len() {
+			e := r.Model.Edges.Ref(i)
 			if cs[e.To] && r.Model.NodeFlags[e.From]&netlist.FlagClock == 0 {
 				continue
 			}
@@ -438,11 +438,11 @@ func TestRequiredMatchesOracle(t *testing.T) {
 				q := requiredFor(t, r, 1)
 				wantRise, wantFall := oracleRAT(t, r)
 				for i := range wantRise {
-					if math.Float64bits(q.RiseRAT[i]) != math.Float64bits(wantRise[i]) ||
-						math.Float64bits(q.FallRAT[i]) != math.Float64bits(wantFall[i]) {
+					if math.Float64bits(q.RiseRAT.At(i)) != math.Float64bits(wantRise[i]) ||
+						math.Float64bits(q.FallRAT.At(i)) != math.Float64bits(wantFall[i]) {
 						t.Fatalf("%s period %g inputs at %g: node %d (%s): engine RAT (%v, %v), oracle (%v, %v)",
 							tc.name, period, at, i, nl.Nodes[i].Name,
-							q.RiseRAT[i], q.FallRAT[i], wantRise[i], wantFall[i])
+							q.RiseRAT.At(i), q.FallRAT.At(i), wantRise[i], wantFall[i])
 					}
 				}
 			}
@@ -491,8 +491,8 @@ func oracleArrivals(t *testing.T, r *Result, opt Options) (rise, fall, erise, ef
 		}
 	}
 	cs := make([]bool, n)
-	for i := range r.Model.Edges {
-		e := &r.Model.Edges[i]
+	for i := range r.Model.Edges.Len() {
+		e := r.Model.Edges.Ref(i)
 		if r.Model.NodeFlags[e.To]&netlist.FlagStorage != 0 &&
 			r.Model.NodeFlags[e.From]&netlist.FlagClock != 0 {
 			cs[e.To] = true
@@ -523,8 +523,8 @@ func oracleArrivals(t *testing.T, r *Result, opt Options) (rise, fall, erise, ef
 					}
 				}
 			}
-			for i := range r.Model.Edges {
-				e := &r.Model.Edges[i]
+			for i := range r.Model.Edges.Len() {
+				e := r.Model.Edges.Ref(i)
 				if cs[e.To] && r.Model.NodeFlags[e.From]&netlist.FlagClock == 0 {
 					continue // data into clocked storage: a check, not an arc
 				}
@@ -617,10 +617,10 @@ func TestArrivalsMatchOracle(t *testing.T) {
 						name       string
 						have, want []float64
 					}{
-						{"RiseAt", r.RiseAt, rise},
-						{"FallAt", r.FallAt, fall},
-						{"EarlyRise", r.EarlyRise, erise},
-						{"EarlyFall", r.EarlyFall, efall},
+						{"RiseAt", r.RiseAt.Slice(), rise},
+						{"FallAt", r.FallAt.Slice(), fall},
+						{"EarlyRise", r.EarlyRise.Slice(), erise},
+						{"EarlyFall", r.EarlyFall.Slice(), efall},
 					} {
 						for i := range arr.want {
 							if math.Float64bits(arr.have[i]) != math.Float64bits(arr.want[i]) {

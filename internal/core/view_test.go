@@ -85,8 +85,8 @@ func sameAnalysis(t *testing.T, what string, got, want *Result) {
 		name      string
 		got, want []float64
 	}{
-		{"RiseAt", got.RiseAt, want.RiseAt}, {"FallAt", got.FallAt, want.FallAt},
-		{"EarlyRise", got.EarlyRise, want.EarlyRise}, {"EarlyFall", got.EarlyFall, want.EarlyFall},
+		{"RiseAt", got.RiseAt.Slice(), want.RiseAt.Slice()}, {"FallAt", got.FallAt.Slice(), want.FallAt.Slice()},
+		{"EarlyRise", got.EarlyRise.Slice(), want.EarlyRise.Slice()}, {"EarlyFall", got.EarlyFall.Slice(), want.EarlyFall.Slice()},
 	} {
 		for i := range arr.want {
 			if !sameBits(arr.got[i], arr.want[i]) {
@@ -94,7 +94,7 @@ func sameAnalysis(t *testing.T, what string, got, want *Result) {
 			}
 		}
 	}
-	for i := range want.RiseAt {
+	for i := range want.RiseAt.Len() {
 		for _, pol := range bothPols {
 			ga, gp := got.DominantPred(i, pol)
 			wa, wp := want.DominantPred(i, pol)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"nmostv/internal/cow"
 	"nmostv/internal/obs"
 )
 
@@ -27,6 +28,14 @@ import (
 // keep the previous fixpoint, which is what a from-scratch walk would
 // compute for them. When the walk ends, the worklist holds exactly the
 // components it relaxed; no step scans the components it did not.
+//
+// The values live in copy-on-write arrays (cow.Array) that an
+// incremental pass cloned from the previous fixpoint's, so a write to a
+// chunk the pass has not written yet copies that chunk and replaces its
+// table entry. Two workers must not do that at once: before a level
+// fans out, the walk makes every chunk its components write the pass's
+// own (pass.own), which a component writing only its own nodes makes a
+// list the walk knows up front.
 
 // passKind names the fixpoint a pass computes.
 type passKind uint8
@@ -47,13 +56,13 @@ type pass struct {
 	kind passKind
 	// val holds the rise and fall values the pass computes, indexed by
 	// Polarity: the settle or early arrivals, or the required times.
-	val [2][]float64
+	val [2]*cow.Array[float64]
 	// work queues the components to relax; nil relaxes every one. prev
 	// holds the previous fixpoint's values, shorter than val when nodes
 	// were added: a relaxed node whose values moved from them (movedAt)
 	// wakes what it feeds.
 	work *worklist
-	prev [2][]float64
+	prev [2]*cow.Array[float64]
 	// loopMu guards Result.loopNodes while the settle pass reports the
 	// components that did not converge.
 	loopMu sync.Mutex
@@ -80,6 +89,41 @@ func newWorklist(ws *waveSchedule) *worklist {
 		stamp:  1,
 		bucket: make([][]int32, len(ws.levels)),
 	}
+}
+
+// takeWorklist returns an empty worklist over plan ws from the plan's
+// free list, or a new one when every kept worklist is in use, so
+// concurrent passes over one plan each get their own.
+func (ws *waveSchedule) takeWorklist() *worklist {
+	ws.freeMu.Lock()
+	var w *worklist
+	if k := len(ws.free); k > 0 {
+		w, ws.free = ws.free[k-1], ws.free[:k-1]
+	}
+	ws.freeMu.Unlock()
+	if w == nil {
+		return newWorklist(ws)
+	}
+	// A new stamp unmarks every component; the marks are cleared only
+	// when the stamps wrap.
+	if w.stamp++; w.stamp == 0 {
+		for i := range w.mark {
+			w.mark[i].Store(0)
+		}
+		w.stamp = 1
+	}
+	for i := range w.bucket {
+		w.bucket[i] = w.bucket[i][:0]
+	}
+	return w
+}
+
+// putWorklist returns a worklist takeWorklist handed out once nothing
+// reads it any more.
+func (ws *waveSchedule) putWorklist(w *worklist) {
+	ws.freeMu.Lock()
+	ws.free = append(ws.free, w)
+	ws.freeMu.Unlock()
 }
 
 // add queues component ci in its level's bucket unless it is queued
@@ -170,6 +214,7 @@ func (p *pass) runLevel(li int, lvl []int32) bool {
 		lsp.End()
 		return !p.stopped.Load()
 	}
+	p.own(lvl)
 	// The loop variables are passed as arguments, not captured: a
 	// captured per-iteration variable would be heap-allocated every
 	// level even when this parallel path is never taken, breaking the
@@ -204,25 +249,49 @@ func (p *pass) runLevel(li int, lvl []int32) bool {
 	return !p.stopped.Load()
 }
 
+// own makes every chunk that the components of lvl write the pass's own,
+// so that workers relaxing them concurrently write in place. From
+// scratch every chunk is owned already and nothing is scanned.
+func (p *pass) own(lvl []int32) {
+	settle := p.kind == settlePass
+	if !p.val[Rise].Shared() && !p.val[Fall].Shared() && (!settle || !p.predRise.Shared() && !p.predFall.Shared()) {
+		return
+	}
+	for _, ci := range lvl {
+		for _, v := range p.wave.comp(ci) {
+			p.val[Rise].Own(int(v))
+			p.val[Fall].Own(int(v))
+			if settle {
+				p.predRise.Own(int(v))
+				p.predFall.Own(int(v))
+			}
+		}
+	}
+}
+
 // visit relaxes component ci and, in an incremental pass, wakes what its
-// moved nodes feed. The settle pass reports a cyclic component that
-// spends its iteration bound as a loop.
+// moved nodes feed. A singleton relaxes once from its reset values
+// without storing them, so it writes only values that moved; a cyclic
+// component is reset and iterated. The settle pass reports a cyclic
+// component that spends its iteration bound as a loop.
 func (p *pass) visit(ci int32) {
 	comp := p.wave.comp(ci)
-	p.reset(comp)
 	if !p.wave.cyclic[ci] {
-		p.relax(comp[0])
-	} else if !p.iterate(comp) && p.kind == settlePass {
-		p.reportLoop(comp)
+		p.relax(comp[0], true)
+	} else {
+		p.reset(comp)
+		if !p.iterate(comp) && p.kind == settlePass {
+			p.reportLoop(comp)
+		}
 	}
 	if p.work != nil {
 		p.wake(ci, comp)
 	}
 }
 
-// reset prepares a component's nodes for relaxation. An incremental
-// forward pass clears their non-fixed values, which hold the previous
-// fixpoint (and the settle pass their predecessor records); a
+// reset prepares a cyclic component's nodes for relaxation. An
+// incremental forward pass clears their non-fixed values, which hold the
+// previous fixpoint (and the settle pass their predecessor records); a
 // from-scratch forward pass starts from ±Inf and has nothing to clear.
 // The required pass starts every node at +Inf and applies all of the
 // component's endpoint seeds before any relaxation.
@@ -230,43 +299,44 @@ func (p *pass) reset(comp []int32) {
 	switch {
 	case p.kind == requiredPass:
 		for _, idx := range comp {
-			p.val[Rise][idx], p.val[Fall][idx] = PosInf, PosInf
-		}
-		for _, idx := range comp {
-			p.seedEndpoints(idx)
+			rat := [2]float64{PosInf, PosInf}
+			p.seedEndpoints(idx, &rat)
+			p.setRAT(idx, rat)
 		}
 	case p.work == nil:
 	case p.kind == settlePass:
 		for _, idx := range comp {
 			if !p.src.fixedRise[idx] {
-				p.RiseAt[idx], p.predRise[idx] = NegInf, pred{edge: -1}
+				p.RiseAt.Set(int(idx), NegInf)
+				p.predRise.Set(int(idx), pred{edge: -1})
 			}
 			if !p.src.fixedFall[idx] {
-				p.FallAt[idx], p.predFall[idx] = NegInf, pred{edge: -1}
+				p.FallAt.Set(int(idx), NegInf)
+				p.predFall.Set(int(idx), pred{edge: -1})
 			}
 		}
 	default:
 		for _, idx := range comp {
 			if !p.src.fixedRise[idx] {
-				p.EarlyRise[idx] = PosInf
+				p.EarlyRise.Set(int(idx), PosInf)
 			}
 			if !p.src.fixedFall[idx] {
-				p.EarlyFall[idx] = PosInf
+				p.EarlyFall.Set(int(idx), PosInf)
 			}
 		}
 	}
 }
 
 // relax recomputes node idx's values from its arcs and reports whether
-// one of them changed.
-func (p *pass) relax(idx int32) bool {
+// one of them changed; fresh relaxes a singleton from its reset values.
+func (p *pass) relax(idx int32, fresh bool) bool {
 	switch p.kind {
 	case settlePass:
-		return p.relaxNode(idx)
+		return p.relaxNode(idx, fresh)
 	case earlyPass:
-		return p.relaxNodeEarly(idx)
+		return p.relaxNodeEarly(idx, fresh)
 	}
-	return p.relaxNodeRequired(idx)
+	return p.relaxNodeRequired(idx, fresh)
 }
 
 // iterate relaxes a cyclic component in rounds until no value changes,
@@ -276,7 +346,7 @@ func (p *pass) iterate(comp []int32) bool {
 	for round := p.opt.SCCIterBound*len(comp) + 8; round > 0; round-- {
 		changed := false
 		for _, idx := range comp {
-			if p.relax(idx) {
+			if p.relax(idx, false) {
 				changed = true
 			}
 		}
@@ -311,14 +381,14 @@ func (p *pass) wake(ci int32, comp []int32) {
 		}
 		if p.kind == requiredPass {
 			for _, ei := range ws.in(idx) {
-				if c := ws.compOf[p.Model.Edges[ei].From]; c != ci {
+				if c := ws.compOf[p.Model.Arc(ei).From]; c != ci {
 					p.work.add(c)
 				}
 			}
 			continue
 		}
 		for _, ei := range ws.out(idx) {
-			if c := ws.compOf[p.Model.Edges[ei].To]; c != ci {
+			if c := ws.compOf[p.Model.Arc(ei).To]; c != ci {
 				p.work.add(c)
 			}
 		}
@@ -329,8 +399,8 @@ func (p *pass) wake(ci int32, comp []int32) {
 // those in prev, the previous fixpoint's; a node prev lacks has moved.
 // Bits, not ==, because what reads a value copies its bits: -0 and +0
 // compare equal but can print differently.
-func movedAt(val, prev [2][]float64, i int) bool {
-	return i >= len(prev[Rise]) || !sameBits(val[Rise][i], prev[Rise][i]) || !sameBits(val[Fall][i], prev[Fall][i])
+func movedAt(val, prev [2]*cow.Array[float64], i int) bool {
+	return i >= prev[Rise].Len() || !sameBits(val[Rise].At(i), prev[Rise].At(i)) || !sameBits(val[Fall].At(i), prev[Fall].At(i))
 }
 
 func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }

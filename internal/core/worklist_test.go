@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"nmostv/internal/cow"
 	"nmostv/internal/delay"
 	"nmostv/internal/flow"
 	"nmostv/internal/gen"
@@ -80,14 +81,86 @@ func TestIncrementalWorkFollowsCone(t *testing.T) {
 	}
 }
 
+// TestIncrementalRequiredBytesFollowCone pins that an incremental
+// Required allocates for its cone, not the plan: after a warm-up resize,
+// the backward pass after a second last-stage resize allocates the same
+// bytes at chain 32 as at chain 512. A pass that allocated its own
+// worklist, with a mark per component and a bucket per level, or copied
+// whole required-time arrays, allocates more at 512.
+func TestIncrementalRequiredBytesFollowCone(t *testing.T) {
+	bytes := func(chain int) uint64 {
+		ctx := context.Background()
+		p := tech.Default()
+		b := gen.New("cone", p)
+		last := b.InvChain(b.Input("in"), chain)
+		nl := b.Finish()
+		st := stage.Extract(nl)
+		flow.Analyze(nl)
+		dopt := delay.Options{Workers: 1}
+		opt := Options{Workers: 1}
+		cache := delay.NewCache()
+		m, _, err := delay.BuildWithCache(ctx, nl, st, p, dopt, cache, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Analyze(ctx, nl, m, sched(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := res.Required(ctx, opt); err != nil {
+			t.Fatal(err)
+		}
+		var pd *netlist.Transistor
+		for _, tr := range last.Terms {
+			if tr.Kind == netlist.Enh {
+				pd = tr
+			}
+		}
+		var used uint64
+		for range 2 {
+			pd.W *= 2
+			m, bs, err := delay.BuildWithCache(ctx, nl, st, p, dopt, cache, []int{pd.Gate.Index, pd.A.Index, pd.B.Index})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var seed []int32
+			for _, stg := range bs.Rebuilt {
+				for _, nd := range stg.Nodes {
+					seed = append(seed, int32(nd.Index))
+				}
+			}
+			if res, _, err = AnalyzeIncremental(ctx, nl, m, sched(), opt, res, seed); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := res.Required(ctx, opt); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			used = after.TotalAlloc - before.TotalAlloc
+		}
+		return used
+	}
+	if short, long := bytes(32), bytes(512); short != long {
+		t.Fatalf("an incremental Required after a last-stage resize allocated %d bytes at chain 32 and %d at chain 512, want the same", short, long)
+	}
+}
+
 // TestWorklistFanOutRace drives the incremental walk's fan-out: a fan of
 // inverter chains whose first and last stages slow down, so the seed
 // fills levels with at least minParallelLevel components and the forward
 // and backward passes wake the next level from concurrent workers. The
+// fan spans several chunks of the copy-on-write arrays, and the settle,
+// early and required passes each extend the previous result's arrays,
+// every chunk of which is shared when the pass starts, so concurrent
+// workers write into chunks the walk must own before it fans out. The
 // result and its Required must equal a from-scratch analysis bit for bit
-// (run under -race in CI).
+// and leave the previous result as it was (run under -race -count=10 in
+// CI).
 func TestWorklistFanOutRace(t *testing.T) {
-	const chains, depth = 2 * minParallelLevel, 5
+	const depth = 5
+	const chains = 3 * cow.ChunkLen / depth
 	ctx := context.Background()
 	b := gen.New("fan", tech.Default())
 	in := b.Input("in")
@@ -106,6 +179,11 @@ func TestWorklistFanOutRace(t *testing.T) {
 	if _, err := res.Required(ctx, opt); err != nil {
 		t.Fatal(err)
 	}
+	if res.RiseAt.NumChunks() < 3 {
+		t.Fatalf("the fan spans %d chunks, want at least 3", res.RiseAt.NumChunks())
+	}
+	prevArrays := [][]float64{res.RiseAt.Slice(), res.FallAt.Slice(), res.EarlyRise.Slice(),
+		res.EarlyFall.Slice(), res.req.RiseRAT.Slice(), res.req.FallRAT.Slice()}
 	for _, set := range [][]*netlist.Node{first, ends} {
 		lvl := res.wave.level[res.wave.compOf[set[0].Index]]
 		for _, n := range set {
@@ -116,13 +194,14 @@ func TestWorklistFanOutRace(t *testing.T) {
 	}
 
 	slow := *m
-	slow.Edges = slices.Clone(m.Edges)
+	slow.Edges = m.Edges.Clone()
 	var seed []int32
 	for _, n := range append(first, ends...) {
 		seed = append(seed, int32(n.Index))
 		for _, ei := range res.wave.in(int32(n.Index)) {
-			slow.Edges[ei].DRise *= 1.5
-			slow.Edges[ei].DFall *= 1.5
+			e := slow.Edges.Mut(int(ei))
+			e.DRise *= 1.5
+			e.DFall *= 1.5
 		}
 	}
 	next, _, err := AnalyzeIncremental(ctx, nl, &slow, sched(), opt, res, seed)
@@ -147,9 +226,9 @@ func TestWorklistFanOutRace(t *testing.T) {
 		name       string
 		have, want []float64
 	}{
-		{"RiseAt", next.RiseAt, ref.RiseAt}, {"FallAt", next.FallAt, ref.FallAt},
-		{"EarlyRise", next.EarlyRise, ref.EarlyRise}, {"EarlyFall", next.EarlyFall, ref.EarlyFall},
-		{"RiseRAT", got.RiseRAT, want.RiseRAT}, {"FallRAT", got.FallRAT, want.FallRAT},
+		{"RiseAt", next.RiseAt.Slice(), ref.RiseAt.Slice()}, {"FallAt", next.FallAt.Slice(), ref.FallAt.Slice()},
+		{"EarlyRise", next.EarlyRise.Slice(), ref.EarlyRise.Slice()}, {"EarlyFall", next.EarlyFall.Slice(), ref.EarlyFall.Slice()},
+		{"RiseRAT", got.RiseRAT.Slice(), want.RiseRAT.Slice()}, {"FallRAT", got.FallRAT.Slice(), want.FallRAT.Slice()},
 		{"SlackRise", gotRise, wantRise}, {"SlackFall", gotFall, wantFall},
 	} {
 		for i := range arr.want {
@@ -168,7 +247,13 @@ func TestWorklistFanOutRace(t *testing.T) {
 	if !slices.Equal(next.Checks, ref.Checks) {
 		t.Fatalf("checks differ from a from-scratch analysis")
 	}
-	if ref.RiseAt[ends[0].Index] == res.RiseAt[ends[0].Index] || want.RiseRAT[in.Index] == res.req.RiseRAT[in.Index] {
+	if ref.RiseAt.At(ends[0].Index) == res.RiseAt.At(ends[0].Index) || want.RiseRAT.At(in.Index) == res.req.RiseRAT.At(in.Index) {
 		t.Fatal("the slower arcs moved neither the chains' arrivals nor the input's required time")
+	}
+	for k, arr := range [][]float64{res.RiseAt.Slice(), res.FallAt.Slice(), res.EarlyRise.Slice(),
+		res.EarlyFall.Slice(), res.req.RiseRAT.Slice(), res.req.FallRAT.Slice()} {
+		if !slices.EqualFunc(arr, prevArrays[k], sameBits) {
+			t.Fatalf("array %d of the previous result changed", k)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"slices"
 
+	"nmostv/internal/cow"
 	"nmostv/internal/netlist"
 	"nmostv/internal/stage"
 	"nmostv/internal/tech"
@@ -33,14 +34,20 @@ type Cache struct {
 	// build refills it.
 	scratch *graph
 	stale   bool
+	// builders keeps the cache's edge builders between builds: a
+	// collection empties a sync.Pool, and a builder made afresh carries
+	// node-sized scratch and an edge slab a one-stage rebuild would
+	// allocate again.
+	builders builderList
 }
 
 // record is one completed build. Its arrays are never written after the
-// build that made it, so later builds share or copy them.
+// build that made it, so a later sized build clones them and writes only
+// the chunks of the stages it probed or rebuilt.
 type record struct {
 	stages *stage.Result
-	fps    []uint64
-	shards []shard
+	fps    cow.Array[uint64]
+	shards cow.Array[shard]
 	model  *Model
 	place  placement
 }
@@ -68,14 +75,13 @@ func (c *Cache) Rollback(cp Checkpoint) {
 	c.stale = true
 }
 
-// Fingerprints returns the per-stage fingerprints of the last completed
-// build, nil before the first. The slice is shared with the cache:
-// callers must not modify it.
+// Fingerprints returns a copy of the per-stage fingerprints of the last
+// completed build, nil before the first.
 func (c *Cache) Fingerprints() []uint64 {
 	if c.last == nil {
 		return nil
 	}
-	return c.last.fps
+	return c.last.fps.Slice()
 }
 
 // BuildStats reports how much of a cached build was recomputed.
@@ -129,9 +135,9 @@ func BuildWithCache(ctx context.Context, nl *netlist.Netlist, st *stage.Result, 
 	var m *Model
 	var probe []int
 	if sized {
-		m = &Model{Caps: slices.Clone(prev.model.Caps), NodeFlags: prev.model.NodeFlags, NodePhase: prev.model.NodePhase}
+		m = &Model{Caps: prev.model.Caps.Clone(), NodeFlags: prev.model.NodeFlags, NodePhase: prev.model.NodePhase}
 		for _, n := range loads {
-			m.Caps[n] = NodeCap(nl.Nodes[n], p)
+			m.Caps.Set(n, NodeCap(nl.Nodes[n], p))
 			if si := st.NodeStage[n]; si >= 0 {
 				probe = append(probe, int(si))
 			}
@@ -143,36 +149,39 @@ func BuildWithCache(ctx context.Context, nl *netlist.Netlist, st *stage.Result, 
 		m.snapshotNodes(nl)
 	}
 	if sized && !c.stale {
-		c.scratch.refresh(st, probe, m.Caps, p)
+		c.scratch.refresh(st, probe, loads, &m.Caps, p)
 	} else {
 		c.scratch = newGraph(nl, p, m.Caps, forced, c.scratch)
 		c.stale = false
 	}
 
-	var fps []uint64
-	var shards []shard
+	var fps cow.Array[uint64]
+	var shards cow.Array[shard]
 	var todo []int
 	sp := opt.Obs.Span("fingerprint+probe")
 	if sized {
-		fps, shards = slices.Clone(prev.fps), slices.Clone(prev.shards)
+		fps, shards = prev.fps.Clone(), prev.shards.Clone()
 		for _, i := range probe {
-			if fps[i] = stages[i].Fingerprint(m.Caps, forced); fps[i] != prev.fps[i] {
+			fp := stages[i].Fingerprint(&m.Caps, forced)
+			if fp != prev.fps.At(i) {
+				fps.Set(i, fp)
 				todo = append(todo, i)
 			}
 		}
 	} else {
-		fps, shards = make([]uint64, len(stages)), make([]shard, len(stages))
+		fps, shards = cow.Make(len(stages), uint64(0)), cow.Make(len(stages), shard{})
 		var known map[uint64]int
 		if prev != nil {
-			known = make(map[uint64]int, len(prev.fps))
-			for k, fp := range prev.fps {
-				known[fp] = k
+			known = make(map[uint64]int, prev.fps.Len())
+			for k := range prev.fps.Len() {
+				known[prev.fps.At(k)] = k
 			}
 		}
 		for i, s := range stages {
-			fps[i] = s.Fingerprint(m.Caps, forced)
-			if k, ok := known[fps[i]]; ok && sameDevices(prev.stages.Stages[k], s) {
-				shards[i] = prev.shards[k]
+			fp := s.Fingerprint(&m.Caps, forced)
+			fps.Set(i, fp)
+			if k, ok := known[fp]; ok && sameDevices(prev.stages.Stages[k], s) {
+				shards.Set(i, prev.shards.At(k))
 				continue
 			}
 			todo = append(todo, i)
@@ -180,7 +189,7 @@ func BuildWithCache(ctx context.Context, nl *netlist.Netlist, st *stage.Result, 
 	}
 	sp.End()
 	sp = opt.Obs.Span("shard-build")
-	err := buildShards(ctx, c.scratch, st, opt, shards, todo)
+	err := buildShards(ctx, c.scratch, st, opt, &shards, todo, &c.builders)
 	sp.End()
 	if err != nil {
 		c.stale = true
@@ -200,22 +209,23 @@ func BuildWithCache(ctx context.Context, nl *netlist.Netlist, st *stage.Result, 
 	defer sp.End()
 	keep := same
 	for _, i := range todo {
-		keep = keep && sameArcs(shards[i].edges, prev.shards[i].edges)
+		keep = keep && sameArcs(shards.Ref(i).edges, prev.shards.Ref(i).edges)
 	}
 	if !keep {
-		c.last = &record{stages: st, fps: fps, shards: shards, model: m, place: mergeShards(m, shards)}
+		c.last = &record{stages: st, fps: fps, shards: shards, model: m, place: mergeShards(m, &shards)}
 		return m, stats, nil
 	}
-	if len(todo) == 0 && slices.Equal(m.Caps, prev.model.Caps) &&
+	if len(todo) == 0 && cow.Equal(&m.Caps, &prev.model.Caps, func(x, y float64) bool { return x == y }) &&
 		slices.Equal(m.NodeFlags, prev.model.NodeFlags) && slices.Equal(m.NodePhase, prev.model.NodePhase) {
 		m = prev.model
 	} else {
-		m.Edges = slices.Clone(prev.model.Edges)
+		m.Edges = prev.model.Edges.Clone()
 		m.Truncated = prev.model.Truncated
 		m.Layout = prev.model.Layout
 		for _, i := range todo {
-			shards[i].scatter(m.Edges, prev.place.of(i))
-			m.Truncated += shards[i].truncated - prev.shards[i].truncated
+			sh := shards.Ref(i)
+			sh.scatter(&m.Edges, prev.place.of(i))
+			m.Truncated += sh.truncated - prev.shards.Ref(i).truncated
 		}
 	}
 	c.last = &record{stages: st, fps: fps, shards: shards, model: m, place: prev.place}
@@ -260,7 +270,7 @@ func Fingerprints(nl *netlist.Netlist, st *stage.Result, p tech.Params, opt Opti
 	forced := forcedMap(nl, opt)
 	fps := make([]uint64, len(st.Stages))
 	for i, s := range st.Stages {
-		fps[i] = s.Fingerprint(caps, forced)
+		fps[i] = s.Fingerprint(&caps, forced)
 	}
 	return fps
 }

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
+	"nmostv/internal/cow"
 	"nmostv/internal/flow"
 	"nmostv/internal/gen"
 	"nmostv/internal/netlist"
@@ -44,22 +46,22 @@ func sizedFixture(p tech.Params) (*netlist.Netlist, *netlist.Transistor) {
 // sameModel asserts two models bit-identical in every array.
 func sameModel(t *testing.T, what string, got, want *Model) {
 	t.Helper()
-	if len(got.Edges) != len(want.Edges) {
-		t.Fatalf("%s: %d arcs, want %d", what, len(got.Edges), len(want.Edges))
+	if got.Edges.Len() != want.Edges.Len() {
+		t.Fatalf("%s: %d arcs, want %d", what, got.Edges.Len(), want.Edges.Len())
 	}
-	for i := range want.Edges {
-		g, w := got.Edges[i], want.Edges[i]
+	for i := range want.Edges.Len() {
+		g, w := got.Edges.At(i), want.Edges.At(i)
 		if g != w || math.Float64bits(g.DRise) != math.Float64bits(w.DRise) ||
 			math.Float64bits(g.DFall) != math.Float64bits(w.DFall) {
 			t.Fatalf("%s: arc %d is %v, want %v", what, i, g, w)
 		}
 	}
-	if len(got.Caps) != len(want.Caps) {
-		t.Fatalf("%s: %d caps, want %d", what, len(got.Caps), len(want.Caps))
+	if got.Caps.Len() != want.Caps.Len() {
+		t.Fatalf("%s: %d caps, want %d", what, got.Caps.Len(), want.Caps.Len())
 	}
-	for i := range want.Caps {
-		if math.Float64bits(got.Caps[i]) != math.Float64bits(want.Caps[i]) {
-			t.Fatalf("%s: node %d cap %v, want %v", what, i, got.Caps[i], want.Caps[i])
+	for i := range want.Caps.Len() {
+		if math.Float64bits(got.Caps.At(i)) != math.Float64bits(want.Caps.At(i)) {
+			t.Fatalf("%s: node %d cap %v, want %v", what, i, got.Caps.At(i), want.Caps.At(i))
 		}
 	}
 	if !slices.Equal(got.NodeFlags, want.NodeFlags) || !slices.Equal(got.NodePhase, want.NodePhase) {
@@ -70,6 +72,42 @@ func sameModel(t *testing.T, what string, got, want *Model) {
 	}
 	if math.Float64bits(got.DelayScale()) != math.Float64bits(want.DelayScale()) {
 		t.Fatalf("%s: delay scale %v, want %v", what, got.DelayScale(), want.DelayScale())
+	}
+}
+
+// TestSizedBuildBytesSurviveCollection: a cached build keeps its edge
+// builders on the cache, so a sized build after two collections — which
+// empty a sync.Pool — allocates the same bytes as one before them
+// instead of a new builder's node-sized scratch and edge slab.
+func TestSizedBuildBytesSurviveCollection(t *testing.T) {
+	ctx := context.Background()
+	p := tech.Default()
+	nl := gen.TiledChip(p, gen.DefaultTiledChip(10_000))
+	st := stage.Extract(nl)
+	flow.Analyze(nl)
+	opt := Options{Workers: 1}
+	c := NewCache()
+	if _, _, err := BuildWithCache(ctx, nl, st, p, opt, c, nil); err != nil {
+		t.Fatal(err)
+	}
+	tr := nl.Trans[len(nl.Trans)/2]
+	sized := func() int64 {
+		tr.W *= 1.25
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, bs, err := BuildWithCache(ctx, nl, st, p, opt, c, []int{tr.Gate.Index, tr.A.Index, tr.B.Index})
+		runtime.ReadMemStats(&after)
+		if err != nil || len(bs.Rebuilt) == 0 {
+			t.Fatalf("sized build: %d stages rebuilt, err %v", len(bs.Rebuilt), err)
+		}
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	sized()
+	warm := sized()
+	runtime.GC()
+	runtime.GC()
+	if cold := sized(); cold-warm > 16<<10 || warm-cold > 16<<10 {
+		t.Fatalf("a sized build allocated %d bytes before two collections and %d after", warm, cold)
 	}
 }
 
@@ -145,14 +183,14 @@ func TestSizedBuildMatchesFullProbe(t *testing.T) {
 				sameView(t, what+" corner view", m.At(slow), ScaleModel(m, slow.RScale, slow.CScale))
 				if m != prev && m.Layout == prev.Layout {
 					patched++
-					for k := range m.Edges {
-						e := &m.Edges[k]
-						if si := st.NodeStage[e.To]; !sameEdge(e, &prev.Edges[k]) && (si < 0 || !slices.Contains(bs.Rebuilt, st.Stages[si])) {
-							t.Fatalf("%s: arc %d moved outside the rebuilt stages: %v, was %v", what, k, *e, prev.Edges[k])
+					for k := range m.Edges.Len() {
+						e := m.Edges.Ref(k)
+						if si := st.NodeStage[e.To]; !sameEdge(e, prev.Edges.Ref(k)) && (si < 0 || !slices.Contains(bs.Rebuilt, st.Stages[si])) {
+							t.Fatalf("%s: arc %d moved outside the rebuilt stages: %v, was %v", what, k, *e, prev.Edges.At(k))
 						}
 					}
-					for i := range m.Caps {
-						if math.Float64bits(m.Caps[i]) != math.Float64bits(prev.Caps[i]) && !slices.Contains(loads, i) {
+					for i := range m.Caps.Len() {
+						if math.Float64bits(m.Caps.At(i)) != math.Float64bits(prev.Caps.At(i)) && !slices.Contains(loads, i) {
 							t.Fatalf("%s: node %d loading moved but was not named", what, i)
 						}
 					}
@@ -178,11 +216,11 @@ func sameEdge(x, y *Edge) bool {
 // same arcs and read the same delays, bit for bit.
 func sameView(t *testing.T, what string, view, mat *Model) {
 	t.Helper()
-	if len(view.Edges) != len(mat.Edges) {
-		t.Fatalf("%s: %d arcs, materialized %d", what, len(view.Edges), len(mat.Edges))
+	if view.Edges.Len() != mat.Edges.Len() {
+		t.Fatalf("%s: %d arcs, materialized %d", what, view.Edges.Len(), mat.Edges.Len())
 	}
-	for i := range mat.Edges {
-		v, w := &view.Edges[i], &mat.Edges[i]
+	for i := range mat.Edges.Len() {
+		v, w := view.Edges.Ref(i), mat.Edges.Ref(i)
 		if !SameArc(v, w) || v.Via != w.Via {
 			t.Fatalf("%s: arc %d is %v, materialized %v", what, i, *v, *w)
 		}
@@ -206,17 +244,17 @@ func TestPlaceMatchesStableSort(t *testing.T) {
 	st := stage.Extract(nl)
 	flow.Analyze(nl)
 	opt := Options{Workers: 1}.withDefaults()
-	shards := make([]shard, len(st.Stages))
+	shards := cow.Make(len(st.Stages), shard{})
 	todo := make([]int, len(st.Stages))
 	for i := range todo {
 		todo[i] = i
 	}
-	if err := buildShards(context.Background(), newGraph(nl, p, ComputeCaps(nl, p), forcedMap(nl, opt), nil), st, opt, shards, todo); err != nil {
+	if err := buildShards(context.Background(), newGraph(nl, p, ComputeCaps(nl, p), forcedMap(nl, opt), nil), st, opt, &shards, todo, nil); err != nil {
 		t.Fatal(err)
 	}
 	var want []Edge
-	for _, sh := range shards {
-		want = append(want, sh.edges...)
+	for i := range shards.Len() {
+		want = append(want, shards.At(i).edges...)
 	}
 	slices.SortStableFunc(want, func(x, y Edge) int {
 		switch {
@@ -233,18 +271,18 @@ func TestPlaceMatchesStableSort(t *testing.T) {
 		}
 	})
 	m := &Model{Caps: ComputeCaps(nl, p)}
-	pl := mergeShards(m, shards)
-	if !slices.Equal(m.Edges, want) {
+	pl := mergeShards(m, &shards)
+	if !slices.Equal(m.Edges.Slice(), want) {
 		t.Fatal("merged arcs are not the stable sort of the concatenated shards")
 	}
-	for i, sh := range shards {
+	for i := range shards.Len() {
 		for j, pos := range pl.of(i) {
-			if m.Edges[pos] != sh.edges[j] {
+			if *m.Arc(pos) != shards.At(i).edges[j] {
 				t.Fatalf("shard %d arc %d placed at %d, which holds another arc", i, j, pos)
 			}
 		}
 	}
-	if slices.IndexFunc(m.Edges, func(e Edge) bool { return e.Invert }) < 0 {
+	if slices.IndexFunc(want, func(e Edge) bool { return e.Invert }) < 0 {
 		t.Fatal("fixture has no inverting arcs to order")
 	}
 }

@@ -52,7 +52,7 @@ func TestBuildWithCacheAbortKeepsEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := c.last
-	if warm == nil || len(warm.fps) == 0 {
+	if warm == nil || warm.fps.Len() == 0 {
 		t.Fatal("cache not primed by successful build")
 	}
 

@@ -1,7 +1,5 @@
 package delay
 
-import "slices"
-
 // Corner derivation: a PVT corner expressed as uniform R/C derates (see
 // tech.Corner) scales every first-order RC delay by exactly
 // rScale·cScale, because each enumerated arc delay is a sum of R·C
@@ -28,15 +26,16 @@ func ScaleModel(base *Model, rScale, cScale float64) *Model {
 	}
 	ds := rScale * cScale
 	m := &Model{
-		Edges:     slices.Clone(base.Edges),
+		Edges:     base.Edges.Clone(),
 		NodeFlags: base.NodeFlags,
 		NodePhase: base.NodePhase,
 		Truncated: base.Truncated,
 		Layout:    base.Layout,
 	}
-	for i := range m.Edges {
-		m.Edges[i].DRise *= ds
-		m.Edges[i].DFall *= ds
+	for i := range m.Edges.Len() {
+		e := m.Edges.Mut(i)
+		e.DRise *= ds
+		e.DFall *= ds
 	}
 	return m
 }

@@ -20,7 +20,7 @@ func cornerTestModel(t *testing.T) *Model {
 	inv := b.Inverter(qbar)
 	b.Output(b.Inverter(inv))
 	_, m := buildModel(b, Options{})
-	if len(m.Edges) == 0 {
+	if m.Edges.Len() == 0 {
 		t.Fatal("corner test model has no edges")
 	}
 	return m
@@ -33,12 +33,12 @@ func TestScaleModelStructureShared(t *testing.T) {
 	if m == base {
 		t.Fatal("non-unit scaling must derive a new model")
 	}
-	if len(m.Edges) != len(base.Edges) {
-		t.Fatalf("scaled model has %d edges, want %d", len(m.Edges), len(base.Edges))
+	if m.Edges.Len() != base.Edges.Len() {
+		t.Fatalf("scaled model has %d edges, want %d", m.Edges.Len(), base.Edges.Len())
 	}
 	ds := c.DelayScale()
-	for i := range base.Edges {
-		be, se := &base.Edges[i], &m.Edges[i]
+	for i := range base.Edges.Len() {
+		be, se := base.Edges.Ref(i), m.Edges.Ref(i)
 		if se.From != be.From || se.To != be.To || se.MaskRise != be.MaskRise ||
 			se.MaskFall != be.MaskFall || se.Invert != be.Invert ||
 			se.GateArc != be.GateArc || se.Via != be.Via {
@@ -53,7 +53,7 @@ func TestScaleModelStructureShared(t *testing.T) {
 			t.Fatalf("edge %d: scaling changed impossibility", i)
 		}
 	}
-	if m.Caps != nil || m.DelayScale() != 1 {
+	if m.Caps.Len() != 0 || m.DelayScale() != 1 {
 		t.Error("a materialized corner model holds no Caps and reads its arcs unscaled")
 	}
 	// The structural snapshots are shared, not copied.
@@ -74,11 +74,10 @@ func TestScaleModelUnitReturnsBase(t *testing.T) {
 
 func TestScaleModelLeavesBaseIntact(t *testing.T) {
 	base := cornerTestModel(t)
-	before := make([]Edge, len(base.Edges))
-	copy(before, base.Edges)
+	before := base.Edges.Slice()
 	_ = ScaleModel(base, 1.3, 1.1)
 	for i := range before {
-		if base.Edges[i] != before[i] {
+		if base.Edges.At(i) != before[i] {
 			t.Fatalf("edge %d of the base model mutated by ScaleModel", i)
 		}
 	}
@@ -96,11 +95,11 @@ func TestCornerViewSharesBase(t *testing.T) {
 	}
 	for _, c := range []tech.Corner{tech.Slow(), tech.Fast(), {Name: "hot", RScale: 1.45, CScale: 1.2}} {
 		v := base.At(c)
-		if &v.Edges[0] != &base.Edges[0] || &v.NodeFlags[0] != &base.NodeFlags[0] ||
+		if v.Edges.SharedChunks(&base.Edges) != base.Edges.NumChunks() || &v.NodeFlags[0] != &base.NodeFlags[0] ||
 			&v.NodePhase[0] != &base.NodePhase[0] || v.Layout != base.Layout || v.Truncated != base.Truncated {
 			t.Fatalf("%s: the view does not share the base's arrays", c.Name)
 		}
-		if v.Caps != nil {
+		if v.Caps.Len() != 0 {
 			t.Fatalf("%s: the view holds Caps", c.Name)
 		}
 		if math.Float64bits(v.DelayScale()) != math.Float64bits(c.DelayScale()) {
@@ -110,8 +109,8 @@ func TestCornerViewSharesBase(t *testing.T) {
 		sameView(t, c.Name, v, mat)
 	}
 	lit := &Model{Edges: base.Edges}
-	for i := range lit.Edges {
-		e := &lit.Edges[i]
+	for i := range lit.Edges.Len() {
+		e := lit.Edges.Ref(i)
 		if d, m := lit.Delay(e, false); math.Float64bits(d) != math.Float64bits(e.DRise) || m != e.MaskRise {
 			t.Fatalf("arc %d: a literal reads rise %v, stored %v", i, d, e.DRise)
 		}

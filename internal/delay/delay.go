@@ -40,6 +40,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"nmostv/internal/cow"
 	"nmostv/internal/faultpoint"
 	"nmostv/internal/netlist"
 	"nmostv/internal/obs"
@@ -175,12 +176,14 @@ func (o Options) withDefaults() Options {
 // view of one (At).
 type Model struct {
 	// Edges holds every arc, deterministically ordered. Its delays are
-	// the typical process's; Delay reads them at the model's scale.
-	Edges []Edge
-	// Caps[i] is the total capacitance in pF seen at node index i
+	// the typical process's; Delay reads them at the model's scale. A
+	// cached build that rebuilt a few stages shares every chunk of it
+	// but those stages' arcs with the last build's model.
+	Edges cow.Array[Edge]
+	// Caps.At(i) is the total capacitance in pF seen at node index i
 	// (extracted wire cap + gate loading + diffusion loading) at the
 	// typical process. A corner view has none.
-	Caps []float64
+	Caps cow.Array[float64]
 	// NodeFlags[i] and NodePhase[i] snapshot node i's annotations and
 	// clock phase at build time. The analyzer reads node state from
 	// these packed arrays — the netlist stays the mutable pointer-based
@@ -246,6 +249,9 @@ func (m *Model) Delay(e *Edge, fall bool) (float64, uint8) {
 	return float64(e.DRise * m.DelayScale()), e.MaskRise
 }
 
+// Arc returns arc i for reading.
+func (m *Model) Arc(i int32) *Edge { return m.Edges.Ref(int(i)) }
+
 // layouts numbers the arc layouts mergeShards produces.
 var layouts atomic.Uint64
 
@@ -280,10 +286,10 @@ func NodeCap(n *netlist.Node, p tech.Params) float64 {
 
 // ComputeCaps returns the per-node-index total loading (NodeCap) for
 // every node of the netlist — the Caps array of a Model built under p.
-func ComputeCaps(nl *netlist.Netlist, p tech.Params) []float64 {
-	caps := make([]float64, len(nl.Nodes))
+func ComputeCaps(nl *netlist.Netlist, p tech.Params) cow.Array[float64] {
+	caps := cow.Make(len(nl.Nodes), 0.0)
 	for _, n := range nl.Nodes {
-		caps[n.Index] = NodeCap(n, p)
+		caps.Set(n.Index, NodeCap(n, p))
 	}
 	return caps
 }
@@ -312,19 +318,24 @@ type shard struct {
 }
 
 // buildShards computes the shards for the stage indices listed in todo
-// using the option's worker pool. Slots not listed are left untouched.
-// The context is polled once per shard: cancellation (or the
+// using the option's worker pool, with builders from free (nil: the
+// process-wide pool). Slots not listed are left untouched; the slots
+// listed are made the array's own before any worker writes one. The
+// context is polled once per shard: cancellation (or the
 // "delay.build.shard" fault point) aborts the build with the first error
 // and the caller must discard the partially filled shards.
 func buildShards(ctx context.Context, g *graph, st *stage.Result, opt Options,
-	shards []shard, todo []int) error {
+	shards *cow.Array[shard], todo []int, free *builderList) error {
 	stages := st.Stages
+	for _, si := range todo {
+		shards.Own(si)
+	}
 	buildOne := func(b *builder, si int) {
 		b.beginShard()
 		b.truncated = 0
 		clear(b.merged)
 		b.stageEdges(stages[si])
-		shards[si] = shard{edges: b.finishShard(), truncated: b.truncated}
+		shards.Set(si, shard{edges: b.finishShard(), truncated: b.truncated})
 	}
 	var (
 		stop     atomic.Bool
@@ -357,14 +368,14 @@ func buildShards(ctx context.Context, g *graph, st *stage.Result, opt Options,
 		workers = len(todo)
 	}
 	if workers <= 1 {
-		b := newBuilder(g, opt)
+		b := free.get(g, opt)
 		for _, si := range todo {
 			if !check() {
 				break
 			}
 			buildOne(b, si)
 		}
-		b.release()
+		free.put(b)
 		return stopErr
 	}
 	var next atomic.Int64
@@ -373,8 +384,8 @@ func buildShards(ctx context.Context, g *graph, st *stage.Result, opt Options,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			b := newBuilder(g, opt)
-			defer b.release()
+			b := free.get(g, opt)
+			defer free.put(b)
 			for {
 				k := int(next.Add(1)) - 1
 				if k >= len(todo) || !check() {
@@ -407,23 +418,25 @@ func (pl placement) of(i int) []int32 { return pl.pos[pl.off[i]:pl.off[i+1]] }
 // (To, Invert) order with concatenation order breaking ties, and each
 // bucket — one node's out-arcs, a handful — finishes with a plain sort
 // of integers.
-func place(shards []shard, nn int) placement {
-	off := make([]int32, len(shards)+1)
+func place(shards *cow.Array[shard], nn int) placement {
+	off := make([]int32, shards.Len()+1)
 	start := make([]int32, nn+1)
-	for i := range shards {
-		off[i+1] = off[i] + int32(len(shards[i].edges))
-		for j := range shards[i].edges {
-			start[shards[i].edges[j].From+1]++
+	for i := range shards.Len() {
+		sh := shards.Ref(i)
+		off[i+1] = off[i] + int32(len(sh.edges))
+		for j := range sh.edges {
+			start[sh.edges[j].From+1]++
 		}
 	}
 	for i := 0; i < nn; i++ {
 		start[i+1] += start[i]
 	}
-	keys := make([]uint64, off[len(shards)])
+	keys := make([]uint64, off[shards.Len()])
 	id := uint64(0)
-	for i := range shards {
-		for j := range shards[i].edges {
-			e := &shards[i].edges[j]
+	for i := range shards.Len() {
+		sh := shards.Ref(i)
+		for j := range sh.edges {
+			e := &sh.edges[j]
 			k := uint64(e.To)<<33 | id
 			if e.Invert {
 				k |= 1 << 32
@@ -449,22 +462,23 @@ func place(shards []shard, nn int) placement {
 }
 
 // scatter writes the shard's arcs at their merged positions.
-func (sh *shard) scatter(edges []Edge, pos []int32) {
+func (sh *shard) scatter(edges *cow.Array[Edge], pos []int32) {
 	for j := range sh.edges {
-		edges[pos[j]] = sh.edges[j]
+		edges.Set(int(pos[j]), sh.edges[j])
 	}
 }
 
 // mergeShards places every shard's arcs into m.Edges in the canonical
 // order, under a new Layout, and returns the placement.
-func mergeShards(m *Model, shards []shard) placement {
-	pl := place(shards, len(m.Caps))
-	m.Edges = make([]Edge, len(pl.pos))
+func mergeShards(m *Model, shards *cow.Array[shard]) placement {
+	pl := place(shards, m.Caps.Len())
+	m.Edges = cow.Make(len(pl.pos), Edge{})
 	m.Layout = layouts.Add(1)
 	m.Truncated = 0
-	for i := range shards {
-		shards[i].scatter(m.Edges, pl.of(i))
-		m.Truncated += shards[i].truncated
+	for i := range shards.Len() {
+		sh := shards.Ref(i)
+		sh.scatter(&m.Edges, pl.of(i))
+		m.Truncated += sh.truncated
 	}
 	return pl
 }
@@ -499,15 +513,15 @@ func BuildCtx(ctx context.Context, nl *netlist.Netlist, st *stage.Result, p tech
 	m.snapshotNodes(nl)
 	forced := forcedMap(nl, opt)
 	g := newGraph(nl, p, m.Caps, forced, nil)
-	shards := make([]shard, len(st.Stages))
+	shards := cow.Make(len(st.Stages), shard{})
 	todo := make([]int, len(st.Stages))
 	for i := range todo {
 		todo[i] = i
 	}
-	if err := buildShards(ctx, g, st, opt, shards, todo); err != nil {
+	if err := buildShards(ctx, g, st, opt, &shards, todo, nil); err != nil {
 		return nil, err
 	}
-	mergeShards(m, shards)
+	mergeShards(m, &shards)
 	return m, nil
 }
 
@@ -529,8 +543,8 @@ func SameArc(x, y *Edge) bool {
 // builder: the graph snapshot is shared read-only; edges, merged, and
 // truncated are reset per stage. The index-keyed scratch arrays (source
 // memo, DFS visited stamps, path buffers) are sized to the node count and
-// recycled through builderPool across builds, so an incremental rebuild of
-// a handful of stages does not reallocate O(nodes) scratch.
+// recycled across builds (builderList), so an incremental rebuild of a
+// handful of stages does not reallocate O(nodes) scratch.
 type builder struct {
 	g   *graph
 	opt Options
@@ -568,12 +582,30 @@ type builder struct {
 	steps   int
 }
 
-// builderPool recycles builder scratch across buildShards calls so the
-// incremental daemon's frequent small rebuilds stay allocation-light.
+// builderPool recycles builder scratch across uncached builds.
 var builderPool sync.Pool
 
-func newBuilder(g *graph, opt Options) *builder {
-	b, _ := builderPool.Get().(*builder)
+// builderList is a free list of builders. A Cache keeps one, so a
+// session's builds reuse the same scratch and edge slab whatever the
+// collector empties; a nil list stands for builderPool. Safe for
+// concurrent use by one build's workers.
+type builderList struct {
+	mu   sync.Mutex
+	free []*builder
+}
+
+// get returns a builder over graph g, sized for its node count.
+func (l *builderList) get(g *graph, opt Options) *builder {
+	var b *builder
+	if l == nil {
+		b, _ = builderPool.Get().(*builder)
+	} else {
+		l.mu.Lock()
+		if k := len(l.free); k > 0 {
+			b, l.free = l.free[k-1], l.free[:k-1]
+		}
+		l.mu.Unlock()
+	}
 	if b == nil {
 		b = &builder{merged: make(map[edgeKey]int)}
 	}
@@ -603,16 +635,22 @@ func newBuilder(g *graph, opt Options) *builder {
 	return b
 }
 
-// release returns the builder's scratch to the pool. The graph reference
-// is dropped so a pooled builder never pins a netlist snapshot.
-func (b *builder) release() {
+// put returns a builder's scratch to the list. The graph reference is
+// dropped so a kept builder never pins a netlist snapshot.
+func (l *builderList) put(b *builder) {
 	b.g = nil
 	b.edges = nil
-	// slab and slabOff survive pooling deliberately: earlier slab
-	// regions may be live in the shard cache, so the offset never
-	// rewinds — a pooled builder resumes carving from the unused tail.
+	// slab and slabOff survive deliberately: earlier slab regions may be
+	// live in the shard cache, so the offset never rewinds — a kept
+	// builder resumes carving from the unused tail.
 	clear(b.merged)
-	builderPool.Put(b)
+	if l == nil {
+		builderPool.Put(b)
+		return
+	}
+	l.mu.Lock()
+	l.free = append(l.free, b)
+	l.mu.Unlock()
 }
 
 // slabEdges is the edge-slab granularity: big enough that a

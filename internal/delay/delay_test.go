@@ -22,7 +22,7 @@ func buildModel(b *gen.B, opt Options) (*netlist.Netlist, *Model) {
 
 func findEdges(m *Model, from, to *netlist.Node) []Edge {
 	var out []Edge
-	for _, e := range m.Edges {
+	for _, e := range m.Edges.Slice() {
 		if int(e.From) == from.Index && int(e.To) == to.Index {
 			out = append(out, e)
 		}
@@ -136,7 +136,7 @@ func TestPassChainMatchesRCElmore(t *testing.T) {
 	for cur != int32(end.Index) {
 		next := int32(-1)
 		var d float64
-		for _, e := range m.Edges {
+		for _, e := range m.Edges.Slice() {
 			if e.From == cur && !e.Invert && !e.GateArc && e.To != cur {
 				next = e.To
 				d = e.DRise
@@ -275,7 +275,7 @@ func TestDeadPathBothPhases(t *testing.T) {
 	b.DischargeBranch(out, phi1, phi2)
 	_, m := buildModel(b, Options{})
 	found := false
-	for _, e := range m.Edges {
+	for _, e := range m.Edges.Slice() {
 		if e.MaskFall == MaskPhi1|MaskPhi2 {
 			found = true
 		}
@@ -298,7 +298,7 @@ func TestFlowAblationAddsArcs(t *testing.T) {
 		} else {
 			flow.Reset(nl)
 		}
-		return len(Build(nl, st, p, Options{}).Edges)
+		return Build(nl, st, p, Options{}).Edges.Len()
 	}
 	with, without := build(true), build(false)
 	if !(without > with) {
@@ -381,11 +381,11 @@ func TestEdgesDeterministic(t *testing.T) {
 		return Build(nl, st, p, Options{})
 	}
 	a, c := build(), build()
-	if len(a.Edges) != len(c.Edges) {
-		t.Fatalf("edge counts differ: %d vs %d", len(a.Edges), len(c.Edges))
+	if a.Edges.Len() != c.Edges.Len() {
+		t.Fatalf("edge counts differ: %d vs %d", a.Edges.Len(), c.Edges.Len())
 	}
-	for i := range a.Edges {
-		ea, eb := a.Edges[i], c.Edges[i]
+	for i := range a.Edges.Len() {
+		ea, eb := a.Edges.At(i), c.Edges.At(i)
 		if ea.From != eb.From || ea.To != eb.To ||
 			ea.DRise != eb.DRise || ea.DFall != eb.DFall {
 			t.Fatalf("edge %d differs between identical builds", i)

@@ -1,6 +1,7 @@
 package delay
 
 import (
+	"nmostv/internal/cow"
 	"nmostv/internal/netlist"
 	"nmostv/internal/stage"
 	"nmostv/internal/tech"
@@ -20,7 +21,7 @@ type graph struct {
 	// Per node, indexed by Node.Index.
 	flags       []netlist.Flag
 	phase       []int32
-	caps        []float64 // aliases Model.Caps
+	caps        []float64 // a flat copy of Model.Caps
 	forcedState []uint8   // 0 free, 1 held high, 2 held low (case analysis)
 	hasPullup   []bool    // node has an attached RolePullup device
 	gateCnt     []int32   // number of devices gated by the node
@@ -58,7 +59,7 @@ func growSlice[T any](s []T, n int) []T {
 // newGraph snapshots the netlist into reuse (which may be nil), returning
 // the filled graph. caps is the per-node loading (Model.Caps); forced the
 // resolved case-analysis constants.
-func newGraph(nl *netlist.Netlist, p tech.Params, caps []float64,
+func newGraph(nl *netlist.Netlist, p tech.Params, caps cow.Array[float64],
 	forced map[*netlist.Node]bool, reuse *graph) *graph {
 	g := reuse
 	if g == nil {
@@ -66,7 +67,10 @@ func newGraph(nl *netlist.Netlist, p tech.Params, caps []float64,
 	}
 	nn, nt := len(nl.Nodes), len(nl.Trans)
 	g.vdd, g.gnd = int32(nl.VDD.Index), int32(nl.GND.Index)
-	g.caps = caps
+	g.caps = growSlice(g.caps, nn)
+	for c := range caps.NumChunks() {
+		copy(g.caps[c<<cow.Shift:], caps.Chunk(c))
+	}
 
 	g.flags = growSlice(g.flags, nn)
 	g.phase = growSlice(g.phase, nn)
@@ -143,13 +147,15 @@ func newGraph(nl *netlist.Netlist, p tech.Params, caps []float64,
 }
 
 // refresh patches a graph filled for the last build after a sized edit
-// (device sizes and node capacitances only): the loading becomes caps,
-// and every device of the probed stages gets its resistance at its
-// current size. A resized device belongs to the stage its terminals
-// name, so that covers every resistance that can have moved; nothing
-// else the builder reads depends on a size.
-func (g *graph) refresh(st *stage.Result, probe []int, caps []float64, p tech.Params) {
-	g.caps = caps
+// (device sizes and node capacitances only): the loading of the named
+// loads becomes caps', and every device of the probed stages gets its
+// resistance at its current size. A resized device belongs to the stage
+// its terminals name, so that covers every resistance that can have
+// moved; nothing else the builder reads depends on a size.
+func (g *graph) refresh(st *stage.Result, probe, loads []int, caps *cow.Array[float64], p tech.Params) {
+	for _, n := range loads {
+		g.caps[n] = caps.At(n)
+	}
 	for _, si := range probe {
 		for _, t := range st.Stages[si].Trans {
 			g.rEff[t.Index] = DeviceR(t, p)

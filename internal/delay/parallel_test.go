@@ -37,19 +37,19 @@ func TestBuildWorkersBitIdentical(t *testing.T) {
 			if m.Truncated != base.Truncated {
 				t.Errorf("%s workers=%d: Truncated %d != %d", tc.name, w, m.Truncated, base.Truncated)
 			}
-			if len(m.Edges) != len(base.Edges) {
-				t.Fatalf("%s workers=%d: %d edges != %d", tc.name, w, len(m.Edges), len(base.Edges))
+			if m.Edges.Len() != base.Edges.Len() {
+				t.Fatalf("%s workers=%d: %d edges != %d", tc.name, w, m.Edges.Len(), base.Edges.Len())
 			}
-			for i := range m.Edges {
+			for i := range m.Edges.Len() {
 				// Edge is a comparable struct; node and device pointers
 				// come from the same netlist, so == is exact identity.
-				if m.Edges[i] != base.Edges[i] {
+				if m.Edges.At(i) != base.Edges.At(i) {
 					t.Fatalf("%s workers=%d: edge %d differs:\n got %v\nwant %v",
-						tc.name, w, i, m.Edges[i], base.Edges[i])
+						tc.name, w, i, m.Edges.At(i), base.Edges.At(i))
 				}
 			}
-			for i := range m.Caps {
-				if m.Caps[i] != base.Caps[i] {
+			for i := range m.Caps.Len() {
+				if m.Caps.At(i) != base.Caps.At(i) {
 					t.Fatalf("%s workers=%d: cap %d differs", tc.name, w, i)
 				}
 			}
@@ -70,12 +70,12 @@ func TestBuildWorkersClockedIdiom(t *testing.T) {
 	flow.Analyze(nl)
 	base := Build(nl, st, p, Options{Workers: 1})
 	m := Build(nl, st, p, Options{Workers: runtime.GOMAXPROCS(0) + 2})
-	if len(m.Edges) != len(base.Edges) {
-		t.Fatalf("edge count %d != %d", len(m.Edges), len(base.Edges))
+	if m.Edges.Len() != base.Edges.Len() {
+		t.Fatalf("edge count %d != %d", m.Edges.Len(), base.Edges.Len())
 	}
-	for i := range m.Edges {
-		if m.Edges[i] != base.Edges[i] {
-			t.Fatalf("edge %d differs:\n got %v\nwant %v", i, m.Edges[i], base.Edges[i])
+	for i := range m.Edges.Len() {
+		if m.Edges.At(i) != base.Edges.At(i) {
+			t.Fatalf("edge %d differs:\n got %v\nwant %v", i, m.Edges.At(i), base.Edges.At(i))
 		}
 	}
 }

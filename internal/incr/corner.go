@@ -99,10 +99,10 @@ func (s *Session) required(ctx context.Context, res *core.Result) (*core.Require
 
 // compareRequired asserts bit-identical required times and slacks.
 func compareRequired(got, ref *core.Required, nodes []*netlist.Node) error {
-	for i := range ref.RiseRAT {
-		if got.RiseRAT[i] != ref.RiseRAT[i] || got.FallRAT[i] != ref.FallRAT[i] {
+	for i := range ref.RiseRAT.Len() {
+		if got.RiseRAT.At(i) != ref.RiseRAT.At(i) || got.FallRAT.At(i) != ref.FallRAT.At(i) {
 			return fmt.Errorf("selfcheck: node %s required times differ: rise %v/%v fall %v/%v",
-				nodes[i], got.RiseRAT[i], ref.RiseRAT[i], got.FallRAT[i], ref.FallRAT[i])
+				nodes[i], got.RiseRAT.At(i), ref.RiseRAT.At(i), got.FallRAT.At(i), ref.FallRAT.At(i))
 		}
 		gr, gf := got.Slack(i, core.Rise), got.Slack(i, core.Fall)
 		rr, rf := ref.Slack(i, core.Rise), ref.Slack(i, core.Fall)
@@ -116,13 +116,13 @@ func compareRequired(got, ref *core.Required, nodes []*netlist.Node) error {
 // compareMerged asserts the session's merged view bit-identical to ref,
 // the merge of the reference corners.
 func compareMerged(got, ref *slack.Sweep, nodes []*netlist.Node) error {
-	if len(got.WorstSlack) != len(ref.WorstSlack) {
-		return fmt.Errorf("selfcheck: merged view over %d nodes, reference %d", len(got.WorstSlack), len(ref.WorstSlack))
+	if got.WorstSlack.Len() != ref.WorstSlack.Len() {
+		return fmt.Errorf("selfcheck: merged view over %d nodes, reference %d", got.WorstSlack.Len(), ref.WorstSlack.Len())
 	}
-	for i := range ref.WorstSlack {
-		if math.Float64bits(got.WorstSlack[i]) != math.Float64bits(ref.WorstSlack[i]) || got.WorstCorner[i] != ref.WorstCorner[i] {
+	for i := range ref.WorstSlack.Len() {
+		if math.Float64bits(got.WorstSlack.At(i)) != math.Float64bits(ref.WorstSlack.At(i)) || got.WorstCorner.At(i) != ref.WorstCorner.At(i) {
 			return fmt.Errorf("selfcheck: node %s merged slack %v at corner %d, reference %v at corner %d",
-				nodes[i], got.WorstSlack[i], got.WorstCorner[i], ref.WorstSlack[i], ref.WorstCorner[i])
+				nodes[i], got.WorstSlack.At(i), got.WorstCorner.At(i), ref.WorstSlack.At(i), ref.WorstCorner.At(i))
 		}
 	}
 	return nil

@@ -148,7 +148,7 @@ func (s *Session) PathStream(corner string) (*PathStream, error) {
 	return &PathStream{
 		gen:    paths.New(res),
 		model:  res.Model,
-		nodes:  s.nl.Nodes[:len(res.RiseAt)],
+		nodes:  s.nl.Nodes[:res.RiseAt.Len()],
 		corner: corner,
 	}, nil
 }
@@ -174,7 +174,7 @@ func (ps *PathStream) Next() (PathInfo, bool) {
 			Clamped: st.Clamped,
 		}
 		if st.Arc >= 0 {
-			e := &ps.model.Edges[st.Arc]
+			e := ps.model.Arc(st.Arc)
 			si.Invert = e.Invert
 			si.ViaID = e.Via
 		}
@@ -266,7 +266,7 @@ func (s *Session) Why(ctx context.Context, node, pol, corner string) (WhyInfo, e
 		p = core.Fall
 	case "":
 		p = core.Rise
-		if res.FallAt[n.Index] > res.RiseAt[n.Index] {
+		if res.FallAt.At(n.Index) > res.RiseAt.At(n.Index) {
 			p = core.Fall
 		}
 	default:
@@ -380,7 +380,7 @@ func (s *Session) Diff(ctx context.Context, from, to int64, eps float64, k, limi
 	// reads the live netlist's node count — an older version whose node
 	// table has since grown cannot run it. Gate on matching lengths.
 	var reqA, reqB *core.Required
-	if len(vf.res.RiseAt) == len(s.nl.Nodes) && len(vt.res.RiseAt) == len(s.nl.Nodes) {
+	if vf.res.RiseAt.Len() == len(s.nl.Nodes) && vt.res.RiseAt.Len() == len(s.nl.Nodes) {
 		if reqA, err = s.required(ctx, vf.res); err != nil {
 			return DiffInfo{}, err
 		}

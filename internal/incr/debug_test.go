@@ -46,12 +46,12 @@ func TestDiffReportsExactChangedSet(t *testing.T) {
 
 				// Ground truth, arrivals: bitwise over the shared prefix
 				// of all four arrays.
-				shared := min(len(prev.RiseAt), len(cur.RiseAt))
-				added := len(cur.RiseAt) - shared
+				shared := min(prev.RiseAt.Len(), cur.RiseAt.Len())
+				added := cur.RiseAt.Len() - shared
 				wantArr := map[string]bool{}
 				for i := 0; i < shared; i++ {
-					if prev.RiseAt[i] != cur.RiseAt[i] || prev.FallAt[i] != cur.FallAt[i] ||
-						prev.EarlyRise[i] != cur.EarlyRise[i] || prev.EarlyFall[i] != cur.EarlyFall[i] {
+					if prev.RiseAt.At(i) != cur.RiseAt.At(i) || prev.FallAt.At(i) != cur.FallAt.At(i) ||
+						prev.EarlyRise.At(i) != cur.EarlyRise.At(i) || prev.EarlyFall.At(i) != cur.EarlyFall.At(i) {
 						wantArr[s.nl.Nodes[i].Name] = true
 					}
 				}

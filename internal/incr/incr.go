@@ -619,13 +619,13 @@ func compareArcs(got, ref *delay.Model) error {
 	if math.Float64bits(got.DelayScale()) != math.Float64bits(ref.DelayScale()) {
 		return fmt.Errorf("selfcheck: delay scale %v, reference %v", got.DelayScale(), ref.DelayScale())
 	}
-	if len(got.Edges) != len(ref.Edges) {
-		return fmt.Errorf("selfcheck: %d timing arcs, reference %d", len(got.Edges), len(ref.Edges))
+	if got.Edges.Len() != ref.Edges.Len() {
+		return fmt.Errorf("selfcheck: %d timing arcs, reference %d", got.Edges.Len(), ref.Edges.Len())
 	}
-	for i := range ref.Edges {
-		if got.Edges[i] != ref.Edges[i] {
+	for i := range ref.Edges.Len() {
+		if got.Edges.At(i) != ref.Edges.At(i) {
 			return fmt.Errorf("selfcheck: timing arc %d differs: %+v vs reference %+v",
-				i, got.Edges[i], ref.Edges[i])
+				i, got.Edges.At(i), ref.Edges.At(i))
 		}
 	}
 	return nil
@@ -636,7 +636,7 @@ func compareArcs(got, ref *delay.Model) error {
 // by element. Predecessor and check arcs compare by index: the caller has
 // already found both models' arcs identical index for index.
 func compareResults(got, ref *core.Result) error {
-	for i := range ref.RiseAt {
+	for i := range ref.RiseAt.Len() {
 		for _, pol := range []core.Polarity{core.Rise, core.Fall} {
 			ga, gp := got.DominantPred(i, pol)
 			ra, rp := ref.DominantPred(i, pol)
@@ -645,13 +645,13 @@ func compareResults(got, ref *core.Result) error {
 					ref.NL.Nodes[i], pol, ga, gp, ra, rp)
 			}
 		}
-		if got.RiseAt[i] != ref.RiseAt[i] || got.FallAt[i] != ref.FallAt[i] {
+		if got.RiseAt.At(i) != ref.RiseAt.At(i) || got.FallAt.At(i) != ref.FallAt.At(i) {
 			return fmt.Errorf("selfcheck: node %s settle arrivals differ: rise %v/%v fall %v/%v",
-				ref.NL.Nodes[i], got.RiseAt[i], ref.RiseAt[i], got.FallAt[i], ref.FallAt[i])
+				ref.NL.Nodes[i], got.RiseAt.At(i), ref.RiseAt.At(i), got.FallAt.At(i), ref.FallAt.At(i))
 		}
-		if got.EarlyRise[i] != ref.EarlyRise[i] || got.EarlyFall[i] != ref.EarlyFall[i] {
+		if got.EarlyRise.At(i) != ref.EarlyRise.At(i) || got.EarlyFall.At(i) != ref.EarlyFall.At(i) {
 			return fmt.Errorf("selfcheck: node %s early arrivals differ: rise %v/%v fall %v/%v",
-				ref.NL.Nodes[i], got.EarlyRise[i], ref.EarlyRise[i], got.EarlyFall[i], ref.EarlyFall[i])
+				ref.NL.Nodes[i], got.EarlyRise.At(i), ref.EarlyRise.At(i), got.EarlyFall.At(i), ref.EarlyFall.At(i))
 		}
 	}
 	if len(got.Checks) != len(ref.Checks) {

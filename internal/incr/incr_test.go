@@ -424,8 +424,8 @@ func TestFullResetsAndMatches(t *testing.T) {
 		t.Fatal("Full() stats not marked full")
 	}
 	fullRes := s.Result()
-	for i := range fullRes.RiseAt {
-		if fullRes.RiseAt[i] != incRes.RiseAt[i] || fullRes.FallAt[i] != incRes.FallAt[i] {
+	for i := range fullRes.RiseAt.Len() {
+		if fullRes.RiseAt.At(i) != incRes.RiseAt.At(i) || fullRes.FallAt.At(i) != incRes.FallAt.At(i) {
 			t.Fatalf("Full() arrivals differ from incremental at node %d", i)
 		}
 	}

@@ -5,11 +5,11 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
-	"slices"
 	"sort"
 	"time"
 
 	"nmostv/internal/core"
+	"nmostv/internal/cow"
 	"nmostv/internal/netlist"
 	"nmostv/internal/snapshot"
 	"nmostv/internal/tverr"
@@ -71,7 +71,7 @@ func (s *Session) Export() *snapshot.State {
 	}
 	// The build that produced the published model fingerprinted (or kept
 	// the fingerprint of) every stage; the snapshot owns its copy.
-	st.StageFPs = slices.Clone(s.pipe.Cache.Fingerprints())
+	st.StageFPs = s.pipe.Cache.Fingerprints()
 	st.Base = resultRec(s.res)
 	for _, c := range s.corners {
 		st.Corners = append(st.Corners, snapshot.CornerRec{
@@ -86,10 +86,10 @@ func (s *Session) Export() *snapshot.State {
 
 func resultRec(res *core.Result) snapshot.ResultRec {
 	return snapshot.ResultRec{
-		RiseAt:    slices.Clone(res.RiseAt),
-		FallAt:    slices.Clone(res.FallAt),
-		EarlyRise: slices.Clone(res.EarlyRise),
-		EarlyFall: slices.Clone(res.EarlyFall),
+		RiseAt:    res.RiseAt.Slice(),
+		FallAt:    res.FallAt.Slice(),
+		EarlyRise: res.EarlyRise.Slice(),
+		EarlyFall: res.EarlyFall.Slice(),
 	}
 }
 
@@ -218,24 +218,25 @@ func rebuildNetlist(st *snapshot.State) (*netlist.Netlist, error) {
 // exactly).
 func checkArrays(design, which string, res *core.Result, rec *snapshot.ResultRec) error {
 	for _, pair := range [4]struct {
-		name     string
-		got, ref []float64
+		name string
+		got  *cow.Array[float64]
+		ref  []float64
 	}{
-		{"rise", res.RiseAt, rec.RiseAt},
-		{"fall", res.FallAt, rec.FallAt},
-		{"early-rise", res.EarlyRise, rec.EarlyRise},
-		{"early-fall", res.EarlyFall, rec.EarlyFall},
+		{"rise", &res.RiseAt, rec.RiseAt},
+		{"fall", &res.FallAt, rec.FallAt},
+		{"early-rise", &res.EarlyRise, rec.EarlyRise},
+		{"early-fall", &res.EarlyFall, rec.EarlyFall},
 	} {
-		if len(pair.got) != len(pair.ref) {
+		if pair.got.Len() != len(pair.ref) {
 			return tverr.Errorf(tverr.Invalid, "incr.restore",
 				"restore of %q: %s %s array length %d, snapshot %d",
-				design, which, pair.name, len(pair.got), len(pair.ref))
+				design, which, pair.name, pair.got.Len(), len(pair.ref))
 		}
-		for i := range pair.got {
-			if math.Float64bits(pair.got[i]) != math.Float64bits(pair.ref[i]) {
+		for i, ref := range pair.ref {
+			if got := pair.got.At(i); math.Float64bits(got) != math.Float64bits(ref) {
 				return tverr.Errorf(tverr.Invalid, "incr.restore",
 					"restore of %q: %s %s arrival at node %d re-analyzed to %v, snapshot has %v",
-					design, which, pair.name, i, pair.got[i], pair.ref[i])
+					design, which, pair.name, i, got, ref)
 			}
 		}
 	}

@@ -96,9 +96,9 @@ func TestExportRestoreBitIdentical(t *testing.T) {
 				t.Fatalf("post-restore apply diverged: %+v vs %+v", so, sr)
 			}
 			a, b := s.Result(), r.Result()
-			for i := range a.RiseAt {
-				if math.Float64bits(a.RiseAt[i]) != math.Float64bits(b.RiseAt[i]) ||
-					math.Float64bits(a.FallAt[i]) != math.Float64bits(b.FallAt[i]) {
+			for i := range a.RiseAt.Len() {
+				if math.Float64bits(a.RiseAt.At(i)) != math.Float64bits(b.RiseAt.At(i)) ||
+					math.Float64bits(a.FallAt.At(i)) != math.Float64bits(b.FallAt.At(i)) {
 					t.Fatalf("post-restore arrivals diverge at node %d", i)
 				}
 			}

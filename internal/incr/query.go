@@ -125,10 +125,10 @@ func (s *Session) NodeTiming(name string) (NodeTiming, bool) {
 		Phase:     n.Phase,
 		CapPF:     n.Cap,
 		Settle:    finiteOrNil(r.Settle(n)),
-		Rise:      finiteOrNil(r.RiseAt[n.Index]),
-		Fall:      finiteOrNil(r.FallAt[n.Index]),
-		EarlyRise: finiteOrNil(r.EarlyRise[n.Index]),
-		EarlyFall: finiteOrNil(r.EarlyFall[n.Index]),
+		Rise:      finiteOrNil(r.RiseAt.At(n.Index)),
+		Fall:      finiteOrNil(r.FallAt.At(n.Index)),
+		EarlyRise: finiteOrNil(r.EarlyRise.At(n.Index)),
+		EarlyFall: finiteOrNil(r.EarlyFall.At(n.Index)),
 	}
 	for _, c := range r.Checks {
 		if c.Node != n {
@@ -184,7 +184,7 @@ func (s *Session) Info() Info {
 		Nodes:   len(s.nl.Nodes),
 		Devices: len(s.nl.Trans),
 		Stages:  len(s.stages.Stages),
-		Arcs:    len(s.model.Edges),
+		Arcs:    s.model.Edges.Len(),
 		Period:  s.opt.Sched.Period,
 		Applied: s.applied,
 		Last:    s.last,

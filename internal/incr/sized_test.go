@@ -93,15 +93,15 @@ func TestNamedLoadsMatchFullProbe(t *testing.T) {
 			if m.Layout != prev.Layout {
 				t.Fatal("the sized build laid the arcs out again")
 			}
-			for k := range m.Edges {
-				e := &m.Edges[k]
+			for k := range m.Edges.Len() {
+				e := m.Edges.Ref(k)
 				si := next.Stages.NodeStage[e.To]
-				if *e != prev.Edges[k] && (si < 0 || !slices.Contains(ps.Build.Rebuilt, next.Stages.Stages[si])) {
-					t.Fatalf("arc %d moved outside the rebuilt stages: %v, was %v", k, *e, prev.Edges[k])
+				if *e != prev.Edges.At(k) && (si < 0 || !slices.Contains(ps.Build.Rebuilt, next.Stages.Stages[si])) {
+					t.Fatalf("arc %d moved outside the rebuilt stages: %v, was %v", k, *e, prev.Edges.At(k))
 				}
 			}
-			for i := range m.Caps {
-				if m.Caps[i] != prev.Caps[i] && !slices.Contains(loads, i) {
+			for i := range m.Caps.Len() {
+				if m.Caps.At(i) != prev.Caps.At(i) && !slices.Contains(loads, i) {
 					t.Fatalf("node %d loading moved but was not named", i)
 				}
 			}
@@ -133,7 +133,7 @@ func sameModel(got, want *delay.Model) error {
 	if err := compareArcs(got, want); err != nil {
 		return err
 	}
-	if !slices.Equal(got.Caps, want.Caps) || !slices.Equal(got.NodeFlags, want.NodeFlags) ||
+	if !slices.Equal(got.Caps.Slice(), want.Caps.Slice()) || !slices.Equal(got.NodeFlags, want.NodeFlags) ||
 		!slices.Equal(got.NodePhase, want.NodePhase) || got.Truncated != want.Truncated {
 		return errors.New("model node arrays differ")
 	}

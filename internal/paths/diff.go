@@ -8,6 +8,7 @@ import (
 	"slices"
 
 	"nmostv/internal/core"
+	"nmostv/internal/cow"
 )
 
 // NodeDelta is one node whose timing moved between two results.
@@ -85,16 +86,22 @@ func deltaOf(x, y float64) float64 {
 // matched to report rank changes; the walks stop at the design's path
 // population, so their storage follows the paths found, never k, and
 // they stop with ctx's error when the context is done. Both results
-// must be published (immutable); the comparison takes no locks.
+// must be published (immutable); the comparison takes no locks. The
+// scan goes chunk by chunk and skips every chunk the two versions share
+// (sharedChunk): no node in it moved.
 func DiffResults(ctx context.Context, a, b *core.Result, reqA, reqB *core.Required, eps float64, k int) (Diff, error) {
-	n := min(len(a.RiseAt), len(b.RiseAt))
-	d := Diff{Epsilon: eps, NodesCompared: n, Added: len(b.RiseAt) - n}
+	n := min(a.RiseAt.Len(), b.RiseAt.Len())
+	d := Diff{Epsilon: eps, NodesCompared: n, Added: b.RiseAt.Len() - n}
 	if d.Added < 0 {
 		d.Added = 0
 	}
 	for i := 0; i < n; i++ {
-		settleMoved := moved(a.RiseAt[i], b.RiseAt[i], eps) || moved(a.FallAt[i], b.FallAt[i], eps)
-		earlyMoved := moved(a.EarlyRise[i], b.EarlyRise[i], eps) || moved(a.EarlyFall[i], b.EarlyFall[i], eps)
+		if i&(cow.ChunkLen-1) == 0 && sharedChunk(a, b, reqA, reqB, i>>cow.Shift) {
+			i += cow.ChunkLen - 1
+			continue
+		}
+		settleMoved := moved(a.RiseAt.At(i), b.RiseAt.At(i), eps) || moved(a.FallAt.At(i), b.FallAt.At(i), eps)
+		earlyMoved := moved(a.EarlyRise.At(i), b.EarlyRise.At(i), eps) || moved(a.EarlyFall.At(i), b.EarlyFall.At(i), eps)
 		sa, sb := math.NaN(), math.NaN()
 		slackMoved := false
 		if reqA != nil && reqB != nil {
@@ -107,10 +114,10 @@ func DiffResults(ctx context.Context, a, b *core.Result, reqA, reqB *core.Requir
 		}
 		d.Changed = append(d.Changed, NodeDelta{
 			Node:  int32(i),
-			RiseA: a.RiseAt[i], RiseB: b.RiseAt[i],
-			FallA: a.FallAt[i], FallB: b.FallAt[i],
-			DRise:      deltaOf(a.RiseAt[i], b.RiseAt[i]),
-			DFall:      deltaOf(a.FallAt[i], b.FallAt[i]),
+			RiseA: a.RiseAt.At(i), RiseB: b.RiseAt.At(i),
+			FallA: a.FallAt.At(i), FallB: b.FallAt.At(i),
+			DRise:      deltaOf(a.RiseAt.At(i), b.RiseAt.At(i)),
+			DFall:      deltaOf(a.FallAt.At(i), b.FallAt.At(i)),
 			EarlyMoved: earlyMoved,
 			SlackA:     sa, SlackB: sb,
 		})
@@ -122,6 +129,18 @@ func DiffResults(ctx context.Context, a, b *core.Result, reqA, reqB *core.Requir
 		}
 	}
 	return d, nil
+}
+
+// sharedChunk reports whether a and b, and their required times when
+// both are given, hold the same chunk c of every array a node delta
+// reads.
+func sharedChunk(a, b *core.Result, reqA, reqB *core.Required, c int) bool {
+	same := a.RiseAt.SameChunk(&b.RiseAt, c) && a.FallAt.SameChunk(&b.FallAt, c) &&
+		a.EarlyRise.SameChunk(&b.EarlyRise, c) && a.EarlyFall.SameChunk(&b.EarlyFall, c)
+	if reqA != nil && reqB != nil {
+		same = same && reqA.RiseRAT.SameChunk(&reqB.RiseRAT, c) && reqA.FallRAT.SameChunk(&reqB.FallRAT, c)
+	}
+	return same
 }
 
 // CountChanged returns how many shared nodes differ in any arrival
@@ -153,14 +172,14 @@ func CountChangedAt(a, b *core.Result, relaxed []int32) int {
 // onlyOne returns how many nodes only one of the results has, and how
 // many both have.
 func onlyOne(a, b *core.Result) (count, shared int) {
-	shared = min(len(a.RiseAt), len(b.RiseAt))
-	return max(len(a.RiseAt), len(b.RiseAt)) - shared, shared
+	shared = min(a.RiseAt.Len(), b.RiseAt.Len())
+	return max(a.RiseAt.Len(), b.RiseAt.Len()) - shared, shared
 }
 
 // changedAt reports whether node i's arrivals differ between a and b.
 func changedAt(a, b *core.Result, i int) bool {
-	return a.RiseAt[i] != b.RiseAt[i] || a.FallAt[i] != b.FallAt[i] ||
-		a.EarlyRise[i] != b.EarlyRise[i] || a.EarlyFall[i] != b.EarlyFall[i]
+	return a.RiseAt.At(i) != b.RiseAt.At(i) || a.FallAt.At(i) != b.FallAt.At(i) ||
+		a.EarlyRise.At(i) != b.EarlyRise.At(i) || a.EarlyFall.At(i) != b.EarlyFall.At(i)
 }
 
 // pathSig fingerprints a path by endpoint identity and transition

@@ -48,9 +48,9 @@ func oracleEnumerate(t *testing.T, res *core.Result) []oraclePath {
 	}
 	arrivalOf := func(v int32, pol core.Polarity) float64 {
 		if pol == core.Rise {
-			return res.RiseAt[v]
+			return res.RiseAt.At(int(v))
 		}
-		return res.FallAt[v]
+		return res.FallAt.At(int(v))
 	}
 	var out []oraclePath
 
@@ -90,7 +90,7 @@ func oracleEnumerate(t *testing.T, res *core.Result) []oraclePath {
 		defer delete(visited, key)
 		storage := res.ClockedStorage(v)
 		for _, ei := range res.ArcsInto(v) {
-			e := &model.Edges[ei]
+			e := model.Arc(ei)
 			if storage && !model.IsClock(e.From) {
 				continue
 			}
@@ -121,8 +121,8 @@ func oracleEnumerate(t *testing.T, res *core.Result) []oraclePath {
 		seedCount++
 		dfs(end, from, fromPol, suf, []int32{end.edge}, nil, map[int64]bool{})
 	}
-	for i := range model.Edges {
-		e := &model.Edges[i]
+	for i := range model.Edges.Len() {
+		e := model.Edges.Ref(i)
 		for _, pol := range []core.Polarity{core.Rise, core.Fall} {
 			var d float64
 			var mask uint8
@@ -164,13 +164,13 @@ func oracleEnumerate(t *testing.T, res *core.Result) []oraclePath {
 				[]int32{-1}, nil, map[int64]bool{})
 		}
 	}
-	for v := range res.RiseAt {
+	for v := range res.RiseAt.Len() {
 		if model.NodeFlags[v].Has(netlist.FlagOutput) {
 			terminal(int32(v), KindOutput)
 		}
 	}
 	if seedCount == 0 && terminals == 0 {
-		for v := range res.RiseAt {
+		for v := range res.RiseAt.Len() {
 			f := model.NodeFlags[v]
 			if f.Has(netlist.FlagSupply) || f.Has(netlist.FlagClock) {
 				continue
@@ -200,7 +200,7 @@ func oracleEnumerate(t *testing.T, res *core.Result) []oraclePath {
 				toPol = p.end.pol
 				arc = p.end.edge
 			}
-			e := &res.Model.Edges[arc]
+			e := res.Model.Arc(arc)
 			var d float64
 			var mask uint8
 			if toPol == core.Rise {

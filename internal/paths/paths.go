@@ -203,7 +203,7 @@ func (s *slab[T]) put(v T) *T {
 // them one by one would.
 func New(res *core.Result) *Generator {
 	g := &Generator{res: res, model: res.Model, sched: res.Sched}
-	g.loop = make([]bool, len(res.RiseAt))
+	g.loop = make([]bool, res.RiseAt.Len())
 	for _, n := range res.LoopNodes() {
 		g.loop[n.Index] = true
 	}
@@ -226,14 +226,14 @@ func (g *Generator) seed(end *endpoint, arc, node int32, pol core.Polarity, suf 
 
 func (g *Generator) arrival(v int32, pol core.Polarity) float64 {
 	if pol == core.Rise {
-		return g.res.RiseAt[v]
+		return g.res.RiseAt.At(int(v))
 	}
-	return g.res.FallAt[v]
+	return g.res.FallAt.At(int(v))
 }
 
 func (g *Generator) seedLatches() (candidates int) {
-	for i := range g.model.Edges {
-		e := &g.model.Edges[i]
+	for i := range g.model.Edges.Len() {
+		e := g.model.Edges.Ref(i)
 		for _, pol := range []core.Polarity{core.Rise, core.Fall} {
 			d, mask := g.model.Delay(e, pol == core.Fall)
 			if mask == 0 || math.IsInf(d, 1) {
@@ -270,7 +270,7 @@ func (g *Generator) seedLatches() (candidates int) {
 }
 
 func (g *Generator) seedOutputs() (candidates int) {
-	for v := range g.res.RiseAt {
+	for v := range g.res.RiseAt.Len() {
 		if !g.model.NodeFlags[v].Has(netlist.FlagOutput) {
 			continue
 		}
@@ -280,7 +280,7 @@ func (g *Generator) seedOutputs() (candidates int) {
 }
 
 func (g *Generator) seedSettles() {
-	for v := range g.res.RiseAt {
+	for v := range g.res.RiseAt.Len() {
 		f := g.model.NodeFlags[v]
 		if f.Has(netlist.FlagSupply) || f.Has(netlist.FlagClock) {
 			continue
@@ -381,7 +381,7 @@ func composeArc(suf suffix, d, clamp, dl float64, constrained bool) (suffix, boo
 func (g *Generator) expand(st *state) {
 	storage := g.res.ClockedStorage(st.node)
 	for _, ei := range g.res.ArcsInto(st.node) {
-		e := &g.model.Edges[ei]
+		e := g.model.Arc(ei)
 		if storage && !g.model.IsClock(e.From) {
 			continue // storage launches from its clock edge only
 		}
@@ -521,7 +521,7 @@ func (g *Generator) build(st *state) Path {
 		if i+1 < len(chain) {
 			to, toPol = chain[i+1].node, chain[i+1].pol
 		}
-		e := &g.model.Edges[cur.arc]
+		e := g.model.Arc(cur.arc)
 		d, mask := g.model.Delay(e, toPol == core.Fall)
 		clamp, _, constrained, _ := core.MaskWindow(g.sched, mask)
 		if i+1 == len(chain) && end.wrapped {

@@ -68,5 +68,5 @@ func TestTopKStreamsLazily(t *testing.T) {
 		t.Fatalf("streaming %d paths allocated %d MiB, budget %d MiB — generator is not lazy",
 			k, allocated>>20, budget>>20)
 	}
-	t.Logf("streamed %d paths over %d nodes: %d MiB allocated", k, len(res.RiseAt), allocated>>20)
+	t.Logf("streamed %d paths over %d nodes: %d MiB allocated", k, res.RiseAt.Len(), allocated>>20)
 }

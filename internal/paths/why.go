@@ -53,9 +53,9 @@ type Why struct {
 func WhyLate(res *core.Result, node int32, pol core.Polarity) (Why, bool) {
 	arrivalOf := func(v int32, p core.Polarity) float64 {
 		if p == core.Rise {
-			return res.RiseAt[v]
+			return res.RiseAt.At(int(v))
 		}
-		return res.FallAt[v]
+		return res.FallAt.At(int(v))
 	}
 	if math.IsInf(arrivalOf(node, pol), -1) {
 		return Why{}, false
@@ -85,7 +85,7 @@ func WhyLate(res *core.Result, node int32, pol core.Polarity) (Why, bool) {
 		if arc < 0 {
 			break
 		}
-		cur, curPol = res.Model.Edges[arc].From, fromPol
+		cur, curPol = res.Model.Arc(arc).From, fromPol
 	}
 	// Replay forward: chain is endpoint-first, so walk it backward.
 	w := Why{Node: node, Pol: pol, Arrival: arrivalOf(node, pol)}
@@ -95,7 +95,7 @@ func WhyLate(res *core.Result, node int32, pol core.Polarity) (Why, bool) {
 	w.Hops = append(w.Hops, WhyHop{Node: last.node, Pol: last.pol, Arc: -1, Launch: t, Arrival: t})
 	for i := len(chain) - 2; i >= 0; i-- {
 		l := chain[i]
-		e := &res.Model.Edges[l.arc]
+		e := res.Model.Arc(l.arc)
 		d, mask := res.Model.Delay(e, l.pol == core.Fall)
 		clamp, _, constrained, _ := core.MaskWindow(res.Sched, mask)
 		launch, clamped := t, false

@@ -34,14 +34,14 @@ func TestWhyTraceFPExact(t *testing.T) {
 					loop[n.Index] = true
 				}
 				traced := 0
-				for v := range res.RiseAt {
+				for v := range res.RiseAt.Len() {
 					if loop[v] {
 						continue // non-converged arrivals are not fixpoint values
 					}
 					for _, pol := range []core.Polarity{core.Rise, core.Fall} {
-						at := res.RiseAt[v]
+						at := res.RiseAt.At(v)
 						if pol == core.Fall {
-							at = res.FallAt[v]
+							at = res.FallAt.At(v)
 						}
 						w, ok := WhyLate(res, int32(v), pol)
 						if math.IsInf(at, -1) {

@@ -36,8 +36,8 @@ func testNetlist() *netlist.Netlist {
 func sameArrivals(t *testing.T, what string, got, want *core.Result) {
 	t.Helper()
 	for _, pair := range [][2][]float64{
-		{got.RiseAt, want.RiseAt}, {got.FallAt, want.FallAt},
-		{got.EarlyRise, want.EarlyRise}, {got.EarlyFall, want.EarlyFall},
+		{got.RiseAt.Slice(), want.RiseAt.Slice()}, {got.FallAt.Slice(), want.FallAt.Slice()},
+		{got.EarlyRise.Slice(), want.EarlyRise.Slice()}, {got.EarlyFall.Slice(), want.EarlyFall.Slice()},
 	} {
 		if len(pair[0]) != len(pair[1]) {
 			t.Fatalf("%s: %d nodes, want %d", what, len(pair[0]), len(pair[1]))

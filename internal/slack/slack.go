@@ -28,6 +28,7 @@ import (
 
 	"nmostv/internal/clocks"
 	"nmostv/internal/core"
+	"nmostv/internal/cow"
 	"nmostv/internal/delay"
 	"nmostv/internal/netlist"
 	"nmostv/internal/pipeline"
@@ -62,13 +63,14 @@ type CornerResult struct {
 type Sweep struct {
 	// Corners holds every corner's analysis, in the order requested.
 	Corners []CornerResult
-	// WorstSlack[i] is the minimum over corners of node i's slack
+	// WorstSlack.At(i) is the minimum over corners of node i's slack
 	// (+Inf = unconstrained at every corner).
-	WorstSlack []float64
-	// WorstCorner[i] is the index into Corners of the corner that set
-	// WorstSlack[i]; -1 when unconstrained everywhere. Ties keep the
-	// earliest corner in request order, so the merge is deterministic.
-	WorstCorner []int32
+	WorstSlack cow.Array[float64]
+	// WorstCorner.At(i) is the index into Corners of the corner that set
+	// node i's worst slack; -1 when unconstrained everywhere. Ties keep
+	// the earliest corner in request order, so the merge is
+	// deterministic.
+	WorstCorner cow.Array[int32]
 }
 
 // Analyze runs the base analysis of a prepared model and then every
@@ -123,7 +125,8 @@ func Merge(corners []CornerResult) (*Sweep, error) {
 // Remerge is Merge for corners whose analyses may extend those of prev,
 // an earlier sweep over the same corners (nil for none). When every
 // corner's backward pass extended the one prev holds, the merged arrays
-// start as copies of prev's, grown for added nodes, and NodeWorst is
+// start as versions of prev's (cow.Array.Clone), sharing every chunk
+// the refold does not write, grown for added nodes, and NodeWorst is
 // folded again only at the nodes those passes relaxed
 // (core.Required.ChangedSince), which hold every node whose slack can
 // have moved at some corner: NodeWorst is a pure function of the
@@ -139,22 +142,28 @@ func Remerge(prev *Sweep, corners []CornerResult) (*Sweep, error) {
 			return nil, fmt.Errorf("slack: corner %s analyzed a different netlist", cr.Corner.Name)
 		}
 	}
-	n := len(corners[0].Res.RiseAt)
+	n := corners[0].Res.RiseAt.Len()
 	reqs := make([]*core.Required, len(corners))
 	for ci := range corners {
 		reqs[ci] = corners[ci].Req
 	}
-	sw := &Sweep{Corners: corners, WorstSlack: make([]float64, n), WorstCorner: make([]int32, n)}
-	fold := func(i int) { sw.WorstSlack[i], sw.WorstCorner[i] = NodeWorst(reqs, i) }
+	sw := &Sweep{Corners: corners}
+	fold := func(i int) {
+		s, c := NodeWorst(reqs, i)
+		sw.WorstSlack.Set(i, s)
+		sw.WorstCorner.Set(i, c)
+	}
 	changed := extended(prev, reqs)
 	if changed == nil {
+		sw.WorstSlack, sw.WorstCorner = cow.Make(n, math.Inf(1)), cow.Make(n, int32(-1))
 		for i := 0; i < n; i++ {
 			fold(i)
 		}
 		return sw, nil
 	}
-	copy(sw.WorstSlack, prev.WorstSlack)
-	copy(sw.WorstCorner, prev.WorstCorner)
+	sw.WorstSlack, sw.WorstCorner = prev.WorstSlack.Clone(), prev.WorstCorner.Clone()
+	sw.WorstSlack.Grow(n, math.Inf(1))
+	sw.WorstCorner.Grow(n, -1)
 	for _, nodes := range changed {
 		for _, v := range nodes {
 			fold(int(v))
@@ -231,7 +240,7 @@ func (sw *Sweep) Ranking(k int) []Entry {
 		if nd.IsSupply() || nd.IsClock() {
 			continue
 		}
-		ci := sw.WorstCorner[nd.Index]
+		ci := sw.WorstCorner.At(nd.Index)
 		if ci < 0 {
 			continue
 		}
@@ -240,14 +249,14 @@ func (sw *Sweep) Ranking(k int) []Entry {
 		if cr.Req.Slack(nd.Index, core.Fall) < cr.Req.Slack(nd.Index, core.Rise) {
 			pol = core.Fall
 		}
-		at := cr.Res.RiseAt[nd.Index]
+		at := cr.Res.RiseAt.At(nd.Index)
 		if pol == core.Fall {
-			at = cr.Res.FallAt[nd.Index]
+			at = cr.Res.FallAt.At(nd.Index)
 		}
 		top.Offer(Entry{
 			Node: nd, Corner: cr.Corner.Name, Pol: pol,
 			Arrival: at, Required: cr.Req.RAT(nd.Index, pol),
-			Slack: sw.WorstSlack[nd.Index],
+			Slack: sw.WorstSlack.At(nd.Index),
 		})
 	}
 	return top.Sorted()
@@ -276,12 +285,12 @@ func (sw *Sweep) WorstOverall() (nd *netlist.Node, corner string, slack float64,
 		if n.IsSupply() || n.IsClock() {
 			continue
 		}
-		if s := sw.WorstSlack[n.Index]; s < slack {
+		if s := sw.WorstSlack.At(n.Index); s < slack {
 			slack, bi = s, n.Index
 		}
 	}
 	if bi < 0 || math.IsInf(slack, 1) {
 		return nil, "", slack, false
 	}
-	return nl.Nodes[bi], sw.Corners[sw.WorstCorner[bi]].Corner.Name, slack, true
+	return nl.Nodes[bi], sw.Corners[sw.WorstCorner.At(bi)].Corner.Name, slack, true
 }

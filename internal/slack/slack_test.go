@@ -66,14 +66,14 @@ func TestSweepMatchesIndependentRuns(t *testing.T) {
 		if cr.Corner != c {
 			t.Fatalf("corner %d is %v, want %v", i, cr.Corner, c)
 		}
-		if !eqF(cr.Res.RiseAt, res.RiseAt) || !eqF(cr.Res.FallAt, res.FallAt) ||
-			!eqF(cr.Res.EarlyRise, res.EarlyRise) || !eqF(cr.Res.EarlyFall, res.EarlyFall) {
+		if !eqF(cr.Res.RiseAt.Slice(), res.RiseAt.Slice()) || !eqF(cr.Res.FallAt.Slice(), res.FallAt.Slice()) ||
+			!eqF(cr.Res.EarlyRise.Slice(), res.EarlyRise.Slice()) || !eqF(cr.Res.EarlyFall.Slice(), res.EarlyFall.Slice()) {
 			t.Fatalf("corner %s: sweep arrivals differ from independent run", c.Name)
 		}
-		if !eqF(cr.Req.RiseRAT, req.RiseRAT) || !eqF(cr.Req.FallRAT, req.FallRAT) {
+		if !eqF(cr.Req.RiseRAT.Slice(), req.RiseRAT.Slice()) || !eqF(cr.Req.FallRAT.Slice(), req.FallRAT.Slice()) {
 			t.Fatalf("corner %s: sweep required times differ from independent run", c.Name)
 		}
-		for n := range req.RiseRAT {
+		for n := range req.RiseRAT.Len() {
 			for _, pol := range []core.Polarity{core.Rise, core.Fall} {
 				if math.Float64bits(cr.Req.Slack(n, pol)) != math.Float64bits(req.Slack(n, pol)) {
 					t.Fatalf("corner %s: node %d %s sweep slack differs from independent run", c.Name, n, pol)
@@ -97,9 +97,9 @@ func TestSweepMatchesIndependentRuns(t *testing.T) {
 				want, wc = s, int32(ci)
 			}
 		}
-		if math.Float64bits(sw.WorstSlack[i]) != math.Float64bits(want) || sw.WorstCorner[i] != wc {
+		if math.Float64bits(sw.WorstSlack.At(i)) != math.Float64bits(want) || sw.WorstCorner.At(i) != wc {
 			t.Fatalf("node %d: merged (%v, %d), want (%v, %d)",
-				i, sw.WorstSlack[i], sw.WorstCorner[i], want, wc)
+				i, sw.WorstSlack.At(i), sw.WorstCorner.At(i), want, wc)
 		}
 	}
 }
@@ -119,11 +119,11 @@ func TestSweepDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !eqF(first.WorstSlack, again.WorstSlack) {
+		if !eqF(first.WorstSlack.Slice(), again.WorstSlack.Slice()) {
 			t.Fatalf("workers=%d: merged worst slack differs", workers)
 		}
-		for i := range first.WorstCorner {
-			if first.WorstCorner[i] != again.WorstCorner[i] {
+		for i := range first.WorstCorner.Len() {
+			if first.WorstCorner.At(i) != again.WorstCorner.At(i) {
 				t.Fatalf("workers=%d: worst corner differs at node %d", workers, i)
 			}
 		}
@@ -178,7 +178,7 @@ func TestRankingMerged(t *testing.T) {
 		if !ok {
 			t.Fatalf("row %d names unknown corner %q", i, e.Corner)
 		}
-		if math.Float64bits(e.Slack) != math.Float64bits(sw.WorstSlack[e.Node.Index]) {
+		if math.Float64bits(e.Slack) != math.Float64bits(sw.WorstSlack.At(e.Node.Index)) {
 			t.Fatalf("row %d slack differs from merged array", i)
 		}
 		if math.Float64bits(e.Required) != math.Float64bits(cr.Req.RAT(e.Node.Index, e.Pol)) {
@@ -254,10 +254,10 @@ func TestRemergeFallsBackUnlessExtended(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eqF(got.WorstSlack, fresh.WorstSlack) || !slices.Equal(got.WorstCorner, fresh.WorstCorner) {
+	if !eqF(got.WorstSlack.Slice(), fresh.WorstSlack.Slice()) || !slices.Equal(got.WorstCorner.Slice(), fresh.WorstCorner.Slice()) {
 		t.Fatal("Remerge over passes that extend nothing differs from a full merge")
 	}
-	if eqF(got.WorstSlack, prev.WorstSlack) {
+	if eqF(got.WorstSlack.Slice(), prev.WorstSlack.Slice()) {
 		t.Fatal("the edit moved no merged slack; the test cannot tell a refold from a full merge")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"slices"
 	"sort"
 
+	"nmostv/internal/cow"
 	"nmostv/internal/netlist"
 )
 
@@ -258,7 +259,7 @@ func sortNodes(nodes []*netlist.Node) {
 // caps is the per-node-index total loading (delay.Model.Caps); forced maps
 // case-analysis constants (node -> held value) exactly as the delay
 // builder receives them.
-func (s *Stage) Fingerprint(caps []float64, forced map[*netlist.Node]bool) uint64 {
+func (s *Stage) Fingerprint(caps *cow.Array[float64], forced map[*netlist.Node]bool) uint64 {
 	h := fnv64{}
 	h.init()
 	forcedCode := func(n *netlist.Node) uint64 {
@@ -289,7 +290,7 @@ func (s *Stage) Fingerprint(caps []float64, forced map[*netlist.Node]bool) uint6
 	}
 	for _, n := range s.Nodes {
 		nodeState(n)
-		h.word(math.Float64bits(caps[n.Index]))
+		h.word(math.Float64bits(caps.At(n.Index)))
 		h.word(uint64(len(n.Gates)))
 	}
 	for _, g := range s.GateInputs {

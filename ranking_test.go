@@ -74,11 +74,11 @@ func refSlackRanking(r *core.Result, q *core.Required, k int) []core.SlackEntry 
 		i := nd.Index
 		if s := q.Slack(i, core.Rise); !math.IsInf(s, 1) {
 			out = append(out, core.SlackEntry{Node: nd, Pol: core.Rise,
-				Arrival: r.RiseAt[i], Required: q.RiseRAT[i], Slack: s})
+				Arrival: r.RiseAt.At(i), Required: q.RiseRAT.At(i), Slack: s})
 		}
 		if s := q.Slack(i, core.Fall); !math.IsInf(s, 1) {
 			out = append(out, core.SlackEntry{Node: nd, Pol: core.Fall,
-				Arrival: r.FallAt[i], Required: q.FallRAT[i], Slack: s})
+				Arrival: r.FallAt.At(i), Required: q.FallRAT.At(i), Slack: s})
 		}
 	}
 	slices.SortFunc(out, func(a, c core.SlackEntry) int {
@@ -105,7 +105,7 @@ func refMergedRanking(sw *slack.Sweep, k int) []slack.Entry {
 		if nd.IsSupply() || nd.IsClock() {
 			continue
 		}
-		ci := sw.WorstCorner[nd.Index]
+		ci := sw.WorstCorner.At(nd.Index)
 		if ci < 0 {
 			continue
 		}
@@ -114,14 +114,14 @@ func refMergedRanking(sw *slack.Sweep, k int) []slack.Entry {
 		if cr.Req.Slack(nd.Index, core.Fall) < cr.Req.Slack(nd.Index, core.Rise) {
 			pol = core.Fall
 		}
-		at := cr.Res.RiseAt[nd.Index]
+		at := cr.Res.RiseAt.At(nd.Index)
 		if pol == core.Fall {
-			at = cr.Res.FallAt[nd.Index]
+			at = cr.Res.FallAt.At(nd.Index)
 		}
 		out = append(out, slack.Entry{
 			Node: nd, Corner: cr.Corner.Name, Pol: pol,
 			Arrival: at, Required: cr.Req.RAT(nd.Index, pol),
-			Slack: sw.WorstSlack[nd.Index],
+			Slack: sw.WorstSlack.At(nd.Index),
 		})
 	}
 	slices.SortFunc(out, func(a, b slack.Entry) int {
