@@ -34,11 +34,10 @@ type Cache struct {
 	// build refills it.
 	scratch *graph
 	stale   bool
-	// builders keeps the cache's edge builders between builds: a
-	// collection empties a sync.Pool, and a builder made afresh carries
-	// node-sized scratch and an edge slab a one-stage rebuild would
-	// allocate again.
-	builders builderList
+	// builder keeps one edge builder between builds: a collection
+	// empties a sync.Pool, and a builder made afresh carries node-sized
+	// scratch and an edge slab a one-stage rebuild would allocate again.
+	builder builderSlot
 }
 
 // record is one completed build. Its arrays are never written after the
@@ -189,7 +188,7 @@ func BuildWithCache(ctx context.Context, nl *netlist.Netlist, st *stage.Result, 
 	}
 	sp.End()
 	sp = opt.Obs.Span("shard-build")
-	err := buildShards(ctx, c.scratch, st, opt, &shards, todo, &c.builders)
+	err := buildShards(ctx, c.scratch, st, opt, &shards, todo, &c.builder)
 	sp.End()
 	if err != nil {
 		c.stale = true

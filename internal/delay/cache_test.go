@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"nmostv/internal/cow"
 	"nmostv/internal/flow"
@@ -108,6 +109,52 @@ func TestSizedBuildBytesSurviveCollection(t *testing.T) {
 	runtime.GC()
 	if cold := sized(); cold-warm > 16<<10 || warm-cold > 16<<10 {
 		t.Fatalf("a sized build allocated %d bytes before two collections and %d after", warm, cold)
+	}
+}
+
+// TestCacheKeepsOneBuilder: a full cached build at four workers leaves
+// one builder on the cache, and a cone rebuild at four workers builds
+// inline with it: after two collections have emptied builderPool of the
+// full build's other builders, the rebuild allocates no builder's edge
+// slab and leaves the same builder kept.
+func TestCacheKeepsOneBuilder(t *testing.T) {
+	ctx := context.Background()
+	p := tech.Default()
+	nl := gen.TiledChip(p, gen.DefaultTiledChip(10_000))
+	st := stage.Extract(nl)
+	flow.Analyze(nl)
+	opt := Options{Workers: 4}
+	c := NewCache()
+	if _, _, err := BuildWithCache(ctx, nl, st, p, opt, c, nil); err != nil {
+		t.Fatal(err)
+	}
+	kept := c.builder.b
+	if kept == nil {
+		t.Fatal("a full build at 4 workers kept no builder")
+	}
+	runtime.GC()
+	runtime.GC()
+	var loads []int
+	for _, tr := range []*netlist.Transistor{nl.Trans[len(nl.Trans)/3], nl.Trans[2*len(nl.Trans)/3]} {
+		tr.W *= 1.25
+		loads = append(loads, tr.Gate.Index, tr.A.Index, tr.B.Index)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, bs, err := BuildWithCache(ctx, nl, st, p, opt, c, loads)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(bs.Rebuilt); n < 2 || n >= minParallelShards {
+		t.Fatalf("two resizes rebuilt %d stages, want a cone of 2 to %d", n, minParallelShards-1)
+	}
+	if c.builder.b != kept {
+		t.Fatal("the cone rebuild did not build with the kept builder")
+	}
+	const slab = slabEdges * uint64(unsafe.Sizeof(Edge{}))
+	if got := after.TotalAlloc - before.TotalAlloc; got >= slab {
+		t.Fatalf("the cone rebuild allocated %d bytes, at least a new builder's %d-byte edge slab", got, slab)
 	}
 }
 

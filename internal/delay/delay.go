@@ -317,15 +317,20 @@ type shard struct {
 	truncated int
 }
 
+// minParallelShards is the shortest todo list worth fanning out, the
+// walk's floor (core's minParallelLevel): a cone rebuild of a few stages
+// builds inline at any worker count, with the one builder a cache keeps.
+const minParallelShards = 8
+
 // buildShards computes the shards for the stage indices listed in todo
-// using the option's worker pool, with builders from free (nil: the
+// using the option's worker pool, with builders from kept (nil: the
 // process-wide pool). Slots not listed are left untouched; the slots
 // listed are made the array's own before any worker writes one. The
 // context is polled once per shard: cancellation (or the
 // "delay.build.shard" fault point) aborts the build with the first error
 // and the caller must discard the partially filled shards.
 func buildShards(ctx context.Context, g *graph, st *stage.Result, opt Options,
-	shards *cow.Array[shard], todo []int, free *builderList) error {
+	shards *cow.Array[shard], todo []int, kept *builderSlot) error {
 	stages := st.Stages
 	for _, si := range todo {
 		shards.Own(si)
@@ -367,15 +372,15 @@ func buildShards(ctx context.Context, g *graph, st *stage.Result, opt Options,
 	if workers > len(todo) {
 		workers = len(todo)
 	}
-	if workers <= 1 {
-		b := free.get(g, opt)
+	if workers <= 1 || len(todo) < minParallelShards {
+		b := kept.get(g, opt)
 		for _, si := range todo {
 			if !check() {
 				break
 			}
 			buildOne(b, si)
 		}
-		free.put(b)
+		kept.put(b)
 		return stopErr
 	}
 	var next atomic.Int64
@@ -384,8 +389,8 @@ func buildShards(ctx context.Context, g *graph, st *stage.Result, opt Options,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			b := free.get(g, opt)
-			defer free.put(b)
+			b := kept.get(g, opt)
+			defer kept.put(b)
 			for {
 				k := int(next.Add(1)) - 1
 				if k >= len(todo) || !check() {
@@ -543,7 +548,7 @@ func SameArc(x, y *Edge) bool {
 // builder: the graph snapshot is shared read-only; edges, merged, and
 // truncated are reset per stage. The index-keyed scratch arrays (source
 // memo, DFS visited stamps, path buffers) are sized to the node count and
-// recycled across builds (builderList), so an incremental rebuild of a
+// recycled across builds (builderSlot), so an incremental rebuild of a
 // handful of stages does not reallocate O(nodes) scratch.
 type builder struct {
 	g   *graph
@@ -585,26 +590,28 @@ type builder struct {
 // builderPool recycles builder scratch across uncached builds.
 var builderPool sync.Pool
 
-// builderList is a free list of builders. A Cache keeps one, so a
-// session's builds reuse the same scratch and edge slab whatever the
-// collector empties; a nil list stands for builderPool. Safe for
+// builderSlot keeps at most one builder between builds. A Cache keeps
+// one, so a session's builds reuse the same scratch and edge slab
+// whatever the collector empties, and a cone rebuild, which builds
+// inline, needs no other; a full build's other workers take theirs from
+// builderPool and give them back to it, as a nil slot does. Safe for
 // concurrent use by one build's workers.
-type builderList struct {
-	mu   sync.Mutex
-	free []*builder
+type builderSlot struct {
+	mu sync.Mutex
+	b  *builder
 }
 
-// get returns a builder over graph g, sized for its node count.
-func (l *builderList) get(g *graph, opt Options) *builder {
+// get returns a builder over graph g, sized for its node count: the
+// kept one when it is free.
+func (k *builderSlot) get(g *graph, opt Options) *builder {
 	var b *builder
-	if l == nil {
+	if k != nil {
+		k.mu.Lock()
+		b, k.b = k.b, nil
+		k.mu.Unlock()
+	}
+	if b == nil {
 		b, _ = builderPool.Get().(*builder)
-	} else {
-		l.mu.Lock()
-		if k := len(l.free); k > 0 {
-			b, l.free = l.free[k-1], l.free[:k-1]
-		}
-		l.mu.Unlock()
 	}
 	if b == nil {
 		b = &builder{merged: make(map[edgeKey]int)}
@@ -635,22 +642,28 @@ func (l *builderList) get(g *graph, opt Options) *builder {
 	return b
 }
 
-// put returns a builder's scratch to the list. The graph reference is
-// dropped so a kept builder never pins a netlist snapshot.
-func (l *builderList) put(b *builder) {
+// put keeps b when the slot is empty and gives it to builderPool
+// otherwise. The graph reference is dropped so a kept builder never pins
+// a netlist snapshot.
+func (k *builderSlot) put(b *builder) {
 	b.g = nil
 	b.edges = nil
 	// slab and slabOff survive deliberately: earlier slab regions may be
 	// live in the shard cache, so the offset never rewinds — a kept
 	// builder resumes carving from the unused tail.
 	clear(b.merged)
-	if l == nil {
-		builderPool.Put(b)
-		return
+	if k != nil {
+		k.mu.Lock()
+		keep := k.b == nil
+		if keep {
+			k.b = b
+		}
+		k.mu.Unlock()
+		if keep {
+			return
+		}
 	}
-	l.mu.Lock()
-	l.free = append(l.free, b)
-	l.mu.Unlock()
+	builderPool.Put(b)
 }
 
 // slabEdges is the edge-slab granularity: big enough that a

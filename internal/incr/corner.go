@@ -11,6 +11,7 @@ import (
 	"nmostv/internal/delay"
 	"nmostv/internal/netlist"
 	"nmostv/internal/obs"
+	"nmostv/internal/paths"
 	"nmostv/internal/pipeline"
 	"nmostv/internal/slack"
 	"nmostv/internal/tech"
@@ -26,11 +27,13 @@ import (
 // asserting each one bit-identical to a from-scratch analysis at that
 // corner.
 
-// cornerState is one corner's published analysis.
+// cornerState is one corner's published analysis and its worst-path
+// ranking (the base's, for the typical corner; see record).
 type cornerState struct {
 	corner tech.Corner
 	model  *delay.Model
 	res    *core.Result
+	rank   *paths.Ranking
 
 	// hits counts batches that kept the corner model because the base
 	// model was unchanged; misses counts batches that took the new base

@@ -3,16 +3,19 @@ package incr
 // Timing-debug queries over the session: lazy worst-path streaming,
 // "why is this node late" traces, and diffs between published versions.
 // The search/trace/compare semantics live in internal/paths; this file
-// owns the locking discipline, the version ring, and the translation to
+// owns the locking discipline, the version ring, the lifetime of each
+// published result's worst-path ranking, and the translation to
 // serializable name-based snapshots.
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"nmostv/internal/core"
 	"nmostv/internal/delay"
 	"nmostv/internal/netlist"
+	"nmostv/internal/obs"
 	"nmostv/internal/paths"
 	"nmostv/internal/slack"
 	"nmostv/internal/tverr"
@@ -22,17 +25,21 @@ import (
 // for Diff when Options.HistoryDepth is zero.
 const DefaultHistoryDepth = 4
 
-// version is one committed analysis retained in the ring. res is
-// immutable apart from its memoized backward pass.
+// version is one committed analysis retained in the ring: its base
+// result's worst-path ranking, which every /paths stream and /diff rank
+// walk of the result reads, and through it the result, immutable apart
+// from its memoized backward pass.
 type version struct {
 	seq   int64
-	res   *core.Result
+	rank  *paths.Ranking
 	stats Stats
 	when  time.Time
 }
 
 // record stamps the just-committed result with its publish sequence and
-// changed-node count, and appends it to the version ring. Called with
+// changed-node count, publishes fresh worst-path rankings for the base
+// and every corner (the typical corner's result is the base's, and so is
+// its ranking), and appends the result to the version ring. Called with
 // the write lock held at both commit sites (runFull, Apply), after the
 // result is published and before the stats escape. An apply passes the
 // nodes its base analysis relaxed, the only ones whose arrivals can
@@ -44,17 +51,28 @@ func (s *Session) record(st *Stats, relaxed []int32) {
 	case n == 0:
 		st.ChangedNodes = len(s.nl.Nodes)
 	case st.Full:
-		st.ChangedNodes = paths.CountChanged(s.history[n-1].res, s.res)
+		st.ChangedNodes = paths.CountChanged(s.history[n-1].rank.Result(), s.res)
 	default:
-		st.ChangedNodes = paths.CountChangedAt(s.history[n-1].res, s.res, relaxed)
+		st.ChangedNodes = paths.CountChangedAt(s.history[n-1].rank.Result(), s.res, relaxed)
 	}
 	depth := s.opt.HistoryDepth
 	if depth <= 0 {
 		depth = DefaultHistoryDepth
 	}
-	s.history = append(s.history, &version{seq: s.seq, res: s.res, stats: *st, when: time.Now()})
+	searches := s.opt.Obs.Counter("incr_path_searches_total",
+		"worst-path searches run by /paths and /diff reads past a ranking's settled prefix",
+		obs.Label{Key: "design", Val: s.name})
+	rank := paths.NewRanking(s.res, searches)
+	for _, cs := range s.corners {
+		cs.rank = rank
+		if cs.res != s.res {
+			cs.rank = paths.NewRanking(cs.res, searches)
+		}
+	}
+	s.history = append(s.history, &version{seq: s.seq, rank: rank, stats: *st, when: time.Now()})
 	if n := len(s.history) - depth; n > 0 {
-		// Shift in place so the evicted versions' results are released.
+		// Shift in place so the evicted versions' rankings and results are
+		// released.
 		copy(s.history, s.history[n:])
 		for i := len(s.history) - n; i < len(s.history); i++ {
 			s.history[i] = nil
@@ -123,30 +141,34 @@ type PathInfo struct {
 }
 
 // PathStream lazily enumerates a published result's worst paths. It is
-// created under the session read lock but consumed without it: the
-// generator walks only the immutable published Result, the node slice
-// is a snapshot prefix of the append-only node table (pointers are
-// slab-stable and names immutable), and the model is the immutable
-// published arc set — so a slow consumer never blocks Apply, and a
-// concurrent Apply never perturbs an in-flight stream.
+// created under the session read lock but consumed without it: it reads
+// the published result's ranking, which holds only the immutable Result
+// and the paths settled so far, the node slice is a snapshot prefix of
+// the append-only node table (pointers are slab-stable and names
+// immutable), and the model is the immutable published arc set — so a
+// slow consumer never blocks Apply, and a concurrent Apply never
+// perturbs an in-flight stream.
 type PathStream struct {
-	gen    *paths.Generator
+	cur    *paths.Cursor
 	model  *delay.Model
 	nodes  []*netlist.Node
 	corner string
 }
 
 // PathStream opens a worst-first path stream over the current published
-// result ("" = base analysis) or one configured corner's.
+// result ("" = base analysis) or one configured corner's. Ranks the
+// result's ranking already holds are served from it; the stream searches
+// only past them, and publishes what it finds to the ranking.
 func (s *Session) PathStream(corner string) (*PathStream, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	res, err := s.cornerResult(corner, "incr.paths")
+	rank, err := s.cornerRanking(corner, "incr.paths")
 	if err != nil {
 		return nil, err
 	}
+	res := rank.Result()
 	return &PathStream{
-		gen:    paths.New(res),
+		cur:    rank.Cursor(),
 		model:  res.Model,
 		nodes:  s.nl.Nodes[:res.RiseAt.Len()],
 		corner: corner,
@@ -156,7 +178,7 @@ func (s *Session) PathStream(corner string) (*PathStream, error) {
 // Next returns the next-worst path; ok=false when the design's path
 // population is exhausted. Safe without the session lock.
 func (ps *PathStream) Next() (PathInfo, bool) {
-	p, ok := ps.gen.Next()
+	p, ok := ps.cur.Next()
 	if !ok {
 		return PathInfo{}, false
 	}
@@ -183,15 +205,37 @@ func (ps *PathStream) Next() (PathInfo, bool) {
 	return info, true
 }
 
+// compareRanking asserts that rank orders the published result got and
+// that the paths it has settled are a fresh search's, bit for bit.
+func compareRanking(ctx context.Context, rank *paths.Ranking, got *core.Result) error {
+	if rank.Result() != got {
+		return fmt.Errorf("selfcheck: the published worst-path ranking orders another result")
+	}
+	if err := rank.Verify(ctx); err != nil {
+		return fmt.Errorf("selfcheck: worst-path ranking: %w", err)
+	}
+	return nil
+}
+
 // cornerResult resolves a corner name ("" = base) to its published
 // result. Caller holds a lock.
 func (s *Session) cornerResult(corner, op string) (*core.Result, error) {
+	rank, err := s.cornerRanking(corner, op)
+	if err != nil {
+		return nil, err
+	}
+	return rank.Result(), nil
+}
+
+// cornerRanking resolves a corner name ("" = base) to its published
+// result's ranking. Caller holds a lock.
+func (s *Session) cornerRanking(corner, op string) (*paths.Ranking, error) {
 	if corner == "" {
-		return s.res, nil
+		return s.history[len(s.history)-1].rank, nil
 	}
 	for _, cs := range s.corners {
 		if cs.corner.Name == corner {
-			return cs.res, nil
+			return cs.rank, nil
 		}
 	}
 	return nil, tverr.Errorf(tverr.NotFound, op,
@@ -380,15 +424,16 @@ func (s *Session) Diff(ctx context.Context, from, to int64, eps float64, k, limi
 	// reads the live netlist's node count — an older version whose node
 	// table has since grown cannot run it. Gate on matching lengths.
 	var reqA, reqB *core.Required
-	if vf.res.RiseAt.Len() == len(s.nl.Nodes) && vt.res.RiseAt.Len() == len(s.nl.Nodes) {
-		if reqA, err = s.required(ctx, vf.res); err != nil {
+	resA, resB := vf.rank.Result(), vt.rank.Result()
+	if resA.RiseAt.Len() == len(s.nl.Nodes) && resB.RiseAt.Len() == len(s.nl.Nodes) {
+		if reqA, err = s.required(ctx, resA); err != nil {
 			return DiffInfo{}, err
 		}
-		if reqB, err = s.required(ctx, vt.res); err != nil {
+		if reqB, err = s.required(ctx, resB); err != nil {
 			return DiffInfo{}, err
 		}
 	}
-	d, err := paths.DiffResults(ctx, vf.res, vt.res, reqA, reqB, eps, k)
+	d, err := paths.DiffResults(ctx, vf.rank, vt.rank, reqA, reqB, eps, k)
 	if err != nil {
 		return DiffInfo{}, err
 	}

@@ -4,10 +4,15 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
+	"nmostv/internal/clocks"
 	"nmostv/internal/core"
 	"nmostv/internal/gen"
+	"nmostv/internal/obs"
+	"nmostv/internal/paths"
 	"nmostv/internal/tech"
 )
 
@@ -16,11 +21,13 @@ import (
 // eps=0 diff between the previous and the current version must name
 // exactly the nodes that changed — bitwise over all four arrival arrays,
 // plus (when the backward pass is available on both sides) bitwise over
-// the per-node worst slack — with no false positives and no misses.
+// the per-node worst slack — with no false positives and no misses, and
+// its top-10 rank moves must equal those of two fresh rankings.
 // Stats.ChangedNodes must agree with the arrival-only count.
 func TestDiffReportsExactChangedSet(t *testing.T) {
 	p := tech.Default()
 	ctx := context.Background()
+	const rankK = 10
 	for _, w := range testWorkloads() {
 		t.Run(w.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(len(w.name)) * 977))
@@ -87,9 +94,32 @@ func TestDiffReportsExactChangedSet(t *testing.T) {
 					}
 				}
 
-				d, err := s.Diff(context.Background(), prevSeq, st.Version, 0, 0, 0)
+				d, err := s.Diff(context.Background(), prevSeq, st.Version, 0, rankK, 0)
 				if err != nil {
 					t.Fatalf("round %d: Diff: %v", round, err)
+				}
+				// The rank walks read the two versions' rankings, the
+				// older one already read by the last round's diff; they
+				// must report what two fresh rankings report, and the
+				// version's read ranking must replay in SelfCheck.
+				fresh, err := paths.DiffResults(ctx, paths.NewRanking(prev, nil), paths.NewRanking(cur, nil), nil, nil, 0, rankK)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(d.RankMoves) != len(fresh.RankMoves) {
+					t.Fatalf("round %d: %d rank moves, fresh rankings %d", round, len(d.RankMoves), len(fresh.RankMoves))
+				}
+				for i, m := range fresh.RankMoves {
+					want := RankMoveInfo{
+						Node: s.nl.Nodes[m.Node].Name, Pol: m.Pol.String(), Kind: m.Kind.String(), Wrapped: m.Wrapped,
+						RankA: m.RankA, RankB: m.RankB, SlackA: finiteOrNil(m.SlackA), SlackB: finiteOrNil(m.SlackB),
+					}
+					if !reflect.DeepEqual(d.RankMoves[i], want) {
+						t.Fatalf("round %d: rank move %d is %+v, fresh rankings %+v", round, i, d.RankMoves[i], want)
+					}
+				}
+				if err := s.SelfCheck(ctx); err != nil {
+					t.Fatalf("round %d: after the diff: %v", round, err)
 				}
 				if d.From != prevSeq || d.To != st.Version {
 					t.Fatalf("round %d: diff resolved %d..%d, asked %d..%d",
@@ -295,4 +325,145 @@ func TestWhyQueryCorners(t *testing.T) {
 	if _, err := s.PathStream("cryogenic"); err == nil {
 		t.Fatal("unknown corner accepted by PathStream")
 	}
+}
+
+// cornerSession is a 4x4 datapath session at slow, typ and fast, its
+// metrics in reg.
+func cornerSession(t *testing.T, reg *obs.Registry) *Session {
+	t.Helper()
+	p := tech.Default()
+	nl := gen.MIPSDatapath(p, gen.DatapathConfig{Bits: 4, Words: 4, ShiftAmounts: 2})
+	s, err := New(context.Background(), "datapath4x4", nl, Options{
+		Params:  p,
+		Sched:   testSchedule(),
+		Core:    core.Options{Workers: 1},
+		Corners: []tech.Corner{tech.Slow(), tech.Typical(), tech.Fast()},
+		Obs:     &obs.Obs{Reg: reg},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// readPaths reads k paths of a PathStream over the published corner.
+func readPaths(t *testing.T, s *Session, corner string, k int) {
+	t.Helper()
+	ps, err := s.PathStream(corner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range k {
+		if _, ok := ps.Next(); !ok {
+			t.Fatalf("corner %q: the stream ended after %d paths", corner, i)
+		}
+	}
+}
+
+// TestPathSearchesCounted: incr_path_searches_total counts the searches
+// path reads run, exactly. Two 20-path streams of one version's slow
+// corner search once; a 40-path stream after them searches at most once
+// more; the typical corner reads the base's ranking; and a Diff of two
+// versions both read to its k searches not at all.
+func TestPathSearchesCounted(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := cornerSession(t, reg)
+	searches := reg.Counter("incr_path_searches_total", "", obs.Label{Key: "design", Val: "datapath4x4"})
+	moved := func(from int64) int64 { return searches.Value() - from }
+	n := searches.Value()
+	readPaths(t, s, "slow", 20)
+	readPaths(t, s, "slow", 20)
+	if got := moved(n); got != 1 {
+		t.Fatalf("two 20-path slow streams ran %d searches, want 1", got)
+	}
+	readPaths(t, s, "slow", 40)
+	if got := moved(n); got > 2 {
+		t.Fatalf("a 40-path slow stream after them ran %d more searches, want at most 1", got-1)
+	}
+
+	const k = 10
+	readPaths(t, s, "", k)
+	n = searches.Value()
+	readPaths(t, s, "typ", k)
+	if got := moved(n); got != 0 {
+		t.Fatalf("the typical corner ran %d searches over the base's ranking", got)
+	}
+	if _, err := s.Apply(context.Background(), []Delta{{Op: "resize", ID: s.nl.Trans[0].ID, W: 9}}); err != nil {
+		t.Fatal(err)
+	}
+	readPaths(t, s, "", k)
+	n = searches.Value()
+	if _, err := s.Diff(context.Background(), 0, 0, 0, k, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := moved(n); got != 0 {
+		t.Fatalf("a diff of two versions read to k=%d paths ran %d searches", k, got)
+	}
+}
+
+// TestSelfCheckCoversRankings: SelfCheck replays every corner's read
+// ranking, and reports a corner whose ranking orders another result.
+func TestSelfCheckCoversRankings(t *testing.T) {
+	s := cornerSession(t, nil)
+	for _, corner := range []string{"", "slow", "typ", "fast"} {
+		readPaths(t, s, corner, 20)
+	}
+	ctx := context.Background()
+	if err := s.SelfCheck(ctx); err != nil {
+		t.Fatal(err)
+	}
+	s.corners[0].rank = s.corners[2].rank
+	if err := s.SelfCheck(ctx); err == nil {
+		t.Fatal("SelfCheck passed a slow corner ranking the fast corner's result")
+	}
+}
+
+// TestPathStreamRetainsCompactPaths: a version's ranking keeps the paths
+// its streams settled in compact form. After a 2,000-path PathStream on a
+// 100k session ends, the heap after two collections holds at most 16 B
+// per step read more than before: built steps take 48 B a step and a
+// generator's states about 120 B each, so a ranking that kept either
+// would fail. The session runs tvd's default clock (1000 ns), whose worst
+// paths run about 70 hops; a settled path's fixed cost, its endpoint and
+// slice header, is about 2 B a step there.
+func TestPathStreamRetainsCompactPaths(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads a 100k-transistor chip")
+	}
+	p := tech.Default()
+	s, err := New(context.Background(), "tiled", gen.TiledChip(p, gen.DefaultTiledChip(100_000)), Options{
+		Params: p, Sched: clocks.TwoPhase(1000, 0.8), Core: core.Options{Workers: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := heap()
+	steps := 0
+	func() {
+		ps, err := s.PathStream("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range 2000 {
+			pi, ok := ps.Next()
+			if !ok {
+				t.Fatalf("the stream ended after %d paths", i)
+			}
+			steps += len(pi.Steps)
+		}
+	}()
+	grown := heap() - before
+	runtime.KeepAlive(s)
+	if grown > 16*int64(steps) {
+		t.Fatalf("the session holds %d bytes more after a 2000-path stream of %d steps (%.1f B a step), want at most 16 B a step",
+			grown, steps, float64(grown)/float64(steps))
+	}
+	t.Logf("2000 paths, %d steps: the session holds %d bytes more (%.1f B a step)", steps, grown, float64(grown)/float64(steps))
 }

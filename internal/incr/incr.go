@@ -23,6 +23,7 @@ import (
 	"nmostv/internal/delay"
 	"nmostv/internal/netlist"
 	"nmostv/internal/obs"
+	"nmostv/internal/paths"
 	"nmostv/internal/pipeline"
 	"nmostv/internal/simfile"
 	"nmostv/internal/slack"
@@ -119,7 +120,8 @@ type Options struct {
 	Corners []tech.Corner
 	// HistoryDepth bounds the version ring: how many published results
 	// the session retains for Diff queries (each retained version pins
-	// its immutable Result, so memory grows with depth × design size).
+	// its immutable Result and the paths its ranking settled, so memory
+	// grows with depth × design size).
 	// 0 means DefaultHistoryDepth; 1 keeps only the latest (disabling
 	// diffs against earlier versions).
 	HistoryDepth int
@@ -540,9 +542,11 @@ func (s *Session) publish(st Stats, bstats delay.BuildStats) {
 // probed), every timing arc and delay scale, every arrival (settle and
 // early, both polarities), every dominant-predecessor record (what /why,
 // /critical and /paths walk), every check in order with its producing
-// arc, the backward pass of the base and of every corner, and the merged
-// corner view a /slack read would serve. This is the equivalence
-// invariant of the incremental engine; it returns nil when it holds.
+// arc, the backward pass of the base and of every corner, the merged
+// corner view a /slack read would serve, and the paths every published
+// worst-path ranking has settled, replayed by a fresh search. This is the
+// equivalence invariant of the incremental engine; it returns nil when it
+// holds.
 func (s *Session) SelfCheck(ctx context.Context) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -568,7 +572,7 @@ func (s *Session) SelfCheck(ctx context.Context) error {
 	}
 	refOpt := s.opt.Core
 	refOpt.Obs = o
-	check := func(gotModel, refModel *delay.Model, got, ref *core.Result) error {
+	check := func(gotModel, refModel *delay.Model, got, ref *core.Result, rank *paths.Ranking) error {
 		if err := compareArcs(gotModel, refModel); err != nil {
 			return err
 		}
@@ -583,15 +587,18 @@ func (s *Session) SelfCheck(ctx context.Context) error {
 		if err != nil {
 			return fmt.Errorf("selfcheck backward pass: %w", err)
 		}
-		return compareRequired(gotReq, refReq, s.nl.Nodes)
+		if err := compareRequired(gotReq, refReq, s.nl.Nodes); err != nil {
+			return err
+		}
+		return compareRanking(ctx, rank, got)
 	}
-	if err := check(s.model, want.Model, s.res, want.Base); err != nil {
+	if err := check(s.model, want.Model, s.res, want.Base, s.history[len(s.history)-1].rank); err != nil {
 		return err
 	}
 	refCorners := make([]slack.CornerResult, len(s.corners))
 	for i, cs := range s.corners {
 		wc := want.Corners[i]
-		if err := check(cs.model, wc.Model, cs.res, wc.Res); err != nil {
+		if err := check(cs.model, wc.Model, cs.res, wc.Res, cs.rank); err != nil {
 			return fmt.Errorf("corner %s: %w", cs.corner.Name, err)
 		}
 		refReq, err := wc.Res.Required(ctx, refOpt)

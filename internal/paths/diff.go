@@ -78,18 +78,19 @@ func deltaOf(x, y float64) float64 {
 	return y - x
 }
 
-// DiffResults compares two results of the same (evolving) design: a is
-// the older, b the newer. A node lands in Changed when any of its four
-// arrival arrays (settle and earliest, both polarities) — or, when
-// required times are supplied, its worst slack — moved beyond eps.
-// With k > 0, the top-k worst paths of both sides are generated and
-// matched to report rank changes; the walks stop at the design's path
-// population, so their storage follows the paths found, never k, and
-// they stop with ctx's error when the context is done. Both results
-// must be published (immutable); the comparison takes no locks. The
-// scan goes chunk by chunk and skips every chunk the two versions share
-// (sharedChunk): no node in it moved.
-func DiffResults(ctx context.Context, a, b *core.Result, reqA, reqB *core.Required, eps float64, k int) (Diff, error) {
+// DiffResults compares two rankings' results of the same (evolving)
+// design: a is the older, b the newer. A node lands in Changed when any
+// of its four arrival arrays (settle and earliest, both polarities) — or,
+// when required times are supplied, its worst slack — moved beyond eps.
+// With k > 0, the top-k worst paths of both sides are read from the
+// rankings and matched to report rank changes; the reads stop at the
+// design's path population, so their storage follows the paths found,
+// never k, and they stop with ctx's error when the context is done. Both
+// results must be published (immutable); the comparison takes no locks
+// beyond the rankings' own. The scan goes chunk by chunk and skips every
+// chunk the two versions share (sharedChunk): no node in it moved.
+func DiffResults(ctx context.Context, ra, rb *Ranking, reqA, reqB *core.Required, eps float64, k int) (Diff, error) {
+	a, b := ra.Result(), rb.Result()
 	n := min(a.RiseAt.Len(), b.RiseAt.Len())
 	d := Diff{Epsilon: eps, NodesCompared: n, Added: b.RiseAt.Len() - n}
 	if d.Added < 0 {
@@ -124,7 +125,7 @@ func DiffResults(ctx context.Context, a, b *core.Result, reqA, reqB *core.Requir
 	}
 	if k > 0 {
 		var err error
-		if d.RankMoves, err = rankMoves(ctx, a, b, k); err != nil {
+		if d.RankMoves, err = rankMoves(ctx, ra, rb, k); err != nil {
 			return Diff{}, err
 		}
 	}
@@ -207,19 +208,19 @@ func pathSig(p Path) uint64 {
 	return h.Sum64()
 }
 
-func rankMoves(ctx context.Context, a, b *core.Result, k int) ([]RankMove, error) {
+func rankMoves(ctx context.Context, a, b *Ranking, k int) ([]RankMove, error) {
 	type entry struct {
 		p    Path
 		rank int
 	}
-	top := func(r *core.Result) (map[uint64]entry, error) {
+	top := func(r *Ranking) (map[uint64]entry, error) {
 		m := make(map[uint64]entry)
-		g := New(r)
+		c := r.Cursor()
 		for i := 0; i < k; i++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			p, ok := g.Next()
+			p, ok := c.Next()
 			if !ok {
 				break
 			}

@@ -51,7 +51,7 @@ func TestDiffResultsLargeKAllocatesByPopulation(t *testing.T) {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	d, err := DiffResults(ctx, a, b, nil, nil, 0, 1<<20)
+	d, err := DiffResults(ctx, NewRanking(a, nil), NewRanking(b, nil), nil, nil, 0, 1<<20)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -71,10 +71,10 @@ func TestDiffResultsCanceled(t *testing.T) {
 	a, b := tutorialResult(t, 1), tutorialResult(t, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := DiffResults(ctx, a, b, nil, nil, 0, 10); !errors.Is(err, context.Canceled) {
+	if _, err := DiffResults(ctx, NewRanking(a, nil), NewRanking(b, nil), nil, nil, 0, 10); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled diff returned %v, want context.Canceled", err)
 	}
-	if _, err := DiffResults(ctx, a, b, nil, nil, 0, 0); err != nil {
+	if _, err := DiffResults(ctx, NewRanking(a, nil), NewRanking(b, nil), nil, nil, 0, 0); err != nil {
 		t.Fatalf("diff without a rank walk returned %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 // Package paths is the timing-debug query layer: a lazy top-K worst-path
-// generator over a completed analysis, "why is node X late" explanation
-// traces, and diffs between two published results.
+// generator over a completed analysis, a ranking that shares the paths
+// one result's readers settle (ranking.go), "why is node X late"
+// explanation traces, and diffs between two published results.
 //
 // The generator enumerates complete launch-to-capture paths in exact
 // worst-first (smallest-slack-first) order without materializing more
@@ -148,11 +149,10 @@ type state struct {
 	// itself the endpoint (output/settle seeds).
 	arc    int32
 	parent *state
-	// complete marks a frontier that is a fixed source with arrival t0.
+	// complete marks a frontier that is a fixed source.
 	complete bool
-	t0       float64
 	// arcs is the forward arc sequence, filled on completion for the
-	// total-order tiebreak.
+	// total-order tiebreak and the forward replay (build).
 	arcs []int32
 }
 
@@ -224,11 +224,12 @@ func (g *Generator) seed(end *endpoint, arc, node int32, pol core.Polarity, suf 
 	}
 }
 
-func (g *Generator) arrival(v int32, pol core.Polarity) float64 {
+// arrival is res's published settle arrival of transition (v, pol).
+func arrival(res *core.Result, v int32, pol core.Polarity) float64 {
 	if pol == core.Rise {
-		return g.res.RiseAt.At(int(v))
+		return res.RiseAt.At(int(v))
 	}
-	return g.res.FallAt.At(int(v))
+	return res.FallAt.At(int(v))
 }
 
 func (g *Generator) seedLatches() (candidates int) {
@@ -291,7 +292,7 @@ func (g *Generator) seedSettles() {
 
 func (g *Generator) seedTerminal(v int32, kind Kind) (candidates int) {
 	for _, pol := range []core.Polarity{core.Rise, core.Fall} {
-		if math.IsInf(g.arrival(v, pol), -1) {
+		if math.IsInf(arrival(g.res, v, pol), -1) {
 			continue
 		}
 		candidates++
@@ -327,7 +328,7 @@ func (g *Generator) newState(end *endpoint, parent *state, arc int32, node int32
 	if g.loop[node] {
 		return nil
 	}
-	at := g.arrival(node, pol)
+	at := arrival(g.res, node, pol)
 	if math.IsInf(at, -1) {
 		return nil
 	}
@@ -339,7 +340,7 @@ func (g *Generator) newState(end *endpoint, parent *state, arc int32, node int32
 		if !(at > suf.lo && at <= suf.hi) {
 			return nil
 		}
-		st.complete, st.t0 = true, at
+		st.complete = true
 		st.prio = end.deadline - math.Max(at+suf.a, suf.b)
 	} else {
 		if widen(at) <= suf.lo {
@@ -471,23 +472,32 @@ func pathLess(x, y *state) int {
 // of search (pops until the next path's rank is settled), so k=10000
 // costs no more memory than the search frontier it actually explored.
 func (g *Generator) Next() (Path, bool) {
-	for {
-		if g.emitIdx < len(g.emit) {
-			st := g.emit[g.emitIdx]
-			g.emitIdx++
-			g.rank++
-			return g.build(st), true
+	if g.emitIdx == len(g.emit) {
+		if g.emit, g.emitIdx = g.settle(), 0; len(g.emit) == 0 {
+			return Path{}, false
 		}
+	}
+	st := g.emit[g.emitIdx]
+	g.emitIdx++
+	g.rank++
+	return build(g.res, st.end, st.arcs, g.rank), true
+}
+
+// settle searches until the next group of equal-slack paths is settled
+// and returns it in emitted order (pathLess), each state carrying its
+// forward arcs; nil once the design has no further feasible paths.
+func (g *Generator) settle() []*state {
+	for {
 		if len(g.group) > 0 && (g.h.Len() == 0 || g.h.min().prio > g.groupSlack) {
 			// No remaining state can complete at or below the buffered
 			// slack: the group's ranks are settled.
-			slices.SortFunc(g.group, pathLess)
-			g.emit, g.emitIdx = g.group, 0
+			group := g.group
 			g.group = nil
-			continue
+			slices.SortFunc(group, pathLess)
+			return group
 		}
 		if g.h.Len() == 0 {
-			return Path{}, false
+			return nil
 		}
 		st := heap.Pop(&g.h).(*state)
 		if st.complete {
@@ -502,41 +512,44 @@ func (g *Generator) Next() (Path, bool) {
 	}
 }
 
-// build replays the completed chain forward, reproducing the engine's
-// exact launch/clamp arithmetic per hop.
-func (g *Generator) build(st *state) Path {
-	var chain []*state
-	for cur := st; cur != nil; cur = cur.parent {
-		chain = append(chain, cur)
+// build replays a settled path forward from its endpoint and forward
+// arcs, reproducing the engine's exact launch/clamp arithmetic per hop.
+// The hop transitions come first, walking back from the endpoint by the
+// engine's cause rule (a gate arc's cause is always a rise, so the
+// polarities cannot be read forward from the source); the source is the
+// first arc's cause, launched at its published arrival. A terminal
+// endpoint's arcs end with -1: the last state was the endpoint itself.
+func build(res *core.Result, end *endpoint, arcs []int32, rank int) Path {
+	model, sched := res.Model, res.Sched
+	hops := len(arcs)
+	if arcs[hops-1] < 0 {
+		hops--
 	}
-	end := st.end
-	steps := make([]Step, 0, len(chain)+1)
-	t := st.t0
-	steps = append(steps, Step{Node: st.node, Pol: st.pol, Arc: -1, Launch: t, Arrival: t})
-	for i, cur := range chain {
-		if cur.arc < 0 {
-			break // the frontier is itself the endpoint
-		}
-		to, toPol := end.node, end.pol
-		if i+1 < len(chain) {
-			to, toPol = chain[i+1].node, chain[i+1].pol
-		}
-		e := g.model.Arc(cur.arc)
-		d, mask := g.model.Delay(e, toPol == core.Fall)
-		clamp, _, constrained, _ := core.MaskWindow(g.sched, mask)
-		if i+1 == len(chain) && end.wrapped {
-			clamp += g.sched.Period
+	steps := make([]Step, hops+1)
+	node, pol := end.node, end.pol
+	for i := hops; i > 0; i-- {
+		steps[i].Node, steps[i].Pol, steps[i].Arc = node, pol, arcs[i-1]
+		e := model.Arc(arcs[i-1])
+		node, pol = e.From, core.CausePol(e, pol)
+	}
+	t := arrival(res, node, pol)
+	steps[0] = Step{Node: node, Pol: pol, Arc: -1, Launch: t, Arrival: t}
+	for i := 1; i <= hops; i++ {
+		s := &steps[i]
+		d, mask := model.Delay(model.Arc(s.Arc), s.Pol == core.Fall)
+		clamp, _, constrained, _ := core.MaskWindow(sched, mask)
+		if i == hops && end.wrapped {
+			clamp += sched.Period
 		}
 		launch, clamped := t, false
 		if constrained && launch < clamp {
 			launch, clamped = clamp, true
 		}
 		t = launch + d
-		steps = append(steps, Step{Node: to, Pol: toPol, Arc: cur.arc,
-			Delay: d, Launch: launch, Arrival: t, Clamped: clamped})
+		s.Delay, s.Launch, s.Arrival, s.Clamped = d, launch, t, clamped
 	}
 	return Path{
-		Rank: g.rank, Kind: end.kind, Node: end.node, Pol: end.pol,
+		Rank: rank, Kind: end.kind, Node: end.node, Pol: end.pol,
 		Phase: end.phase, Wrapped: end.wrapped,
 		Arrival: t, Required: end.deadline, Slack: end.deadline - t,
 		Steps: steps,

@@ -16,9 +16,10 @@
 //	                       selects one corner, default is the merged
 //	                       worst-slack-per-node view across all corners
 //	GET  /paths?k=N        the k worst paths as NDJSON, one path per
-//	                       line, streamed lazily (k=10000 does not
-//	                       buffer 10000 paths); ?corner= selects a PVT
-//	                       corner's analysis
+//	                       line, streamed lazily from the version's
+//	                       shared ranking (k=10000 keeps 10000 paths as
+//	                       arc lists, never as built paths); ?corner=
+//	                       selects a PVT corner's analysis
 //	GET  /why?node=X       "why is X late": the dominant-arrival chain
 //	                       from a fixed source with per-hop delay and
 //	                       clock-wait contributions; ?pol=rise|fall,
@@ -925,11 +926,13 @@ func (s *Server) handleCritical(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePaths streams the k worst paths as NDJSON, one path per line.
-// The stream pulls lazily from the session's path generator — created
-// under the session read lock, consumed without it — so a large k costs
-// memory proportional to the search frontier, not to k, and a slow
-// client never blocks delta traffic. Each line is flushed as it is
-// produced, and the loop stops as soon as the client disconnects.
+// The stream pulls lazily from the published version's ranking — opened
+// under the session read lock, consumed without it — which serves the
+// paths earlier reads settled and searches only past them, so a large k
+// costs the search frontier while it streams and a compact path per
+// rank after, and a slow client never blocks delta traffic. Each line
+// is flushed as it is produced, and the loop stops as soon as the
+// client disconnects.
 // Deliberately not behind the heavy admission gate: reads of the
 // published result must stay available while the write path saturates.
 func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
