@@ -8,9 +8,12 @@ import (
 	"testing"
 
 	"nmostv/internal/clocks"
+	"nmostv/internal/cow"
 	"nmostv/internal/delay"
+	"nmostv/internal/flow"
 	"nmostv/internal/gen"
 	"nmostv/internal/netlist"
+	"nmostv/internal/stage"
 	"nmostv/internal/tech"
 )
 
@@ -242,5 +245,100 @@ func TestWorstSlackFirstWins(t *testing.T) {
 	}
 	if !seen[Rise] || !seen[Fall] {
 		t.Fatalf("the cases tie the worst slack only on %v", seen)
+	}
+}
+
+// TestCheckBlocksMatchList: the checks by node and the report-ordered
+// list hold the same checks. On a 10k chip's from-scratch result, whose
+// blocks are derived from its list, and on results extended from it by a
+// resize and a setcap, whose blocks are rebuilt where the cone reached
+// and whose list is sorted from them: every node's NodeChecks are the
+// list's checks on that node, in list order, and the blocks hold each
+// node's in its block, in index order, with nothing else.
+func TestCheckBlocksMatchList(t *testing.T) {
+	ctx := context.Background()
+	p := tech.Default()
+	nl := gen.TiledChip(p, gen.DefaultTiledChip(10_000))
+	st := stage.Extract(nl)
+	flow.Analyze(nl)
+	dopt := delay.Options{Workers: 1}
+	opt := Options{Workers: 1}
+	cache := delay.NewCache()
+	m, _, err := delay.BuildWithCache(ctx, nl, st, p, dopt, cache, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Analyze(ctx, nl, m, sched(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, r *Result) {
+		t.Helper()
+		byNode := make(map[int][]Check)
+		for _, c := range r.CheckList() {
+			byNode[c.Node.Index] = append(byNode[c.Node.Index], c)
+		}
+		if len(byNode) < 100 {
+			t.Fatalf("%s: only %d nodes have checks", what, len(byNode))
+		}
+		blocks := r.CheckBlocks()
+		if len(blocks) != (len(nl.Nodes)+cow.ChunkLen-1)/cow.ChunkLen {
+			t.Fatalf("%s: %d check blocks over %d nodes", what, len(blocks), len(nl.Nodes))
+		}
+		at := 0
+		for v := range nl.Nodes {
+			want := byNode[v]
+			if got := r.NodeChecks(v); !slices.Equal(got, want) {
+				t.Fatalf("%s: node %s: NodeChecks holds %d checks, the list %d", what, nl.Nodes[v], len(got), len(want))
+			}
+			if v%cow.ChunkLen == 0 {
+				at = 0
+			}
+			blk := blocks[v/cow.ChunkLen]
+			if at+len(want) > len(blk) || !slices.Equal(blk[at:at+len(want)], want) {
+				t.Fatalf("%s: node %s: block %d does not hold its checks at %d", what, nl.Nodes[v], v/cow.ChunkLen, at)
+			}
+			at += len(want)
+			if v%cow.ChunkLen == cow.ChunkLen-1 || v == len(nl.Nodes)-1 {
+				if at != len(blk) {
+					t.Fatalf("%s: block %d holds %d checks, its nodes %d", what, v/cow.ChunkLen, len(blk), at)
+				}
+			}
+		}
+	}
+	check("from scratch", res)
+	tr := nl.Trans[len(nl.Trans)/2]
+	node := nl.Nodes[len(nl.Nodes)/3]
+	for i, edit := range []func() []int{
+		func() []int { tr.W *= 2; return []int{tr.Gate.Index, tr.A.Index, tr.B.Index} },
+		func() []int { node.Cap += 0.2; return []int{node.Index} },
+	} {
+		loads := edit()
+		m, bs, err := delay.BuildWithCache(ctx, nl, st, p, dopt, cache, loads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seed []int32
+		for _, stg := range bs.Rebuilt {
+			for _, nd := range stg.Nodes {
+				seed = append(seed, int32(nd.Index))
+			}
+		}
+		next, ds, err := AnalyzeIncremental(ctx, nl, m, sched(), opt, res, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ds.ReusedWave || ds.NodesRelaxed == 0 {
+			t.Fatalf("edit %d: reused wave %v, %d nodes relaxed", i, ds.ReusedWave, ds.NodesRelaxed)
+		}
+		check("incremental", next)
+		ref, err := Analyze(ctx, nl, m, sched(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(next.CheckList(), ref.Checks) {
+			t.Fatalf("edit %d: the incremental result's checks differ from a from-scratch analysis's", i)
+		}
+		res = next
 	}
 }

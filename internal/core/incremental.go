@@ -144,29 +144,29 @@ func AnalyzeIncremental(ctx context.Context, nl *netlist.Netlist, model *delay.M
 
 	if prev != nil {
 		if q := prev.memo(); q != nil {
-			// Only the required times and the pass's identity: q also
-			// holds prev's arrivals, which the pass never reads.
+			// Only the required times, the pass's identity and the slack
+			// ranking its reads have built: q also holds prev's
+			// arrivals, which the pass never reads.
 			r.reqPrev = &Required{RiseRAT: q.RiseRAT, FallRAT: q.FallRAT, id: q.id}
+			r.reqPrev.ranked.keep(&q.ranked)
 			r.reqSeeds = a.requiredSeeds(prev, base, settle.work)
 		}
 	}
-	// Checks name arcs by index and read the schedule, so they splice
-	// only over the previous plan under the same schedule. A node's
-	// checks read its in-arcs, its storage class, its output flag, its
-	// loop verdict and its in-arcs' causes' settle and early arrivals. A
-	// node whose in-arcs, storage class or flags changed is in the seed,
-	// a loop verdict changes only in a relaxed component, and a cause
-	// whose arrival moved woke the component of every To node of its
-	// out-arcs. So the relaxed nodes are every node whose checks can
-	// differ from prev's.
+	// Checks name arcs by index and read the schedule, so they are kept
+	// from prev only over the previous plan under the same schedule. A
+	// node's checks read its in-arcs, its storage class, its output
+	// flag, its loop verdict and its in-arcs' causes' settle and early
+	// arrivals. A node whose in-arcs, storage class or flags changed is
+	// in the seed, a loop verdict changes only in a relaxed component,
+	// and a cause whose arrival moved woke the component of every To
+	// node of its out-arcs. So the relaxed nodes are every node whose
+	// checks can differ from prev's.
 	sp = opt.Obs.Span("checks")
+	r.listed = prev == nil
 	if stats.ReusedWave && sched == prev.Sched {
-		a.runChecks(prev.Checks, stats.Relaxed, func(v int32) bool {
-			c := r.wave.compOf[v]
-			return settle.work.has(c) || early.work.has(c)
-		})
+		a.runChecks(prev, stats.Relaxed)
 	} else {
-		a.runChecks(nil, nil, nil)
+		a.runChecks(nil, nil)
 	}
 	sp.End()
 	return r, stats, nil

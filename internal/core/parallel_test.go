@@ -43,15 +43,16 @@ func assertResultsIdentical(t *testing.T, workers int, base, res *Result) {
 			}
 		}
 	}
-	if len(res.Checks) != len(base.Checks) {
-		t.Fatalf("workers=%d: %d checks, serial %d", workers, len(res.Checks), len(base.Checks))
+	got, want := res.CheckList(), base.CheckList()
+	if len(got) != len(want) {
+		t.Fatalf("workers=%d: %d checks, serial %d", workers, len(got), len(want))
 	}
-	for i := range res.Checks {
+	for i := range got {
 		// Check is comparable and node pointers come from the same
 		// netlist, so == is exact (slacks to the last bit).
-		if res.Checks[i] != base.Checks[i] {
+		if got[i] != want[i] {
 			t.Fatalf("workers=%d: check %d differs:\n got %v\nwant %v",
-				workers, i, res.Checks[i], base.Checks[i])
+				workers, i, got[i], want[i])
 		}
 	}
 	if got, want := FormatPath(res.CriticalPath()), FormatPath(base.CriticalPath()); got != want {

@@ -147,6 +147,82 @@ func TestIncrementalRequiredBytesFollowCone(t *testing.T) {
 	}
 }
 
+// TestChecksFollowCone pins that an incremental analysis pays for the
+// check blocks its cone touches, not for every check: the chip's first
+// block holds a chain with an output check on every stage, the second a
+// four-stage chain ending in an output, and the analysis after a second
+// resize of that short chain's last pulldown allocates the same bytes
+// with a checked chain of 32 stages as of 512. Splicing every check into
+// a new list (64 bytes a check) allocates about 30 KiB more at 512.
+func TestChecksFollowCone(t *testing.T) {
+	bytes := func(chain int) uint64 {
+		ctx := context.Background()
+		p := tech.Default()
+		b := gen.New("cone", p)
+		cur := b.Input("in")
+		for range chain {
+			cur = b.Output(b.Inverter(cur))
+		}
+		pad := b.Input("pad")
+		for len(b.NL.Nodes) < cow.ChunkLen {
+			b.Inverter(pad)
+		}
+		last := b.Output(b.InvChain(b.Input("edit"), 4))
+		nl := b.Finish()
+		st := stage.Extract(nl)
+		flow.Analyze(nl)
+		dopt := delay.Options{Workers: 1}
+		opt := Options{Workers: 1, Arena: &Arena{}} // a warm arena's worklists allocate nothing
+		cache := delay.NewCache()
+		m, _, err := delay.BuildWithCache(ctx, nl, st, p, dopt, cache, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Analyze(ctx, nl, m, sched(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(res.CheckList()); n < chain {
+			t.Fatalf("chain %d: only %d checks", chain, n)
+		}
+		var pd *netlist.Transistor
+		for _, tr := range last.Terms {
+			if tr.Kind == netlist.Enh {
+				pd = tr
+			}
+		}
+		var used uint64
+		for range 2 {
+			pd.W *= 2
+			m, bs, err := delay.BuildWithCache(ctx, nl, st, p, dopt, cache, []int{pd.Gate.Index, pd.A.Index, pd.B.Index})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var seed []int32
+			for _, stg := range bs.Rebuilt {
+				for _, nd := range stg.Nodes {
+					seed = append(seed, int32(nd.Index))
+				}
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			next, ds, err := AnalyzeIncremental(ctx, nl, m, sched(), opt, res, seed)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ds.NodesRelaxed == 0 || int(ds.Relaxed[0]) < cow.ChunkLen {
+				t.Fatalf("chain %d: the resize relaxed %v, want nodes of the second block only", chain, ds.Relaxed)
+			}
+			res, used = next, after.TotalAlloc-before.TotalAlloc
+		}
+		return used
+	}
+	if short, long := bytes(32), bytes(512); short != long {
+		t.Fatalf("an incremental analysis after a resize in the second block allocated %d bytes with 32 checked stages in the first and %d with 512, want the same", short, long)
+	}
+}
+
 // TestWorklistFanOutRace drives the incremental walk's fan-out: a fan of
 // inverter chains whose first and last stages slow down, so the seed
 // fills levels with at least minParallelLevel components and the forward
@@ -244,7 +320,7 @@ func TestWorklistFanOutRace(t *testing.T) {
 			}
 		}
 	}
-	if !slices.Equal(next.Checks, ref.Checks) {
+	if !slices.Equal(next.CheckList(), ref.Checks) {
 		t.Fatalf("checks differ from a from-scratch analysis")
 	}
 	if ref.RiseAt.At(ends[0].Index) == res.RiseAt.At(ends[0].Index) || want.RiseRAT.At(in.Index) == res.req.RiseRAT.At(in.Index) {

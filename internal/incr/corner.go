@@ -175,7 +175,7 @@ func (s *Session) cornerInfos() []CornerInfo {
 		if total := cs.hits + cs.misses; total > 0 {
 			ci.CacheHitRate = float64(cs.hits) / float64(total)
 		}
-		ci.Violations = len(cs.res.Violations())
+		ci.Violations = cs.res.ViolationCount()
 		if ms, ok := cs.res.MinSlack(); ok {
 			ci.MinSlack = &ms
 		}
@@ -201,7 +201,10 @@ type SlackInfo struct {
 // across every configured corner (the base analysis when none are).
 // The backward pass runs lazily on first query and is cached until the
 // next committed batch; the context cancels that computation and routes
-// its phase spans to the request's flight-recorder trace.
+// its phase spans to the request's flight-recorder trace. Each view's
+// ranking is memoized per version as a worst-first prefix that a version
+// derives from the previous one's; a read that ranks every node instead
+// counts in incr_slack_rank_scans_total.
 func (s *Session) Slack(ctx context.Context, k int, corner string) ([]SlackInfo, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -214,7 +217,10 @@ func (s *Session) Slack(ctx context.Context, k int, corner string) ([]SlackInfo,
 		if err != nil {
 			return nil, err
 		}
-		ranked := res.SlackRanking(req, k)
+		ranked, scanned := res.SlackPrefix(req, k)
+		if scanned {
+			s.rankScans.Inc()
+		}
 		out := make([]SlackInfo, len(ranked))
 		for i, e := range ranked {
 			out[i] = SlackInfo{
@@ -228,7 +234,10 @@ func (s *Session) Slack(ctx context.Context, k int, corner string) ([]SlackInfo,
 	if err != nil {
 		return nil, err
 	}
-	ranked := sw.Ranking(k)
+	ranked, scanned := sw.RankingPrefix(k)
+	if scanned {
+		s.rankScans.Inc()
+	}
 	out := make([]SlackInfo, len(ranked))
 	for i, e := range ranked {
 		out[i] = SlackInfo{

@@ -130,10 +130,7 @@ func (s *Session) NodeTiming(name string) (NodeTiming, bool) {
 		EarlyRise: finiteOrNil(r.EarlyRise.At(n.Index)),
 		EarlyFall: finiteOrNil(r.EarlyFall.At(n.Index)),
 	}
-	for _, c := range r.Checks {
-		if c.Node != n {
-			continue
-		}
+	for _, c := range r.NodeChecks(n.Index) {
 		nt.Checks = append(nt.Checks, checkInfo(c))
 		if c.Kind == core.CheckLatch || c.Kind == core.CheckOutput {
 			if nt.Slack == nil || c.Slack < *nt.Slack {
@@ -196,7 +193,7 @@ func (s *Session) Info() Info {
 	}
 	info.Corners = len(s.corners)
 	info.PerCorner = s.cornerInfos()
-	info.Violations = len(s.res.Violations())
+	info.Violations = s.res.ViolationCount()
 	if ms, ok := s.res.MinSlack(); ok {
 		info.MinSlack = &ms
 	}

@@ -17,7 +17,8 @@ import (
 
 // hashSweep hashes, bit for bit, everything a published version holds:
 // every corner's arcs, caps and delay scale, its arrivals, predecessor
-// records, checks and required times, and the merged view.
+// records, check blocks, required times and slack ranking prefix, and
+// the merged view and its ranking prefix.
 func hashSweep(sw *slack.Sweep) uint64 {
 	h := fnv.New64a()
 	word := func(v uint64) {
@@ -54,17 +55,37 @@ func hashSweep(sw *slack.Sweep) uint64 {
 			f(q.RiseRAT.At(i))
 			f(q.FallRAT.At(i))
 		}
-		for _, c := range r.Checks {
-			word(uint64(c.Kind)<<40 | uint64(c.Node.Index)<<8 | uint64(c.Pol))
-			word(uint64(c.Phase)<<33 | b2u(c.OK)<<32 | uint64(uint32(c.Edge())))
-			f(c.Arrival)
-			f(c.Deadline)
-			f(c.Slack)
+		for b, blk := range r.CheckBlocks() {
+			word(uint64(b)<<32 | uint64(len(blk)))
+			for _, c := range blk {
+				word(uint64(c.Kind)<<40 | uint64(c.Node.Index)<<8 | uint64(c.Pol))
+				word(uint64(c.Phase)<<33 | b2u(c.OK)<<32 | uint64(uint32(c.Edge())))
+				f(c.Arrival)
+				f(c.Deadline)
+				f(c.Slack)
+			}
+		}
+		rows, all := q.BuiltRanking()
+		word(uint64(len(rows))<<1 | b2u(all))
+		for _, e := range rows {
+			word(uint64(e.Node.Index)<<8 | uint64(e.Pol))
+			f(e.Arrival)
+			f(e.Required)
+			f(e.Slack)
 		}
 	}
 	for i := range sw.WorstSlack.Len() {
 		f(sw.WorstSlack.At(i))
 		word(uint64(uint32(sw.WorstCorner.At(i))))
+	}
+	rows, all := sw.BuiltRanking()
+	word(uint64(len(rows))<<1 | b2u(all))
+	for _, e := range rows {
+		word(uint64(e.Node.Index)<<8 | uint64(e.Pol))
+		h.Write([]byte(e.Corner))
+		f(e.Arrival)
+		f(e.Required)
+		f(e.Slack)
 	}
 	return h.Sum64()
 }
@@ -78,7 +99,8 @@ func b2u(b bool) uint64 {
 
 // TestRetainedVersionsNeverChange: a published version is never written
 // again, though the versions after it share every chunk of its arrays
-// that their cones did not write. Its hash (hashSweep) is the same after
+// and every check block that their cones did not write, and derive their
+// slack rankings from its prefixes. Its hash (hashSweep) is the same after
 // resizes, setcaps, an add and a remove, a batch a fault point rolls back
 // and a Full re-analysis, and a path stream opened on it before them
 // returns the same paths as one drained before them.
@@ -98,6 +120,14 @@ func TestRetainedVersionsNeverChange(t *testing.T) {
 	}
 	if kept.Corners[0].Res.RiseAt.NumChunks() < 2 {
 		t.Fatal("the chip fits in one chunk; nothing is shared")
+	}
+	for _, view := range []string{"", "slow", "typ", "fast"} {
+		if _, err := s.Slack(ctx, 10, view); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rows, _ := kept.BuiltRanking(); len(rows) < 10 {
+		t.Fatalf("the kept version's merged ranking prefix holds %d rows", len(rows))
 	}
 	want := hashSweep(kept)
 	const npaths = 40
@@ -137,8 +167,10 @@ func TestRetainedVersionsNeverChange(t *testing.T) {
 		if _, err := s.Apply(ctx, b); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
-		if _, err := s.Slack(ctx, 10, ""); err != nil {
-			t.Fatal(err)
+		for _, view := range []string{"", "slow", "typ", "fast"} {
+			if _, err := s.Slack(ctx, 10*(i+1), view); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	faultpoint.Arm("incr.apply.corner", faultpoint.Action{Err: faultpoint.ErrInjected})

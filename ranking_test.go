@@ -144,7 +144,7 @@ func refTopPaths(r *core.Result, k int) []core.RankedPath {
 		return nil
 	}
 	worst := make(map[int]core.Check)
-	for _, c := range r.Checks {
+	for _, c := range r.CheckList() {
 		if c.Kind != core.CheckLatch && c.Kind != core.CheckOutput {
 			continue
 		}
