@@ -9,9 +9,10 @@ package core
 //
 // Everything returned aliases the Result's internal arrays and must be
 // treated as immutable. A Result is never mutated after Analyze or
-// AnalyzeIncremental returns, so these are safe to read concurrently
-// with queries on the same Result, and safe to read lock-free after the
-// Result has been published.
+// AnalyzeIncremental returns, apart from what its reads memoize under
+// their own locks (Required, CheckList, CheckBlocks), so these are safe
+// to read concurrently with queries on the same Result, and safe to read
+// lock-free after the Result has been published.
 
 import (
 	"nmostv/internal/clocks"
